@@ -1,6 +1,6 @@
 """Run one benchmark workload and print its metrics.
 
-    python3 perfbench/run.py --workload mine --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload mine --seed 1 --seconds 30 --trace 0
 
 Run from the repository root.  The last line of standard output is one JSON
 object ``{"correct", "attempted", "failed", "metrics"}``: the end-to-end
@@ -29,7 +29,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=("mine", "serve", "stream"))
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=20.0, help="measured time per run")
+    parser.add_argument("--seconds", type=float, default=30.0, help="measured time per run")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
                         help="1: report per-layer metrics from a traced run")
     return parser.parse_args(argv)
@@ -43,10 +43,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     from perfbench.measure import ResultsFileError, append_result, environment
-    from perfbench.workloads import run
+    from perfbench.workloads import run, stop_child_processes
 
     workdir = ROOT / ".perfbench" / "work" / f"{args.workload}-{os.getpid()}"
-    record = run(args.workload, args.seed, args.seconds, bool(args.trace), workdir)
+    try:
+        record = run(args.workload, args.seed, args.seconds, bool(args.trace), workdir)
+    finally:
+        stop_child_processes()
     record.update(
         workload=args.workload,
         seconds=args.seconds,

@@ -7,13 +7,16 @@ repository root.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from perfbench.measure import ResultsFileError, append_result, percentile, samples_beyond, tail
 from perfbench.tracing import PER_LAYER, Span, Tracer, instrument, self_times
-from perfbench.workloads import END_TO_END, TINY, WORKLOADS, run
+from perfbench.workloads import END_TO_END, TINY, WORKLOADS, Recorder, Workload, _loop, run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -140,6 +143,7 @@ def test_benchmark_json_matches_the_code() -> None:
 @pytest.mark.parametrize("trace", [False, True])
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_tiny_run_passes_every_gate(tmp_path: Path, name: str, trace: bool) -> None:
+    children = set(multiprocessing.active_children())
     record = run(name, seed=3, seconds=0.2, trace=trace, workdir=tmp_path / "work", sizes=TINY)
     result = record["result"]
     assert result["correct"], (record["gates"], record["notes"])
@@ -148,3 +152,30 @@ def test_tiny_run_passes_every_gate(tmp_path: Path, name: str, trace: bool) -> N
     assert set(result["metrics"]) == expected
     assert all(record["gates"].values())
     assert not (tmp_path / "work").exists()
+    assert set(multiprocessing.active_children()) <= children
+
+
+def test_cold_starts_are_spread_over_the_run() -> None:
+    class Fake(Workload):
+        events: list[str] = []
+
+        def start(self, rec: Recorder) -> None:
+            self.events.append("start")
+
+        def restart(self, rec: Recorder) -> None:
+            self.events.append("restart")
+            time.sleep(0.05)  # time aside, not counted toward the run
+
+        def unit(self, rec: Recorder) -> None:
+            self.events.append("unit")
+            time.sleep(0.01)
+
+    fake = Fake(replace(TINY, ready_repeats=4), seed=0, workdir=Path("."))
+    begin = time.perf_counter()
+    _loop(fake, Recorder(), seconds=0.2)
+    assert time.perf_counter() - begin >= 0.2 + 3 * 0.05
+    events = Fake.events
+    assert events[0] == "start" and events.count("restart") == 3
+    restarts = [i for i, e in enumerate(events) if e == "restart"]
+    assert all(b - a > 2 for a, b in zip(restarts, restarts[1:]))
+    assert events[-1] == "unit"

@@ -13,9 +13,11 @@ The library is driven only through its public entry points, looked up on the
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import shutil
 import time
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,7 +56,7 @@ class Sizes:
     recall_sources: int = 16
     pool: int = 128
     setup_repeats: int = 3
-    ready_repeats: int = 5
+    ready_repeats: int = 7
 
 
 FULL = Sizes()
@@ -111,6 +113,36 @@ class Recorder:
             self.notes.append(note)
 
 
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers are forked, as the library's own pool is by default on Linux.
+
+    The benchmark starts no thread before set-up forks.  With ``spawn`` or
+    ``forkserver`` the pool's semaphores would start a resource tracker
+    process, and ``forkserver`` a fork server, that outlive the run.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if "fork" in methods else None)
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
+
+
+def stop_child_processes() -> None:
+    """Wait for every process this one started, helpers included, to end.
+
+    Pool workers are joined; the resource tracker and fork server that
+    :mod:`multiprocessing` may start would otherwise outlive the process.
+    Meant for the end of a benchmark process: stopping the resource tracker
+    unlinks any shared-memory segment still registered with it.
+    """
+    for child in multiprocessing.active_children():
+        child.join()
+    from multiprocessing import forkserver, resource_tracker
+
+    for helper in (resource_tracker._resource_tracker, forkserver._forkserver):
+        stop = getattr(helper, "_stop", None)
+        if stop is not None:
+            stop()
+
+
 def _relative_l1(approx: np.ndarray, exact: np.ndarray) -> float:
     """``Σ|approx − exact| / Σ exact``: the error of a batch of estimates, relative to it."""
     return float(np.abs(approx - exact).sum() / exact.sum())
@@ -147,7 +179,11 @@ class Workload:
         raise NotImplementedError
 
     def start(self, rec: Recorder) -> None:
-        """Cold start before the loop (the ``ready`` samples), if the workload has one."""
+        """Cold start before the loop (one ``ready`` sample), if the workload has one."""
+
+    def restart(self, rec: Recorder) -> None:
+        """Another cold start, taken between units; the loop then carries on."""
+        self.start(rec)
 
     def unit(self, rec: Recorder) -> None:
         raise NotImplementedError
@@ -264,7 +300,13 @@ class Serve(Workload):
         graph = kronecker_graph(scale=s.serve_scale, edge_factor=s.edge_factor, seed=GRAPH_SEED)
         self.store = self.workdir / "serve-store"
         shutil.rmtree(self.store, ignore_errors=True)
-        with repro.ShardedEngine(graph, 2, representation="khash", k=SERVE_K, seed=STORE_SEED) as built:
+        # The benchmark's own pool, so that its two workers are joined here;
+        # pickled row blocks, as shared-memory transport starts a resource
+        # tracker process that outlives the run.
+        with _worker_pool(2) as pool, repro.ShardedEngine(
+            graph, 2, representation="khash", k=SERVE_K, seed=STORE_SEED, pool=pool,
+            transport="pickle",
+        ) as built:
             built.save(self.store)
         pg = repro.ProbGraph(graph, representation="khash", k=SERVE_K, seed=STORE_SEED)
         index = LSHIndex(pg)
@@ -298,12 +340,11 @@ class Serve(Workload):
             engine = repro.ShardedEngine.open(self.store)
             return engine, engine.lsh_index()
 
-        for _ in range(self.sizes.ready_repeats):
-            self.close()
-            opened, seconds = rec.call(cold)
-            if opened is not None:
-                self.engine, self.index = opened
-            rec.add("ready", seconds)
+        self.close()
+        opened, seconds = rec.call(cold)
+        if opened is not None:
+            self.engine, self.index = opened
+        rec.add("ready", seconds)
 
     def unit(self, rec: Recorder) -> None:
         i, pool = self.iteration, self.sizes.pool
@@ -399,19 +440,23 @@ class Stream(Workload):
     def _params(self) -> dict[str, Any]:
         return {"representation": "khash", "k": SERVE_K, "seed": STORE_SEED}
 
-    def _preload(self, rec: Recorder) -> None:
+    def _preload(self, rec: Recorder) -> tuple[Any, Any, Any, Any]:
         begin = clock()
-        self.dyn = repro.DynamicGraph(num_vertices=self.n)
-        self.dyn.apply(repro.EdgeBatch(insertions=self.preload))
-        self.session = repro.PGSession()
-        self.pg = self.session.probgraph(self.dyn.snapshot(), **self._params())
-        self.index = self.session.lsh_index(self.pg)
+        dyn = repro.DynamicGraph(num_vertices=self.n)
+        dyn.apply(repro.EdgeBatch(insertions=self.preload))
+        session = repro.PGSession()
+        pg = session.probgraph(dyn.snapshot(), **self._params())
+        index = session.lsh_index(pg)
         rec.add("ready", clock() - begin)
-        self.cursor = 0
+        return dyn, session, pg, index
 
     def start(self, rec: Recorder) -> None:
-        for _ in range(self.sizes.ready_repeats):
-            self._preload(rec)
+        self.dyn, self.session, self.pg, self.index = self._preload(rec)
+        self.cursor = 0
+
+    def restart(self, rec: Recorder) -> None:
+        """A cold preload beside the stream, which carries on where it was."""
+        self._preload(rec)
 
     def _bit_identical(self) -> bool:
         """Patched sketch rows and LSH tables equal a fresh build on the snapshot."""
@@ -426,7 +471,7 @@ class Stream(Workload):
     def unit(self, rec: Recorder) -> None:
         if self.cursor == len(self.batches):
             self.passes_checked.append(self._bit_identical())
-            self._preload(rec)
+            self.start(rec)
         ins, dels, u, v, sources = self.batches[self.cursor]
         self.cursor += 1
 
@@ -495,16 +540,32 @@ END_TO_END = (
 
 
 def _loop(workload: Workload, rec: Recorder, seconds: float, tracer: Any = NULL_TRACER) -> None:
-    """Cold start, then units until ``seconds`` have passed (at least one unit)."""
+    """Cold start, then units for ``seconds`` (at least one unit).
+
+    The other ``ready_repeats - 1`` cold starts are spread evenly over the
+    run, so that their median, like the units', covers the whole run rather
+    than its first seconds.  Time spent in them does not count toward
+    ``seconds``.
+    """
     with tracer.span("bench.start"):
         workload.start(rec)
-    deadline = clock() + seconds
+    repeats = workload.sizes.ready_repeats
+    begin = clock()
+    restarts = 0
+    aside = 0.0
     while True:
         with tracer.span("bench.unit"):
             workload.unit(rec)
         rec.units += 1
-        if clock() >= deadline:
+        elapsed = clock() - begin - aside
+        if elapsed >= seconds:
             return
+        if restarts + 1 < repeats and elapsed >= (restarts + 1) * seconds / repeats:
+            restarted = clock()
+            with tracer.span("bench.start"):
+                workload.restart(rec)
+            aside += clock() - restarted
+            restarts += 1
 
 
 @contextmanager
