@@ -4,11 +4,11 @@ PYTHON ?= python
 
 # Static analysis gate: reprolint (always) + mypy (when installed).
 # CI runs both unconditionally; the local fallback keeps `make lint` usable
-# in environments without mypy.  Scripts (benchmarks/examples/tests) are
+# in environments without mypy.  Scripts (benchmarks/examples/perfbench/tests) are
 # linted with the relaxed profile: lifecycle/pickle rules on, determinism off.
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis.lint src/
-	PYTHONPATH=src $(PYTHON) -m repro.analysis.lint --profile=scripts benchmarks/ examples/ tests/
+	PYTHONPATH=src $(PYTHON) -m repro.analysis.lint --profile=scripts benchmarks/ examples/ perfbench/ tests/
 	@if $(PYTHON) -c "import mypy" 2>/dev/null; then \
 		$(PYTHON) -m mypy --config-file setup.cfg -p repro; \
 	else \

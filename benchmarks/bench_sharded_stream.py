@@ -6,13 +6,13 @@ sharded engine did not compose: every :class:`~repro.dynamic.GraphDelta`
 forced a full multiprocess rebuild of all shard containers (and of any LSH
 index over them).  This benchmark replays a ~1M-edge Kronecker stream
 (20% pre-loaded, the rest applied in fixed-size batches with periodic
-deletions) against a live ``ShardedEngine`` + ``ShardedLSHIndex`` and
+deletions) against a live ``ShardedEngine`` and its ``lsh_index()`` and
 measures, per batch,
 
 * **incremental**: ``engine.apply_delta(delta)`` — split the delta by shard
-  owners, patch only the touched rows in place; the registered LSH index
-  marks them dirty and re-keys only those bucket entries on the next serve
-  (that deferred splice is charged to the incremental side too);
+  owners, patch only the touched rows in place and mark them on the LSH
+  index, which re-keys only those bucket entries on the next serve (that
+  deferred splice is charged to the incremental side too);
 * **rebuild**: constructing a fresh ``ShardedEngine`` + LSH index on the new
   snapshot (sampled at a few stream positions and extrapolated — both paths
   share one warm process pool, which *favors* the rebuild baseline).

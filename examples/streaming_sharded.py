@@ -4,9 +4,9 @@
 The streaming × sharding composition: a `DynamicGraph` absorbs edge batches
 (insertions *and* deletions), and each resulting `GraphDelta` is routed
 through `ShardedEngine.apply_delta` — the delta is split by shard owners,
-only the touched sketch rows are patched in place, and any `ShardedLSHIndex`
-built over the engine re-keys exactly those rows' bucket entries on its next
-probe.  Queries keep being served between batches; an engine that missed a
+only the touched sketch rows are patched in place, and the engine's LSH
+index (`engine.lsh_index()`, one bucket table of global vertex IDs) re-keys
+exactly those rows' bucket entries on its next read.  Queries keep being served between batches; an engine that missed a
 delta raises `StaleShardError` instead of answering from stale shards.  The
 patched shards stay bit-identical to a fresh sharded rebuild throughout.
 

@@ -67,7 +67,6 @@ from .engine import (
     PGSession,
     ShardSkewStats,
     ShardedEngine,
-    ShardedLSHIndex,
     StaleShardError,
     TopKResult,
     build_probgraph_sharded,
@@ -88,7 +87,6 @@ __all__ = [
     "EngineConfig",
     "LSHIndex",
     "ShardedEngine",
-    "ShardedLSHIndex",
     "ShardSkewStats",
     "StaleShardError",
     "build_probgraph_sharded",

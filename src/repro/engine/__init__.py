@@ -9,8 +9,8 @@ This package is the execution layer between the sketch containers
   and multi-algorithm runs reuse one construction pass;
 * :func:`batched_pair_intersections` / :func:`batched_pair_jaccard` /
   :func:`sum_pair_intersections` / :func:`scatter_add_pair_intersections`
-  stream arbitrary-length pair lists through fixed-size, memory-bounded chunks
-  (optionally fanned out over the :mod:`repro.parallel` thread pool);
+  stream arbitrary-length pair lists through fixed-size, memory-bounded chunks,
+  rejecting vertex IDs outside ``[0, n)`` at the boundary;
 * :func:`topk_pair_scores` / :func:`topk_per_source` keep an ``O(k)`` running
   selection over streamed pair scores (top-k retrieval — the serving and
   link-prediction query shape — without materializing the score array);
@@ -18,10 +18,12 @@ This package is the execution layer between the sketch containers
   serves queries by routing each pair to the shard owning its sketch rows
   (scatter-gather, bit-identical to the single-process path — §VIII-F for
   real on one machine);
-* :class:`LSHIndex` / :class:`ShardedLSHIndex` band the MinHash signature
-  matrices into bucket tables and serve top-k/kNN by scoring only colliding
-  candidates — sublinear probes with an S-curve recall contract, falling
-  back to the full scan for Bloom/HLL or ``exact=True``;
+* :class:`LSHIndex` bands the MinHash signature matrices of a ProbGraph or
+  a ShardedEngine into one bucket table of global vertex IDs and serves
+  top-k/kNN by scoring only colliding candidates — sublinear probes with an
+  S-curve recall contract, falling back to the source's full scan for
+  Bloom/HLL or ``exact=True``.  Engine patches mark touched rows and the
+  next read re-keys them; ``repartition()`` needs no LSH work;
 * :func:`engine_stats` exposes process-wide activity counters so the engine
   path is observable.
 
@@ -55,7 +57,6 @@ from .sharded import (
     ShardCommStats,
     ShardSkewStats,
     ShardedEngine,
-    ShardedLSHIndex,
     StaleShardError,
     build_probgraph_sharded,
 )
@@ -73,7 +74,6 @@ __all__ = [
     "ShardCommStats",
     "ShardSkewStats",
     "ShardedEngine",
-    "ShardedLSHIndex",
     "StaleShardError",
     "build_probgraph_sharded",
     "select_topk_rows",

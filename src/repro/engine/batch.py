@@ -15,9 +15,9 @@ instead:
   (:attr:`~repro.sketches.base.NeighborhoodSketches.pair_scratch_bytes`);
 * chunked execution is *bit-identical* to the unchunked call — every estimator
   is a pure element-wise function of the two gathered sketch rows;
-* an optional :class:`~repro.parallel.executor.ParallelConfig` fans the chunks
-  out over the thread pool of :func:`repro.parallel.executor.parallel_edge_map`
-  (NumPy releases the GIL inside the large array ops);
+* caller vertex IDs are checked once at the boundary
+  (:func:`check_vertex_ids`): an ID outside ``[0, n)`` raises ``ValueError``
+  instead of aliasing another row or failing mid-chunk;
 * module-level :class:`EngineStats` counters record every query/chunk/pair so
   tests and benchmarks can assert that an algorithm actually executed through
   the engine path.
@@ -34,13 +34,14 @@ import numpy as np
 
 from ..core.estimators import EstimatorKind, intersection_to_jaccard
 from ..core.probgraph import ProbGraph
-from ..parallel.executor import ParallelConfig, chunked_ranges, parallel_edge_map
+from ..parallel.executor import chunked_ranges
 from ..sketches.base import SketchContainer
 
 __all__ = [
     "DEFAULT_MEMORY_BUDGET_BYTES",
     "EngineConfig",
     "EngineStats",
+    "check_vertex_ids",
     "engine_stats",
     "reset_engine_stats",
     "record_patch",
@@ -66,7 +67,7 @@ _MIN_AUTO_CHUNK_PAIRS = 4096
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Execution policy for one batched query (chunking + optional threading).
+    """Execution policy for one batched query (how its pairs are chunked).
 
     Parameters
     ----------
@@ -77,14 +78,10 @@ class EngineConfig:
     memory_budget_bytes:
         Cap on the temporary memory a single batched query may allocate
         (ignored when ``max_chunk_pairs`` is given).
-    parallel:
-        Optional thread fan-out; chunks become the work units of
-        :func:`repro.parallel.executor.parallel_edge_map`.
     """
 
     max_chunk_pairs: int | None = None
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES
-    parallel: ParallelConfig | None = None
 
     def __post_init__(self) -> None:
         if self.max_chunk_pairs is not None and self.max_chunk_pairs < 1:
@@ -177,12 +174,30 @@ def resolve_chunk_pairs(sketches: SketchContainer, config: EngineConfig | None =
     return max(config.memory_budget_bytes // per_pair, _MIN_AUTO_CHUNK_PAIRS)
 
 
-def _as_pair_arrays(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def check_vertex_ids(ids: np.ndarray, num_vertices: int, name: str = "vertex IDs") -> np.ndarray:
+    """``ids`` as a flat int64 array, rejecting any ID outside ``[0, num_vertices)``.
+
+    The one boundary check of caller-supplied vertex IDs: without it a
+    negative ID silently aliases the row NumPy's negative indexing picks, and
+    an ID past the end fails mid-chunk with a bare ``IndexError``.  Empty
+    inputs are valid.
+    """
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    # Viewed as uint64 a negative ID exceeds every valid one: one pass, one max.
+    if ids.size and ids.view(np.uint64).max() >= num_vertices:
+        bad = ids[(ids < 0) | (ids >= num_vertices)][0]
+        raise ValueError(f"{name} must lie in [0, {num_vertices}); got {bad}")
+    return ids
+
+
+def _as_pair_arrays(
+    u: np.ndarray, v: np.ndarray, num_vertices: int
+) -> tuple[np.ndarray, np.ndarray]:
     u = np.asarray(u, dtype=np.int64).ravel()
     v = np.asarray(v, dtype=np.int64).ravel()
     if u.shape != v.shape:
         raise ValueError("u and v must have the same shape")
-    return u, v
+    return check_vertex_ids(u, num_vertices), check_vertex_ids(v, num_vertices)
 
 
 def iter_pair_chunks(
@@ -217,7 +232,7 @@ def batched_pair_intersections(
     ``chunk * sketches.pair_scratch_bytes`` (plus the output array).
     """
     config = config or EngineConfig()
-    u, v = _as_pair_arrays(u, v)
+    u, v = _as_pair_arrays(u, v, pg.num_vertices)
     total = u.shape[0]
     _STATS.queries += 1
     _STATS.pairs += total
@@ -225,11 +240,6 @@ def batched_pair_intersections(
         return np.empty(0, dtype=np.float64)
     chunk = resolve_chunk_pairs(pg.sketches, config)
     _STATS.chunks += len(chunked_ranges(total, chunk))
-    if config.parallel is not None and config.parallel.num_workers > 1:
-        kernel = lambda uc, vc: pg.pair_intersections(uc, vc, estimator=estimator)  # noqa: E731
-        pool = ParallelConfig(config.parallel.num_workers, chunk)
-        return np.asarray(parallel_edge_map(kernel, u, v, pool), dtype=np.float64)
-    # Sequential streaming is the sketch container's own chunk contract.
     return pg.pair_intersections_chunked(u, v, chunk, estimator=estimator)
 
 
@@ -246,7 +256,7 @@ def batched_pair_jaccard(
     the sketched base — oriented ``N+`` when the ProbGraph is oriented).
     """
     config = config or EngineConfig()
-    u, v = _as_pair_arrays(u, v)
+    u, v = _as_pair_arrays(u, v, pg.num_vertices)
     total = u.shape[0]
     if total == 0:
         _STATS.queries += 1
@@ -271,21 +281,13 @@ def sum_pair_intersections(
     work.  This is the kernel of the edge-sum triangle-count estimators (§VII).
     """
     config = config or EngineConfig()
-    u, v = _as_pair_arrays(u, v)
+    u, v = _as_pair_arrays(u, v, pg.num_vertices)
     total = u.shape[0]
     _STATS.queries += 1
     _STATS.pairs += total
     if total == 0:
         return 0.0
     chunk = resolve_chunk_pairs(pg.sketches, config)
-    if config.parallel is not None and config.parallel.num_workers > 1:
-        # Reduce inside the worker so only one scalar per chunk crosses threads.
-        kernel = lambda uc, vc: np.asarray(  # noqa: E731
-            [pg.pair_intersections(uc, vc, estimator=estimator).sum()]
-        )
-        _STATS.chunks += len(chunked_ranges(total, chunk))
-        pool = ParallelConfig(config.parallel.num_workers, chunk)
-        return float(parallel_edge_map(kernel, u, v, pool).sum())
     acc = 0.0
     for start, stop in chunked_ranges(total, chunk):
         _STATS.chunks += 1
@@ -306,12 +308,10 @@ def scatter_add_pair_intersections(
 
     Streaming equivalent of ``np.add.at(out, index, pair_intersections(u, v))``
     without materializing the full estimate array — the kernel of per-vertex
-    triangle counts.  Always sequential: concurrent ``np.add.at`` into a shared
-    output is not atomic, and the accumulate step is a small fraction of the
-    estimator work.
+    triangle counts.
     """
     config = config or EngineConfig()
-    u, v = _as_pair_arrays(u, v)
+    u, v = _as_pair_arrays(u, v, pg.num_vertices)
     index = np.asarray(index, dtype=np.int64).ravel()
     if index.shape != u.shape:
         raise ValueError("index must have the same shape as u and v")

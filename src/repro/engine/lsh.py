@@ -24,18 +24,24 @@ already store:
   canonical order (score descending, ID ascending on ties) as
   :mod:`repro.engine.topk`.
 
+The rows come from a :class:`~repro.core.ProbGraph` or a
+:class:`~repro.engine.sharded.ShardedEngine` (one row block per shard).  A
+band key depends only on a row's signature values, never on where the row is
+stored, so both fill **one** ``(key, vertex)`` table of global vertex IDs —
+an engine's table is bit-identical to ``engine.to_probgraph()``'s, and
+re-partitioning the engine needs no LSH work.  Candidates are scored through
+the source's own ``pair_intersections`` (routed for an engine).
+
 Bloom and HyperLogLog containers store no per-element values, so no banding
 index can be built over them: the index transparently **falls back to the
-existing full-scan path** (bit-identical to
-:meth:`repro.engine.PGSession.top_k_similar_batch`), as it does when a caller
-requests ``exact=True``.
+source's own full scan**, as it does when a caller requests ``exact=True``.
 
-The index is delta-aware: after the underlying :class:`~repro.core.ProbGraph`
-is patched (:meth:`ProbGraph.apply_delta <repro.core.ProbGraph.apply_delta>`),
-:meth:`LSHIndex.apply_delta` re-keys exactly the touched rows' bucket entries,
+The index is delta-aware through one mechanism: rows a delta touched are
+*marked*, and the next read re-keys exactly those rows' bucket entries,
 producing tables bit-identical to a fresh build on the new graph.
-:meth:`repro.engine.PGSession.apply_delta` drives this automatically for
-session-cached indexes.
+:meth:`LSHIndex.apply_delta` (the :meth:`repro.engine.PGSession.apply_delta`
+path) marks and re-keys at once; ``ShardedEngine.apply_delta`` only marks,
+so a burst of deltas pays one table splice at the next query.
 """
 
 from __future__ import annotations
@@ -57,11 +63,18 @@ from ..sketches.hashing import splitmix64
 from ..sketches.kmv import KMVNeighborhoodSketches
 from ..sketches.minhash import BottomKNeighborhoodSketches, KHashNeighborhoodSketches
 from ..storage import StoreFormatError, StoreHandle, open_blocks, write_blocks
-from .batch import EngineConfig, record_query, record_topk, resolve_chunk_pairs
+from .batch import (
+    EngineConfig,
+    check_vertex_ids,
+    record_query,
+    record_topk,
+    resolve_chunk_pairs,
+)
 from .topk import TopKResult, _resolve_score_fn, materialized_topk, topk_per_source
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dynamic.graph import GraphDelta
+    from .sharded import ShardedEngine
 
 __all__ = [
     "DEFAULT_LSH_THRESHOLD",
@@ -136,8 +149,7 @@ def select_topk_rows(
     descending, candidate ID ascending on ties — padded with ``-1`` (score
     ``0.0``) to width ``k``, so a result row equals the full-scan
     :func:`~repro.engine.topk.topk_per_source` row whenever the candidate list
-    covers that row's winners.  Shared by the single-process and sharded LSH
-    paths so both select bit-identically.
+    covers that row's winners.
     """
     if not np.all(np.isfinite(flat_scores)):
         raise ValueError(
@@ -163,14 +175,15 @@ def select_topk_rows(
 
 
 class LSHIndex:
-    """Band/row MinHash-LSH bucket tables over one sketch container.
+    """Band/row MinHash-LSH bucket tables over one row source.
 
     Parameters
     ----------
     source:
-        A :class:`~repro.core.ProbGraph` (the serving shape: probing *and*
-        scoring) or a bare :class:`~repro.sketches.base.NeighborhoodSketches`
-        container (probe-only — the sharded engine builds one per shard).
+        A :class:`~repro.core.ProbGraph` or a
+        :class:`~repro.engine.sharded.ShardedEngine`; reads of an engine
+        whose source graph moved without a routed delta raise
+        :class:`~repro.engine.sharded.StaleShardError`.
     num_bands, rows_per_band:
         Explicit band/row split (``num_bands · rows_per_band ≤ k``).  When
         omitted, :func:`repro.core.budget.resolve_lsh_params` picks the split
@@ -178,63 +191,55 @@ class LSHIndex:
     threshold:
         Target similarity for the parameter resolution (ignored when both
         ``num_bands`` and ``rows_per_band`` are given).
-    vertex_ids:
-        Global vertex ID of each container row (defaults to ``arange``); the
-        sharded engine passes each shard's owned-vertex list so per-shard
-        tables hold globally-addressed entries.
 
     For Bloom/HLL containers no tables are built (:attr:`banded` is False) and
-    every query transparently takes the full-scan path.
+    every query transparently takes the source's full-scan path.
     """
 
     def __init__(
         self,
-        source: ProbGraph | NeighborhoodSketches,
+        source: "ProbGraph | ShardedEngine",
         num_bands: int | None = None,
         rows_per_band: int | None = None,
         threshold: float = DEFAULT_LSH_THRESHOLD,
-        vertex_ids: np.ndarray | None = None,
     ) -> None:
-        if isinstance(source, ProbGraph):
-            self.pg: ProbGraph | None = source
-            self.sketches: NeighborhoodSketches = source.sketches
-        else:
-            self.pg = None
-            self.sketches = source
+        from .sharded import ShardedEngine
+
+        if not isinstance(source, (ProbGraph, ShardedEngine)):
+            raise TypeError(
+                f"expected a ProbGraph or ShardedEngine, got {type(source).__name__}"
+            )
+        self.source = source
         self.threshold = float(threshold)
         self.stats = LSHIndexStats()
         self._handle: StoreHandle | None = None
-        # Bucket tables are rebuilt/spliced under this lock; reads (probe)
-        # are lock-free against the immutable sorted arrays.  Under reprosan
-        # the lock feeds the lock-order graph and every table write is
-        # epoch-stamped against it.
+        # Bucket tables are rebuilt/spliced, and touched rows marked, under
+        # this lock; reads (probe) are lock-free against the immutable sorted
+        # arrays.  Under reprosan the lock feeds the lock-order graph and
+        # every table write is epoch-stamped against it.
         self._table_lock = _san.make_rlock("LSHIndex.tables")
-        if vertex_ids is None:
-            vertex_ids = np.arange(self.sketches.num_sets, dtype=np.int64)
-        else:
-            vertex_ids = np.asarray(vertex_ids, dtype=np.int64).ravel()
-            if vertex_ids.shape[0] != self.sketches.num_sets:
-                raise ValueError(
-                    f"vertex_ids has {vertex_ids.shape[0]} entries for a container "
-                    f"with {self.sketches.num_sets} rows"
-                )
-        self.vertex_ids = vertex_ids
-        sig = signature_matrix(self.sketches)
+        self._dirty = np.empty(0, dtype=np.int64)
+        container = self._container()
+        sig = signature_matrix(container)
         if sig is None:
             if num_bands is not None or rows_per_band is not None:
                 raise ValueError(
-                    f"{type(self.sketches).__name__} stores no signature matrix; "
+                    f"{type(container).__name__} stores no signature matrix; "
                     "banding parameters are not applicable (queries fall back to "
                     "the full scan)"
                 )
             self.resolution: LSHResolution | None = None
             self._keys = np.empty(0, dtype=np.uint64)
             self._verts = np.empty(0, dtype=np.int64)
-            self._num_rows = self.sketches.num_sets
-            return
-        slots = sig[0].shape[1]
-        self.resolution = _resolve_band_split(slots, num_bands, rows_per_band, threshold)
-        self._rebuild()
+            self._num_rows = source.num_vertices
+        else:
+            slots = sig[0].shape[1]
+            self.resolution = _resolve_band_split(slots, num_bands, rows_per_band, threshold)
+            self._rebuild()
+        if not isinstance(source, ProbGraph):
+            # ShardedEngine.apply_delta marks the rows it patched on every live
+            # index; the weak registration ends with the index.
+            source._lsh_indexes.add(self)
 
     # ------------------------------------------------------------- properties
     @property
@@ -255,39 +260,78 @@ class LSHIndex:
     @property
     def num_entries(self) -> int:
         """Total ``(band, vertex)`` bucket entries across all tables."""
+        self._flush()
         return int(self._keys.shape[0])
 
     @property
     def num_buckets(self) -> int:
         """Number of distinct bucket keys across all bands."""
+        self._flush()
         if self._keys.shape[0] == 0:
             return 0
         return int(np.unique(self._keys).shape[0])
 
+    # ------------------------------------------------------------ row source
+    def _container(self) -> NeighborhoodSketches:
+        """A container of the source's family: the ProbGraph's, or shard 0."""
+        if isinstance(self.source, ProbGraph):
+            return self.source.sketches
+        return self.source._shards[0]
+
+    def _row_blocks(
+        self, vertices: np.ndarray
+    ) -> list[tuple[NeighborhoodSketches, np.ndarray, np.ndarray | slice]]:
+        """``(container, local rows, positions in vertices)`` per owning block."""
+        source = self.source
+        if isinstance(source, ProbGraph):
+            return [(source.sketches, vertices, slice(None))]
+        partition = source.partition
+        owners = partition.owners[vertices]
+        blocks = []
+        for s in np.unique(owners):
+            at = np.flatnonzero(owners == s)
+            blocks.append((source._shards[int(s)], partition.local_index[vertices[at]], at))
+        return blocks
+
+    def _check_fresh(self) -> None:
+        """Refuse reads of an engine whose source graph moved out-of-band."""
+        if not isinstance(self.source, ProbGraph):
+            self.source._check_fresh()
+
     # ------------------------------------------------------------ table build
     def band_keys(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(len(rows), b)`` bucket keys + validity mask for container rows.
+        """``(len(rows), b)`` bucket keys + validity mask for global vertex IDs.
 
         Key ``[i, j]`` chains the splitmix64 finalizer over band ``j``'s
-        ``r`` signature slots of row ``rows[i]`` (each chain step seeded by
+        ``r`` signature slots of vertex ``rows[i]`` (each chain step seeded by
         its column, so bands hash to disjoint key spaces).  A band is *valid*
         when at least one of its slots is non-empty; empty bands (isolated or
         sentinel-only rows) produce no bucket entries and never probe, which
         keeps all-empty vertices from colliding with each other.
 
-        Keys depend only on the family parameters and the band split, so keys
-        computed on one container probe any compatible container's tables —
-        the routed-probe contract of the sharded engine.
+        Keys depend only on the family parameters and the band split, never
+        on which container holds the row, so an engine-backed index reads
+        each vertex's keys from its owning shard.
         """
-        sig = signature_matrix(self.sketches)
-        assert sig is not None and self.resolution is not None
-        matrix, empty = sig
         rows = np.asarray(rows, dtype=np.int64).ravel()
-        sub = matrix[rows]
-        sub_empty = empty[rows]
+        keys = np.empty((rows.shape[0], self.num_bands), dtype=np.uint64)
+        valid = np.empty((rows.shape[0], self.num_bands), dtype=bool)
+        for container, local, at in self._row_blocks(rows):
+            keys[at], valid[at] = self._container_band_keys(container, local)
+        return keys, valid
+
+    def _container_band_keys(
+        self, container: NeighborhoodSketches, local: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`band_keys` of rows ``local`` of one container."""
+        assert self.resolution is not None
+        sig = signature_matrix(container)
+        assert sig is not None
+        sub = sig[0][local]
+        sub_empty = sig[1][local]
         b, r = self.resolution.num_bands, self.resolution.rows_per_band
-        keys = np.empty((rows.shape[0], b), dtype=np.uint64)
-        valid = np.empty((rows.shape[0], b), dtype=bool)
+        keys = np.empty((local.shape[0], b), dtype=np.uint64)
+        valid = np.empty((local.shape[0], b), dtype=bool)
         for band in range(b):
             lo = band * r
             h = splitmix64(sub[:, lo], seed=_KEY_SEED + lo)
@@ -298,18 +342,14 @@ class LSHIndex:
         return keys, valid
 
     def _entries_for_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flat (keys, vertex IDs) bucket entries of the given container rows."""
-        keys, valid = self.band_keys(rows)
-        flat = valid.ravel()
-        verts = np.repeat(self.vertex_ids[rows], self.num_bands)[flat]
-        return keys.ravel()[flat], verts
-
-    def _store_sorted(self, keys: np.ndarray, verts: np.ndarray) -> None:
-        """Canonical entry order: by key, then vertex ID — rebuild/patch agree."""
-        _san.stamp_write(self._table_lock, "LSHIndex.tables")
-        order = np.lexsort((verts, keys))
-        self._keys = keys[order]
-        self._verts = verts[order]
+        """Flat (keys, vertex IDs) bucket entries of the given vertices, unsorted."""
+        all_keys, all_verts = [np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=np.int64)]
+        for container, local, at in self._row_blocks(rows):
+            keys, valid = self._container_band_keys(container, local)
+            flat = valid.ravel()
+            all_keys.append(keys.ravel()[flat])
+            all_verts.append(np.repeat(rows[at], self.num_bands)[flat])
+        return np.concatenate(all_keys), np.concatenate(all_verts)
 
     @staticmethod
     def _pack_entries(keys: np.ndarray, verts: np.ndarray) -> np.ndarray:
@@ -334,15 +374,14 @@ class LSHIndex:
         """Merge new entries into the kept (already canonical) entries in O(n).
 
         A patch re-keys a few thousand rows of a table holding millions of
-        entries; re-lexsorting everything made :meth:`rekey_rows` cost as much
+        entries; re-sorting everything made :meth:`rekey_rows` cost as much
         as a rebuild.  The kept entries stay sorted after masking, so sorting
         only the new entries and computing their splice positions with one
-        compound-key ``searchsorted`` reproduces ``_store_sorted``'s canonical
+        compound-key ``searchsorted`` reproduces :meth:`_rebuild`'s canonical
         order bit-for-bit at linear cost.
         """
         _san.stamp_write(self._table_lock, "LSHIndex.tables")
-        order = np.lexsort((new_verts, new_keys))
-        new_keys, new_verts = new_keys[order], new_verts[order]
+        new_keys, new_verts = _canonical_sort(new_keys, new_verts)
         old_keys, old_verts = self._keys[keep], self._verts[keep]
         pos = np.searchsorted(
             self._pack_entries(old_keys, old_verts),
@@ -362,9 +401,11 @@ class LSHIndex:
 
     def _rebuild(self) -> None:
         with self._table_lock:
-            rows = np.arange(self.sketches.num_sets, dtype=np.int64)
-            self._store_sorted(*self._entries_for_rows(rows))
-            self._num_rows = self.sketches.num_sets
+            num_rows = self.source.num_vertices
+            entries = self._entries_for_rows(np.arange(num_rows, dtype=np.int64))
+            _san.stamp_write(self._table_lock, "LSHIndex.tables")
+            self._keys, self._verts = _canonical_sort(*entries)
+            self._num_rows = num_rows
 
     # ------------------------------------------------------------- persistence
     @staticmethod
@@ -377,29 +418,41 @@ class LSHIndex:
     def save(self, path: str | os.PathLike[str]) -> None:
         """Persist the bucket tables as one ``kind="lsh"`` block file.
 
-        Only banded indexes have tables to persist; Bloom/HLL full-scan
-        fallbacks raise :class:`ValueError`.  The header records the band
-        split and a checksum of the source signature matrix, so :meth:`open`
-        refuses to attach the tables to a container they were not built from.
+        Only banded, ProbGraph-backed indexes have tables to persist; Bloom/HLL
+        full-scan fallbacks and engine-backed indexes raise
+        :class:`ValueError`.  The header records the band split and a
+        checksum of the source signature matrix, so :meth:`open` refuses to
+        attach the tables to a container they were not built from.
         """
+        if not isinstance(self.source, ProbGraph):
+            raise ValueError(
+                "only a ProbGraph-backed index can be saved; an engine-backed "
+                "index is rebuilt from the engine's shards"
+            )
+        sketches = self.source.sketches
         if self.resolution is None:
             raise ValueError(
-                f"{type(self.sketches).__name__} builds no bucket tables "
+                f"{type(sketches).__name__} builds no bucket tables "
                 "(full-scan fallback); there is nothing to persist"
             )
         with self._table_lock:
+            self._flush()
             write_blocks(
                 path,
                 "lsh",
-                {"keys": self._keys, "verts": self._verts, "vertex_ids": self.vertex_ids},
+                {
+                    "keys": self._keys,
+                    "verts": self._verts,
+                    "vertex_ids": np.arange(self._num_rows, dtype=np.int64),
+                },
                 meta={
-                    "family": type(self.sketches).__name__,
+                    "family": type(sketches).__name__,
                     "num_rows": int(self._num_rows),
                     "num_bands": int(self.resolution.num_bands),
                     "rows_per_band": int(self.resolution.rows_per_band),
                     "signature_slots": int(self.resolution.signature_slots),
                     "target_threshold": float(self.resolution.target_threshold),
-                    "signature_crc32": self._signature_crc(self.sketches),
+                    "signature_crc32": self._signature_crc(sketches),
                 },
             )
 
@@ -407,7 +460,7 @@ class LSHIndex:
     def open(
         cls,
         path: str | os.PathLike[str],
-        source: ProbGraph | NeighborhoodSketches,
+        source: ProbGraph,
         mode: str = "mmap",
     ) -> "LSHIndex":
         """Attach saved bucket tables to ``source`` — probe-ready, no rebuild.
@@ -421,42 +474,41 @@ class LSHIndex:
         written in place), so the file stays valid.  The index owns the
         handle — release it with :meth:`close`.
         """
+        if not isinstance(source, ProbGraph):
+            raise TypeError(
+                f"saved LSH tables attach to a ProbGraph, got {type(source).__name__}"
+            )
         index = cls.__new__(cls)
         handle = open_blocks(
             path, mode=mode, owner=index, purpose="LSH bucket tables",
             site=_san.call_site(1),
         )
+        sketches = source.sketches
         try:
             if handle.kind != "lsh":
                 raise StoreFormatError(
                     f"{os.fspath(path)}: kind {handle.kind!r} is not an LSH "
                     "table entry"
                 )
-            if isinstance(source, ProbGraph):
-                index.pg = source
-                index.sketches = source.sketches
-            else:
-                index.pg = None
-                index.sketches = source
             family = str(handle.meta.get("family", ""))
-            if family != type(index.sketches).__name__:
+            if family != type(sketches).__name__:
                 raise StoreFormatError(
                     f"{os.fspath(path)}: tables were built over {family}, "
-                    f"source holds {type(index.sketches).__name__}"
+                    f"source holds {type(sketches).__name__}"
                 )
             num_rows = int(handle.meta["num_rows"])
-            if num_rows != index.sketches.num_sets:
+            if num_rows != sketches.num_sets:
                 raise StoreFormatError(
                     f"{os.fspath(path)}: tables cover {num_rows} rows, source "
-                    f"has {index.sketches.num_sets}"
+                    f"has {sketches.num_sets}"
                 )
-            sig = signature_matrix(index.sketches)
+            sig = signature_matrix(sketches)
             if sig is None:
                 raise StoreFormatError(
                     f"{os.fspath(path)}: source family stores no signature "
                     "matrix; saved tables cannot apply"
                 )
-            if cls._signature_crc(index.sketches) != int(handle.meta["signature_crc32"]):
+            if cls._signature_crc(sketches) != int(handle.meta["signature_crc32"]):
                 raise StoreFormatError(
                     f"{os.fspath(path)}: signature checksum mismatch — the "
                     "tables were not built from this container's rows"
@@ -475,11 +527,12 @@ class LSHIndex:
         except Exception:
             handle.close()
             raise
+        index.source = source
         index.threshold = resolution.target_threshold
         index.stats = LSHIndexStats()
         index._handle = handle
         index._table_lock = _san.make_rlock("LSHIndex.tables")
-        index.vertex_ids = handle.arrays["vertex_ids"]
+        index._dirty = np.empty(0, dtype=np.int64)
         index.resolution = resolution
         index._keys = handle.arrays["keys"]
         index._verts = handle.arrays["verts"]
@@ -505,74 +558,76 @@ class LSHIndex:
     def apply_delta(self, delta: "GraphDelta") -> int:
         """Re-key the bucket entries of exactly the delta's touched rows.
 
-        Call *after* the underlying :class:`~repro.core.ProbGraph` was patched
-        to ``delta.graph`` (checked via the fingerprint) — the signature matrix
-        already holds the new rows, so recomputing the touched rows' band keys
-        and splicing them into the sorted entry arrays yields tables
+        Call *after* the source was patched to ``delta.graph`` (checked via
+        the fingerprint) — the signature rows already hold their new state,
+        so marking the touched rows and flushing them splices tables
         bit-identical to a fresh build on the new graph.  Rows appended by a
         vertex-growing delta are indexed too.  Returns the number of re-keyed
         rows; the full-scan fallback has no tables and returns 0.
 
-        :meth:`repro.engine.PGSession.apply_delta` calls this automatically
-        for every session-cached index of the delta's graph.
+        :meth:`repro.engine.PGSession.apply_delta` calls this for every
+        session-cached index of the delta's graph.  An engine-backed index
+        needs no call — :meth:`ShardedEngine.apply_delta
+        <repro.engine.sharded.ShardedEngine.apply_delta>` marks its rows and
+        the next read flushes them — but an explicit call re-keys now
+        (idempotently).
         """
-        if self.pg is None:
-            raise ValueError("apply_delta needs a ProbGraph-backed index")
-        if self.pg.graph.fingerprint() != delta.new_fingerprint:
+        source = self.source
+        if source.graph.fingerprint() != delta.new_fingerprint:
+            kind = "ProbGraph" if isinstance(source, ProbGraph) else "engine"
             raise ValueError(
-                "patch the ProbGraph first: the index's graph does not match "
+                f"patch the {kind} first: the index's graph does not match "
                 "the delta's post-state"
             )
-        if self.sketches.num_sets > self.vertex_ids.shape[0]:
-            # pg-backed indexes address rows by global vertex ID, so grown
-            # rows extend the identity mapping.
-            self.vertex_ids = np.concatenate([
-                self.vertex_ids,
-                np.arange(self.vertex_ids.shape[0], self.sketches.num_sets, dtype=np.int64),
-            ])
         if not self.banded:
-            self._num_rows = self.sketches.num_sets
             return 0
-        if self.pg.oriented:
-            # ProbGraph.apply_delta already ran, so the per-delta memo holds
+        if source.oriented:
+            # The source's apply_delta already ran, so the per-delta memo holds
             # the oriented row diff; the base argument is only used on a miss.
-            _, touched = delta.oriented_update(self.pg._base)
+            _, touched = delta.oriented_update(source._base)
         else:
             touched = np.union1d(delta.ins_vertices, delta.dirty_vertices)
-        return self.rekey_rows(touched)
+        with self._table_lock:
+            self._mark(touched)
+            return self._flush()
+
+    def _mark(self, rows: np.ndarray) -> None:
+        """Mark already-patched vertices for re-keying at the next read."""
+        if not self.banded:
+            return  # no tables to re-key
+        with self._table_lock:
+            self._dirty = np.union1d(self._dirty, rows)
+
+    def _flush(self) -> int:
+        """Re-key every marked vertex; every table read runs this first."""
+        with self._table_lock:
+            if self._dirty.shape[0] == 0:
+                return 0
+            dirty, self._dirty = self._dirty, np.empty(0, dtype=np.int64)
+            return self.rekey_rows(dirty)
 
     def rekey_rows(self, rows: np.ndarray) -> int:
-        """Re-key the bucket entries of the given container rows in place.
+        """Re-key the bucket entries of the given vertices in place.
 
-        ``rows`` are container row positions whose sketch values already hold
-        their *new* state; any rows appended since the last build/re-key are
-        included automatically.  :attr:`vertex_ids` must already cover every
-        container row — callers that grow the container update it first (the
-        sharded engine swaps in the extended owned-vertex list;
-        :meth:`apply_delta` extends the identity mapping itself).  Re-keying
-        is idempotent and entry order is canonical, so the tables end up
-        bit-identical to a fresh build over the current container.  Returns
-        the number of re-keyed rows.
+        ``rows`` are global vertex IDs whose sketch rows already hold their
+        *new* state; any vertices the source gained since the last build or
+        re-key are included automatically.  Re-keying is idempotent and entry
+        order is canonical, so the tables end up bit-identical to a fresh
+        build over the current source.  Returns the number of re-keyed rows.
         """
-        num_sets = self.sketches.num_sets
-        if self.vertex_ids.shape[0] != num_sets:
-            raise ValueError(
-                f"vertex_ids has {self.vertex_ids.shape[0]} entries for a "
-                f"container with {num_sets} rows; update it before re-keying"
-            )
         if not self.banded:
-            self._num_rows = num_sets
             return 0
         with self._table_lock:
+            num_rows = self.source.num_vertices
             rows = np.unique(np.asarray(rows, dtype=np.int64).ravel())
-            if num_sets > self._num_rows:
-                grown = np.arange(self._num_rows, num_sets, dtype=np.int64)
+            if num_rows > self._num_rows:
+                grown = np.arange(self._num_rows, num_rows, dtype=np.int64)
                 rows = np.union1d(rows, grown)
             if rows.size == 0:
                 return 0
-            keep = ~np.isin(self._verts, self.vertex_ids[rows])
+            keep = ~np.isin(self._verts, rows)
             self._splice_sorted(keep, *self._entries_for_rows(rows))
-            self._num_rows = num_sets
+            self._num_rows = num_rows
             return int(rows.size)
 
     # ----------------------------------------------------------------- probes
@@ -580,8 +635,10 @@ class LSHIndex:
         """Per query row: sorted unique vertex IDs sharing at least one band key.
 
         ``keys`` / ``valid`` are :meth:`band_keys` outputs (computed on this or
-        any family-compatible container).  The query's own entry is *not*
+        any family-compatible index).  The query's own entry is *not*
         excluded — callers drop or keep self-matches as their semantics need.
+        Reads the tables as of the last flush (:meth:`query_candidates_batch`
+        flushes first).
         """
         left = np.searchsorted(self._keys, keys, side="left")
         right = np.searchsorted(self._keys, keys, side="right")
@@ -607,23 +664,25 @@ class LSHIndex:
     ) -> list[np.ndarray]:
         """Colliding candidates of every source, as sorted unique ID arrays.
 
-        ``sources`` are container rows (global IDs for the default
-        ``vertex_ids``).  The full-scan fallback returns the whole candidate
-        pool for every source — the same set the exact path scores.  An
-        explicit ``candidates`` pool restricts the result to that pool.
+        The full-scan fallback returns the whole candidate pool for every
+        source — the same set the exact path scores.  An explicit
+        ``candidates`` pool restricts the result to that pool.
         """
-        sources = np.asarray(sources, dtype=np.int64).ravel()
+        self._check_fresh()
+        num_vertices = self.source.num_vertices
+        sources = check_vertex_ids(sources, num_vertices, "sources")
         if candidates is not None:
-            candidates = np.unique(np.asarray(candidates, dtype=np.int64).ravel())
+            candidates = np.unique(check_vertex_ids(candidates, num_vertices, "candidates"))
         if not self.banded:
             pool = (
                 candidates
                 if candidates is not None
-                else np.arange(self.sketches.num_sets, dtype=np.int64)
+                else np.arange(num_vertices, dtype=np.int64)
             )
             return [
                 pool[pool != s] if exclude_self else pool.copy() for s in sources
             ]
+        self._flush()
         keys, valid = self.band_keys(sources)
         found = self.probe(keys, valid)
         out = []
@@ -664,31 +723,32 @@ class LSHIndex:
         Returns the same ``(len(sources), k)`` canonical-order shape as
         :func:`repro.engine.topk.topk_per_source` (``-1``/``0.0`` padded).
         Scores are the same floats the full scan produces (same pure
-        estimators on the same rows) — only the candidate set differs, by the
+        estimators on the same rows, through the source's
+        ``pair_intersections``) — only the candidate set differs, by the
         S-curve recall contract.  With ``exact=True``, or on a Bloom/HLL
-        container, the call routes to the full-scan path and is bit-identical
-        to :meth:`repro.engine.PGSession.top_k_similar_batch`.
+        container, the call routes to the source's full scan and is
+        bit-identical to it.
         """
-        if self.pg is None:
-            raise ValueError(
-                "this index was built over a bare container (probe-only); "
-                "scoring needs a ProbGraph-backed index"
-            )
         if k < 0:
             raise ValueError("k must be non-negative")
-        sources = np.asarray(sources, dtype=np.int64).ravel()
+        source = self.source
         if exact or not self.banded:
             self.stats.queries += 1
             self.stats.full_scan_fallbacks += 1
-            return topk_per_source(
-                self.pg, sources, k, candidates=candidates, score=measure,
-                estimator=estimator, exclude_self=exclude_self, config=config,
+            if isinstance(source, ProbGraph):
+                return topk_per_source(
+                    source, sources, k, candidates=candidates, score=measure,
+                    estimator=estimator, exclude_self=exclude_self, config=config,
+                )
+            return source.top_k_similar_batch(
+                sources, k, measure=measure, candidates=candidates,
+                estimator=estimator, exclude_self=exclude_self,
             )
-        pool_size = (
-            np.unique(np.asarray(candidates, dtype=np.int64)).shape[0]
-            if candidates is not None
-            else self.pg.num_vertices
-        )
+        score_fn = _resolve_score_fn(source, measure, estimator)
+        sources = check_vertex_ids(sources, source.num_vertices, "sources")
+        if candidates is not None:
+            candidates = np.unique(check_vertex_ids(candidates, source.num_vertices, "candidates"))
+        pool_size = candidates.shape[0] if candidates is not None else source.num_vertices
         k = min(int(k), pool_size)
         record_topk()
         self.stats.queries += 1
@@ -705,16 +765,14 @@ class LSHIndex:
         self.stats.probed_sources += sources.shape[0]
         self.stats.candidates_scored += total
         flat_scores = np.empty(total, dtype=np.float64)
-        if total:
-            u_flat = np.repeat(sources, counts)
-            v_flat = np.concatenate(cand_lists)
-            score_fn = _resolve_score_fn(self.pg, measure, estimator)
-            windows = chunked_ranges(total, resolve_chunk_pairs(self.sketches, config))
+        u_flat = np.repeat(sources, counts)
+        v_flat = np.concatenate(cand_lists)
+        windows = chunked_ranges(total, resolve_chunk_pairs(self._container(), config))
+        if isinstance(source, ProbGraph):
+            # An engine records each routed scatter-gather itself.
             record_query(total, len(windows))
-            for start, stop in windows:
-                flat_scores[start:stop] = score_fn(u_flat[start:stop], v_flat[start:stop])
-        else:
-            record_query(0, 0)
+        for start, stop in windows:
+            flat_scores[start:stop] = score_fn(u_flat[start:stop], v_flat[start:stop])
         return select_topk_rows(sources, cand_lists, flat_scores, k, exclude_self)
 
     def topk_similar(
@@ -735,12 +793,34 @@ class LSHIndex:
         return result.indices[0], result.scores[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        shards = "" if isinstance(self.source, ProbGraph) else f", shards={self.source.num_shards}"
         if not self.banded:
-            return f"LSHIndex(rows={self.sketches.num_sets}, fallback=full-scan)"
+            return f"LSHIndex(rows={self.source.num_vertices}{shards}, fallback=full-scan)"
         return (
-            f"LSHIndex(rows={self.sketches.num_sets}, b={self.num_bands}, "
+            f"LSHIndex(rows={self.source.num_vertices}{shards}, b={self.num_bands}, "
             f"r={self.rows_per_band}, entries={self.num_entries})"
         )
+
+
+def _canonical_sort(
+    keys: np.ndarray, verts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket entries by key, then vertex ID: ``lexsort((verts, keys))``, faster.
+
+    NumPy sorts 64-bit keys stably with a slow timsort.  So sort the keys
+    unstably, number the runs of equal keys, and sort ``(run, vertex)``
+    packed into one int64 (exact while entries × vertex bound < 2⁶³); sorting
+    by run first leaves every run, and so the sorted keys, in place.
+    """
+    order = np.argsort(keys)
+    keys = keys[order]
+    run = np.zeros(keys.shape[0], dtype=np.int64)
+    np.cumsum(keys[1:] != keys[:-1], out=run[1:])
+    bound = int(verts.max()) + 1 if verts.size else 1
+    packed = run * bound + verts[order]
+    packed.sort()
+    packed -= run * bound
+    return keys, packed
 
 
 def _resolve_band_split(

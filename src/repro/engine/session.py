@@ -120,8 +120,8 @@ class PGSession:
 
     Thread safety: all cache operations (lookup/insert, :meth:`apply_delta`,
     :meth:`clear`) hold an internal :class:`threading.RLock`, so one session
-    may be shared by concurrent query threads (``EngineConfig.parallel``, the
-    sharded serving path) without losing entries or corrupting the LRU order.
+    may be shared by concurrent query threads without losing entries or
+    corrupting the LRU order.
     A cache *miss* builds its sketch set while holding the lock (single-flight
     per session: concurrent misses for the same key never build twice), which
     means other cache operations wait out an in-progress construction — share
@@ -345,8 +345,7 @@ class PGSession:
         invalidated instead.  Families without signature matrices (Bloom /
         HLL) cache one full-scan-fallback index per sketch set.
         """
-        from ..core.budget import resolve_lsh_params
-        from .lsh import LSHIndex, signature_matrix
+        from .lsh import LSHIndex, _resolve_band_split, signature_matrix
 
         sig = signature_matrix(pg.sketches)
         if sig is None:
@@ -356,17 +355,13 @@ class PGSession:
                     "banding parameters are not applicable"
                 )
             split: tuple[int, int] = (0, 0)
-        elif num_bands is not None and rows_per_band is not None:
-            split = (int(num_bands), int(rows_per_band))
-        elif num_bands is None and rows_per_band is None:
-            resolution = resolve_lsh_params(sig[0].shape[1], threshold)
-            split = (resolution.num_bands, resolution.rows_per_band)
         else:
-            raise ValueError("pass both num_bands and rows_per_band, or neither")
+            resolution = _resolve_band_split(sig[0].shape[1], num_bands, rows_per_band, threshold)
+            split = (resolution.num_bands, resolution.rows_per_band)
         key = (pg.cache_key(), split)
         with self._lock:
             cached = self._lsh_cache.get(key)
-            if cached is not None and cached.pg.graph.fingerprint() != key[0][0]:
+            if cached is not None and cached.source.graph.fingerprint() != key[0][0]:
                 # Patched out-of-band (ProbGraph.apply_delta called directly):
                 # the tables no longer describe the keyed graph.  Drop it.
                 del self._lsh_cache[key]
@@ -436,7 +431,7 @@ class PGSession:
             invalidated = 0
             for key, index in self._lsh_cache.items():
                 if key[0][0] == old_fingerprint:
-                    if index.pg.graph.fingerprint() != new_fingerprint:
+                    if index.source.graph.fingerprint() != new_fingerprint:
                         invalidated += 1
                         continue
                     index.apply_delta(delta)

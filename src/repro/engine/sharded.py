@@ -2,15 +2,15 @@
 
 :mod:`repro.parallel.distributed` *models* the paper's distributed claim
 (shipping fixed-size sketches instead of CSR neighborhoods cuts communication
-~4×) and :mod:`repro.parallel.executor`'s thread pool is capped by the GIL for
-anything that is not one huge NumPy call.  This module executes the same idea
-for real on one machine: vertices are partitioned into shards
+~4×), and threads are capped by the GIL for anything that is not one huge
+NumPy call.  This module executes the same idea for real on one machine:
+vertices are partitioned into shards
 (:mod:`repro.graph.partition`), each shard's neighborhood sketches are built in
 a separate **process** of a :class:`concurrent.futures.ProcessPoolExecutor`,
 and queries are served by routing every pair to the shard owning its sketch
 rows and scatter-gathering the results.
 
-Three contracts make this safe to use everywhere the single-process engine is:
+These contracts make this safe to use everywhere the single-process engine is:
 
 * **Bit-identity.**  A sketch row is a pure function of the neighborhood
   elements and the family seed — it does not depend on the row's position or
@@ -40,6 +40,10 @@ Three contracts make this safe to use everywhere the single-process engine is:
   :class:`~repro.dynamic.graph.DynamicGraph` additionally guard every query
   entry point: if the source graph moved without a routed delta, the engine
   raises :class:`StaleShardError` instead of silently serving stale rows.
+* **One LSH table.**  :meth:`ShardedEngine.lsh_index` is an ordinary
+  :class:`~repro.engine.lsh.LSHIndex` with one table of global vertex IDs:
+  a routed delta only marks its touched rows (the next read re-keys them),
+  and :meth:`ShardedEngine.repartition` leaves the table alone.
 """
 
 from __future__ import annotations
@@ -85,22 +89,15 @@ from ..storage import (
     sketch_params_from_meta,
     sketch_params_meta,
 )
-from .batch import record_query, record_topk, resolve_chunk_pairs
-from .lsh import (
-    LSHIndex,
-    LSHIndexStats,
-    _resolve_band_split,
-    select_topk_rows,
-    signature_matrix,
-)
+from .batch import check_vertex_ids, record_query, record_topk, resolve_chunk_pairs
+from .lsh import LSHIndex
 from .topk import TopKResult
-from ..core.budget import DEFAULT_LSH_THRESHOLD, LSHResolution
+from ..core.budget import DEFAULT_LSH_THRESHOLD
 
 __all__ = [
     "ShardCommStats",
     "ShardSkewStats",
     "ShardedEngine",
-    "ShardedLSHIndex",
     "StaleShardError",
     "build_probgraph_sharded",
 ]
@@ -355,8 +352,7 @@ class ShardedEngine:
         self._closed = False
         self._handles: list[StoreHandle] = []
         self._update_counts = np.zeros(self.num_shards, dtype=np.int64)
-        self._lsh_indexes: "weakref.WeakSet[ShardedLSHIndex]" = weakref.WeakSet()
-        self._last_patch: tuple[str, np.ndarray] | None = None
+        self._lsh_indexes: "weakref.WeakSet[LSHIndex]" = weakref.WeakSet()
         # reprolint: allow[determinism] -- wall-clock timing stat only; never feeds hash/seed/sketch state
         start = time.perf_counter()
         self._shards: list[NeighborhoodSketches] = self._build(pool, max_workers, transport)
@@ -632,7 +628,6 @@ class ShardedEngine:
         engine._patch_lock = _san.make_rlock("ShardedEngine.patch")
         engine._update_counts = np.zeros(num_shards, dtype=np.int64)
         engine._lsh_indexes = weakref.WeakSet()
-        engine._last_patch = None
         engine._shards = shards
         engine.construction_seconds = time.perf_counter() - start  # reprolint: allow[determinism] -- timing stat only
         return engine
@@ -791,11 +786,11 @@ class ShardedEngine:
         The patched shards are bit-identical to a fresh sharded rebuild on
         ``delta.graph`` (asserted across all five families × shard counts ×
         orientations in the test suite).  Shard objects are patched, never
-        replaced, so live :class:`ShardedLSHIndex` objects stay valid — every
-        registered index marks the touched rows dirty and re-keys its bucket
-        entries lazily on the next probe (so a burst of deltas pays one table
-        splice, not one per delta).  Per-shard patch activity accumulates in
-        :meth:`skew_stats`.  Returns the number of patched rows.
+        replaced, so live :meth:`lsh_index` indexes stay valid — each one has
+        the touched rows marked and re-keys them on its next read (so a burst
+        of deltas pays one table splice, not one per delta).  Per-shard patch
+        activity accumulates in :meth:`skew_stats`.  Returns the number of
+        patched rows.
 
         Note the single-process caveat applies here too: budget-derived
         parameters re-resolve against the *grown* graph on a fresh build, so
@@ -845,9 +840,8 @@ class ShardedEngine:
             or self._source.snapshot().fingerprint() == new_graph.fingerprint()
         ):
             self._source_version = self._source.version
-        self._last_patch = (delta.new_fingerprint, touched)
         for index in list(self._lsh_indexes):
-            index._patch_touched(touched)
+            index._mark(touched)
         return int(touched.size)
 
     def _patch_insert(
@@ -921,8 +915,9 @@ class ShardedEngine:
         Sketch rows are position-independent, so rebalancing never rebuilds a
         sketch: the shard containers are concatenated, reordered into the new
         ownership, and re-split with ``take_rows`` — an ``O(n · k)`` row
-        shuffle with no hashing.  Registered LSH indexes are re-banded over
-        the new layout.  Call when :meth:`skew_stats` reports
+        shuffle with no hashing.  LSH indexes need no work: their table is
+        keyed by global vertex ID, and band keys do not depend on which shard
+        holds a row.  Call when :meth:`skew_stats` reports
         ``needs_repartition()`` (streams that grow the graph unevenly, or a
         locality partition whose regions drifted).  Resets the update
         counters and returns the fresh stats.
@@ -943,9 +938,6 @@ class ShardedEngine:
                 for s in range(self.num_shards)
             ]
             self._update_counts = np.zeros(self.num_shards, dtype=np.int64)
-            self._last_patch = None
-            for index in list(self._lsh_indexes):
-                index._rebuild_from_engine()
             return self.skew_stats()
 
     # ----------------------------------------------------------------- queries
@@ -968,6 +960,8 @@ class ShardedEngine:
         v = np.asarray(v, dtype=np.int64).ravel()
         if u.shape != v.shape:
             raise ValueError("u and v must have the same shape")
+        u = check_vertex_ids(u, self.num_vertices)
+        v = check_vertex_ids(v, self.num_vertices)
         total = u.shape[0]
         if total == 0:
             with self._comm_lock:
@@ -1041,11 +1035,11 @@ class ShardedEngine:
             )
         self._check_fresh()
         kind = self._resolve_estimator(estimator)
-        sources = np.asarray(sources, dtype=np.int64).ravel()
+        sources = check_vertex_ids(sources, self.num_vertices, "sources")
         if candidates is None:
             candidates = np.arange(self.num_vertices, dtype=np.int64)
         else:
-            candidates = np.unique(np.asarray(candidates, dtype=np.int64).ravel())
+            candidates = np.unique(check_vertex_ids(candidates, self.num_vertices, "candidates"))
         num_sources = sources.shape[0]
         k = min(int(k), candidates.shape[0])
         record_topk()
@@ -1155,9 +1149,9 @@ class ShardedEngine:
         num_bands: int | None = None,
         rows_per_band: int | None = None,
         threshold: float = DEFAULT_LSH_THRESHOLD,
-    ) -> "ShardedLSHIndex":
-        """Per-shard LSH bucket tables with routed probes — see :class:`ShardedLSHIndex`."""
-        return ShardedLSHIndex(
+    ) -> LSHIndex:
+        """An :class:`~repro.engine.lsh.LSHIndex` over this engine's shards."""
+        return LSHIndex(
             self, num_bands=num_bands, rows_per_band=rows_per_band, threshold=threshold
         )
 
@@ -1216,313 +1210,9 @@ class ShardedEngine:
         )
 
 
-class ShardedLSHIndex:
-    """Per-shard MinHash-LSH bucket tables with routed probes and canonical merge.
-
-    The sharded counterpart of :class:`~repro.engine.lsh.LSHIndex`: every
-    shard builds the bucket tables of its *own* sketch rows (entries carry
-    global vertex IDs, so the per-shard tables partition the single-process
-    table), a query computes its band keys once on the owner shard's rows and
-    probes every shard's tables, and the colliding candidates — a disjoint
-    union across shards — are scored through the engine's routed
-    scatter-gather (counted shipments) and selected under the canonical
-    order.  Because the probed entries, the scoring floats, and the selection
-    are each identical to the single-process path, ``topk_similar_batch`` is
-    **bit-identical** to :meth:`LSHIndex.topk_similar_batch
-    <repro.engine.lsh.LSHIndex.topk_similar_batch>` over
-    :meth:`ShardedEngine.to_probgraph` for any shard count (asserted by the
-    recall-contract suite).
-
-    Families without signature matrices (Bloom / HLL), and ``exact=True``
-    calls, fall back to :meth:`ShardedEngine.top_k_similar_batch`.
-    """
-
-    def __init__(
-        self,
-        engine: ShardedEngine,
-        num_bands: int | None = None,
-        rows_per_band: int | None = None,
-        threshold: float = DEFAULT_LSH_THRESHOLD,
-    ) -> None:
-        self.engine = engine
-        self.threshold = float(threshold)
-        self.stats = LSHIndexStats()
-        sig = signature_matrix(engine._shards[0])
-        if sig is None:
-            if num_bands is not None or rows_per_band is not None:
-                raise ValueError(
-                    f"{type(engine._shards[0]).__name__} stores no signature "
-                    "matrix; banding parameters are not applicable (queries "
-                    "fall back to the routed full scan)"
-                )
-            self.resolution: LSHResolution | None = None
-            self._shard_indexes: list[LSHIndex] = []
-            self._pending = np.empty(0, dtype=np.int64)
-            engine._lsh_indexes.add(self)
-            return
-        self.resolution = _resolve_band_split(
-            sig[0].shape[1], num_bands, rows_per_band, threshold
-        )
-        self._rebuild_from_engine()
-        # Registered indexes are marked dirty by ShardedEngine.apply_delta and
-        # re-banded by ShardedEngine.repartition, so they track the shards
-        # for as long as they are alive (weak registration — dropping the
-        # index is enough to stop paying for its maintenance).
-        engine._lsh_indexes.add(self)
-
-    def _rebuild_from_engine(self) -> None:
-        """(Re)build the per-shard tables over the engine's current shard layout."""
-        if self.resolution is None:
-            return
-        engine = self.engine
-        self._shard_indexes = [
-            LSHIndex(
-                engine._shards[s],
-                num_bands=self.resolution.num_bands,
-                rows_per_band=self.resolution.rows_per_band,
-                threshold=self.threshold,
-                vertex_ids=engine.partition.shard_vertices[s],
-            )
-            for s in range(engine.num_shards)
-        ]
-        self._pending = np.empty(0, dtype=np.int64)
-
-    @property
-    def banded(self) -> bool:
-        """Whether bucket tables exist (False → every query is a routed full scan)."""
-        return self.resolution is not None
-
-    @property
-    def num_bands(self) -> int:
-        """Bands per signature (0 for the full-scan fallback)."""
-        return self.resolution.num_bands if self.resolution is not None else 0
-
-    @property
-    def rows_per_band(self) -> int:
-        """Signature slots hashed together per band (0 for the full-scan fallback)."""
-        return self.resolution.rows_per_band if self.resolution is not None else 0
-
-    @property
-    def num_entries(self) -> int:
-        """Total bucket entries across every shard's tables (flushes patches)."""
-        self._flush_pending()
-        return sum(index.num_entries for index in self._shard_indexes)
-
-    # --------------------------------------------------------------- patching
-    def apply_delta(self, delta: "GraphDelta") -> int:
-        """Re-key the touched rows' bucket entries after the engine was patched.
-
-        Mirrors :meth:`LSHIndex.apply_delta <repro.engine.lsh.LSHIndex.apply_delta>`
-        for the per-shard tables: the engine must already have routed this
-        delta (:meth:`ShardedEngine.apply_delta` — which marks every
-        *registered* index's touched rows automatically, so an explicit call
-        is a harmless idempotent re-key), and only the rows the delta touched
-        are re-hashed into each owning shard's table.  This call flushes
-        eagerly; a routed patch alone defers the re-key to the next probe.
-        Returns the number of re-keyed rows.
-        """
-        engine = self.engine
-        if engine.graph.fingerprint() != delta.new_fingerprint:
-            raise ValueError(
-                "patch the engine first: ShardedEngine.apply_delta routes the "
-                "delta to the shard containers this index bands over"
-            )
-        if engine._last_patch is None or engine._last_patch[0] != delta.new_fingerprint:
-            raise ValueError(
-                "this delta is not the engine's most recent patch; rebuild the "
-                "index (ShardedEngine.lsh_index) instead of patching it"
-            )
-        self._patch_touched(engine._last_patch[1])
-        return self._flush_pending()
-
-    def _patch_touched(self, touched: np.ndarray) -> int:
-        """Mark (already patched) global rows dirty; re-keying waits for a probe.
-
-        Bucket tables are only *read* at probe time, so a batch stream never
-        pays one table splice per delta — dirty rows accumulate here and
-        :meth:`_flush_pending` re-keys their union on the next probe /
-        ``num_entries`` read (or on an explicit :meth:`apply_delta`).
-        """
-        if not self.banded:
-            return 0
-        self._pending = np.union1d(self._pending, touched)
-        return int(touched.size)
-
-    def _flush_pending(self) -> int:
-        """Re-key every pending dirty row in its owning shard's tables."""
-        if not self.banded or self._pending.shape[0] == 0:
-            return 0
-        touched, self._pending = self._pending, np.empty(0, dtype=np.int64)
-        partition = self.engine.partition
-        owners = partition.owners[touched]
-        total = 0
-        for s, index in enumerate(self._shard_indexes):
-            # Growth may have extended this shard's owned-vertex list; swap in
-            # the current one before re-keying (rekey_rows checks the length).
-            index.vertex_ids = partition.shard_vertices[s]
-            total += index.rekey_rows(partition.local_index[touched[owners == s]])
-        return total
-
-    def _source_band_keys(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Band keys of each source, computed on its owner shard's rows.
-
-        Keys depend only on the signature values and the band split — not on
-        which shard holds the row — so one key set probes every shard's tables
-        (the routed-probe contract).
-        """
-        assert self.resolution is not None
-        partition = self.engine.partition
-        owners = partition.owners[sources]
-        keys = np.empty((sources.shape[0], self.resolution.num_bands), dtype=np.uint64)
-        valid = np.empty((sources.shape[0], self.resolution.num_bands), dtype=bool)
-        for s in np.unique(owners):
-            sel = owners == s
-            local_rows = partition.local_index[sources[sel]]
-            keys[sel], valid[sel] = self._shard_indexes[int(s)].band_keys(local_rows)
-        return keys, valid
-
-    def query_candidates_batch(
-        self,
-        sources: np.ndarray,
-        candidates: np.ndarray | None = None,
-        exclude_self: bool = True,
-    ) -> list[np.ndarray]:
-        """Colliding candidates per source — the disjoint union of shard probes.
-
-        Returns the same sorted unique ID arrays as the single-process
-        :meth:`LSHIndex.query_candidates_batch
-        <repro.engine.lsh.LSHIndex.query_candidates_batch>` (every bucket
-        entry lives in exactly one shard's table).
-        """
-        self.engine._check_fresh()
-        self._flush_pending()
-        sources = np.asarray(sources, dtype=np.int64).ravel()
-        if candidates is not None:
-            candidates = np.unique(np.asarray(candidates, dtype=np.int64).ravel())
-        if not self.banded:
-            pool = (
-                candidates
-                if candidates is not None
-                else np.arange(self.engine.num_vertices, dtype=np.int64)
-            )
-            return [
-                pool[pool != s] if exclude_self else pool.copy() for s in sources
-            ]
-        keys, valid = self._source_band_keys(sources)
-        per_shard = [index.probe(keys, valid) for index in self._shard_indexes]
-        out: list[np.ndarray] = []
-        for i, s in enumerate(sources):
-            # Shards own disjoint vertex sets, so the concatenation is already
-            # duplicate-free; sorting restores the global canonical order.
-            cand = np.sort(np.concatenate([found[i] for found in per_shard]))
-            if candidates is not None:
-                cand = np.intersect1d(cand, candidates, assume_unique=True)
-            if exclude_self:
-                cand = cand[cand != s]
-            out.append(cand)
-        return out
-
-    def query_candidates(
-        self,
-        u: int,
-        candidates: np.ndarray | None = None,
-        exclude_self: bool = True,
-    ) -> np.ndarray:
-        """Sorted unique candidate IDs colliding with vertex ``u`` on ≥1 band."""
-        return self.query_candidates_batch(
-            np.asarray([u], dtype=np.int64), candidates=candidates,
-            exclude_self=exclude_self,
-        )[0]
-
-    def topk_similar_batch(
-        self,
-        sources: np.ndarray,
-        k: int,
-        measure: str = "jaccard",
-        candidates: np.ndarray | None = None,
-        estimator: EstimatorKind | str | None = None,
-        exclude_self: bool = True,
-        exact: bool = False,
-    ) -> TopKResult:
-        """Routed top-k over only the colliding candidates of every source.
-
-        Scoring goes through the engine's scatter-gather
-        (:meth:`ShardedEngine.pair_intersections` — shipments are counted as
-        usual); selection is the shared canonical
-        :func:`repro.engine.lsh.select_topk_rows`.  ``exact=True`` (and the
-        Bloom/HLL fallback) routes to :meth:`ShardedEngine.top_k_similar_batch`.
-        """
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        if measure not in ("jaccard", "intersection", "common_neighbors"):
-            raise ValueError(
-                f"unknown measure {measure!r}; expected 'jaccard', 'intersection', "
-                "or 'common_neighbors'"
-            )
-        sources = np.asarray(sources, dtype=np.int64).ravel()
-        if exact or not self.banded:
-            self.stats.queries += 1
-            self.stats.full_scan_fallbacks += 1
-            return self.engine.top_k_similar_batch(
-                sources, k, measure=measure, candidates=candidates,
-                estimator=estimator, exclude_self=exclude_self,
-            )
-        pool_size = (
-            np.unique(np.asarray(candidates, dtype=np.int64)).shape[0]
-            if candidates is not None
-            else self.engine.num_vertices
-        )
-        k = min(int(k), pool_size)
-        record_topk()
-        self.stats.queries += 1
-        if sources.shape[0] == 0 or k == 0:
-            return TopKResult(
-                np.empty((sources.shape[0], k), dtype=np.int64),
-                np.empty((sources.shape[0], k), dtype=np.float64),
-            )
-        cand_lists = self.query_candidates_batch(
-            sources, candidates=candidates, exclude_self=False
-        )
-        counts = np.asarray([c.shape[0] for c in cand_lists], dtype=np.int64)
-        total = int(counts.sum())
-        self.stats.probed_sources += sources.shape[0]
-        self.stats.candidates_scored += total
-        if total:
-            u_flat = np.repeat(sources, counts)
-            v_flat = np.concatenate(cand_lists)
-            if measure == "jaccard":
-                flat_scores = self.engine.pair_jaccard(u_flat, v_flat, estimator=estimator)
-            else:
-                flat_scores = self.engine.pair_intersections(u_flat, v_flat, estimator=estimator)
-        else:
-            flat_scores = np.empty(0, dtype=np.float64)
-        return select_topk_rows(sources, cand_lists, flat_scores, k, exclude_self)
-
-    def topk_similar(
-        self,
-        u: int,
-        k: int,
-        measure: str = "jaccard",
-        candidates: np.ndarray | None = None,
-        estimator: EstimatorKind | str | None = None,
-        exact: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Single-source convenience over :meth:`topk_similar_batch`."""
-        result = self.topk_similar_batch(
-            np.asarray([u], dtype=np.int64), k, measure=measure,
-            candidates=candidates, estimator=estimator, exact=exact,
-        )
-        return result.indices[0], result.scores[0]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        if not self.banded:
-            return (
-                f"ShardedLSHIndex(shards={self.engine.num_shards}, fallback=full-scan)"
-            )
-        return (
-            f"ShardedLSHIndex(shards={self.engine.num_shards}, b={self.num_bands}, "
-            f"r={self.rows_per_band}, entries={self.num_entries})"
-        )
+#: Former name of an engine-backed :class:`~repro.engine.lsh.LSHIndex`; kept
+#: as an alias so existing imports and instrumentation keep resolving.
+ShardedLSHIndex = LSHIndex
 
 
 def build_probgraph_sharded(

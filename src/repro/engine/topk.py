@@ -30,7 +30,7 @@ chunk]`` breaks every tie group by ascending index automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -41,11 +41,15 @@ from ..parallel.executor import chunked_ranges
 from .batch import (
     EngineConfig,
     _as_pair_arrays,
+    check_vertex_ids,
     iter_pair_chunks,
     record_query,
     record_topk,
     resolve_chunk_pairs,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .sharded import ShardedEngine
 
 __all__ = [
     "TopKResult",
@@ -80,7 +84,7 @@ class TopKResult:
 
 
 def _resolve_score_fn(
-    graph: CSRGraph | ProbGraph,
+    graph: "CSRGraph | ProbGraph | ShardedEngine",
     score: str | ScoreFn,
     estimator: EstimatorKind | str | None,
 ) -> ScoreFn:
@@ -90,14 +94,18 @@ def _resolve_score_fn(
     level (``"jaccard"`` and ``"intersection"``/``"common_neighbors"``); any
     other measure is injected as a callable by the algorithm layer
     (:mod:`repro.algorithms.knn` routes all similarity measures this way).
+    A :class:`~repro.engine.sharded.ShardedEngine` scores like the ProbGraph
+    it shards, through its routed ``pair_intersections``.
     """
+    from .sharded import ShardedEngine
+
     if callable(score):
         return score
     if score not in _BUILTIN_SCORES:
         raise ValueError(
             f"unknown score {score!r}; expected one of {_BUILTIN_SCORES} or a callable"
         )
-    if isinstance(graph, ProbGraph):
+    if isinstance(graph, (ProbGraph, ShardedEngine)):
         def intersections(u: np.ndarray, v: np.ndarray) -> np.ndarray:
             return np.asarray(graph.pair_intersections(u, v, estimator=estimator), dtype=np.float64)
         degrees = graph.base_degrees.astype(np.float64)
@@ -106,7 +114,9 @@ def _resolve_score_fn(
             return graph.common_neighbors_pairs(u, v).astype(np.float64)
         degrees = graph.degrees.astype(np.float64)
     else:
-        raise TypeError(f"expected CSRGraph or ProbGraph, got {type(graph).__name__}")
+        raise TypeError(
+            f"expected CSRGraph, ProbGraph or ShardedEngine, got {type(graph).__name__}"
+        )
     if score in ("intersection", "common_neighbors"):
         return intersections
 
@@ -195,7 +205,7 @@ def topk_pair_scores(
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    u, v = _as_pair_arrays(u, v)
+    u, v = _as_pair_arrays(u, v, graph.num_vertices)
     total = u.shape[0]
     k = min(int(k), total)
     record_topk()
@@ -250,12 +260,12 @@ def topk_per_source(
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    sources = np.asarray(sources, dtype=np.int64).ravel()
     num_vertices = graph.num_vertices
+    sources = check_vertex_ids(sources, num_vertices, "sources")
     if candidates is None:
         candidates = np.arange(num_vertices, dtype=np.int64)
     else:
-        candidates = np.unique(np.asarray(candidates, dtype=np.int64).ravel())
+        candidates = np.unique(check_vertex_ids(candidates, num_vertices, "candidates"))
     num_sources = sources.shape[0]
     total_candidates = candidates.shape[0]
     k = min(int(k), total_candidates)

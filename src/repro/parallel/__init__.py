@@ -1,7 +1,7 @@
-"""Parallelism substrate: work-depth models, scheduling simulation, threaded execution, communication model."""
+"""Parallelism substrate: work-depth models, scheduling simulation, chunking, communication model."""
 
 from .distributed import CommunicationVolume, communication_volume, partition_vertices
-from .executor import ParallelConfig, chunked_ranges, parallel_edge_map
+from .executor import chunked_ranges
 from .simulator import (
     ScheduleResult,
     simulate_algorithm_runtime,
@@ -28,9 +28,7 @@ __all__ = [
     "simulate_schedule",
     "simulate_algorithm_runtime",
     "simulate_strong_scaling",
-    "ParallelConfig",
     "chunked_ranges",
-    "parallel_edge_map",
     "CommunicationVolume",
     "communication_volume",
     "partition_vertices",

@@ -1,37 +1,15 @@
-"""Chunked thread-pool execution of edge-parallel kernels.
+"""Chunking of edge-parallel work into contiguous windows.
 
 The performance-critical kernels of this library are NumPy-vectorized, which is
-the Python analogue of the paper's AVX inner loops; real multi-core speedups in
-pure Python are limited by the GIL, so the scaling *curves* come from the
-simulator.  This executor nevertheless provides genuine chunked parallel
-execution (NumPy releases the GIL inside large array operations) so that
-multi-threaded runs are possible and testable, and so that the code structure
-mirrors the ``[in par]`` loops of Listings 1–5.
+the Python analogue of the paper's AVX inner loops; the scaling *curves* come
+from the simulator, and real multi-core execution is the process-sharded
+engine (:mod:`repro.engine.sharded`).  What remains here is the window split
+that the engine's memory-bounded streaming and the sharded top-k share.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
-
-import numpy as np
-
-__all__ = ["chunked_ranges", "parallel_edge_map", "ParallelConfig"]
-
-
-class ParallelConfig:
-    """Execution configuration shared by the edge-parallel helpers."""
-
-    def __init__(self, num_workers: int = 1, chunk_size: int = 16384) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be at least 1")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
-        self.num_workers = int(num_workers)
-        self.chunk_size = int(chunk_size)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ParallelConfig(num_workers={self.num_workers}, chunk_size={self.chunk_size})"
+__all__ = ["chunked_ranges"]
 
 
 def chunked_ranges(total: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -41,35 +19,3 @@ def chunked_ranges(total: int, chunk_size: int) -> list[tuple[int, int]]:
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
     return [(start, min(start + chunk_size, total)) for start in range(0, total, chunk_size)]
-
-
-def parallel_edge_map(
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    u: np.ndarray,
-    v: np.ndarray,
-    config: ParallelConfig | None = None,
-) -> np.ndarray:
-    """Apply ``kernel(u_chunk, v_chunk) -> values`` over chunks of an edge list, in parallel.
-
-    ``kernel`` must be pure (no shared mutable state) — the same restriction
-    the paper's ``[in par]`` loops satisfy by construction.  Results are
-    concatenated in edge order regardless of completion order.
-    """
-    config = config or ParallelConfig()
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape:
-        raise ValueError("u and v must have the same shape")
-    total = u.shape[0]
-    if total == 0:
-        return np.empty(0, dtype=np.float64)
-    chunks = chunked_ranges(total, config.chunk_size)
-    if config.num_workers == 1 or len(chunks) == 1:
-        parts = [kernel(u[a:b], v[a:b]) for a, b in chunks]
-        return np.concatenate(parts)
-    results: list[np.ndarray | None] = [None] * len(chunks)
-    with ThreadPoolExecutor(max_workers=config.num_workers) as pool:
-        futures = {pool.submit(kernel, u[a:b], v[a:b]): i for i, (a, b) in enumerate(chunks)}
-        for future, index in futures.items():
-            results[index] = future.result()
-    return np.concatenate([np.asarray(r) for r in results])

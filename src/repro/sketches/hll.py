@@ -177,16 +177,20 @@ class HyperLogLog(SetSketch):
         """``|X ∪ Y|`` from the merged (register-wise max) sketch."""
         return self.merge(other).cardinality()
 
-    def intersection_cardinality(self, other: "HyperLogLog") -> float:
+    def intersection_cardinality(
+        self, other: "HyperLogLog", size_self: float | None = None, size_other: float | None = None
+    ) -> float:
         """Inclusion–exclusion intersection estimate, clamped to the feasible interval.
 
         The raw ``|X| + |Y| - |X∪Y|`` difference inherits the relative error of
         three HLL estimates, so it can stray outside ``[0, min(|X|, |Y|)]``;
-        clamping keeps downstream Jaccard estimates sane.
+        clamping keeps downstream Jaccard estimates sane.  Exact set sizes,
+        when given, replace the estimated cardinalities (as the batched
+        :meth:`HLLNeighborhoodSketches.pair_intersections` path does).
         """
-        return float(
-            hll_intersection(self.cardinality(), other.cardinality(), self.union_cardinality(other))
-        )
+        sx = self.cardinality() if size_self is None else size_self
+        sy = other.cardinality() if size_other is None else size_other
+        return float(hll_intersection(sx, sy, self.union_cardinality(other)))
 
     @property
     def storage_bits(self) -> int:

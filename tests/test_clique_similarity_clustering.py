@@ -46,6 +46,10 @@ class TestFourCliqueCount:
         pg = ProbGraph(k10, "bloom", num_bits=4096, num_hashes=2, oriented=True, seed=1)
         assert float(four_clique_count(pg)) == pytest.approx(210, rel=0.35)
 
+    def test_pg_hll_estimate(self, k10):
+        pg = ProbGraph(k10, "hll", precision=6, oriented=True, seed=1)
+        assert float(four_clique_count(pg)) == pytest.approx(210, rel=0.35)
+
     def test_pg_minhash_estimate(self, k10):
         pg = ProbGraph(k10, "1hash", k=32, oriented=True, seed=2)
         assert float(four_clique_count(pg)) == pytest.approx(210, rel=0.5)

@@ -2,13 +2,15 @@
 
 The acceptance bar for the engine is strict:
 
-* chunked / parallel streaming must be **bit-identical** to the direct
+* chunked streaming must be **bit-identical** to the direct
   ``ProbGraph.pair_intersections`` call for every representation;
 * a warm-cache ``PGSession.probgraph`` call must perform **no** sketch
   reconstruction (asserted through the construction counter and object
   identity);
 * every PG-enhanced algorithm module must execute through the engine path
-  (asserted through the process-wide engine counters).
+  (asserted through the process-wide engine counters);
+* a caller vertex ID outside ``[0, n)`` must raise ``ValueError`` at every
+  engine entry point instead of aliasing another vertex.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from repro.algorithms.similarity import jaccard_matrix_row
 from repro.core import ProbGraph, estimate_triangles
 from repro.engine import (
     EngineConfig,
+    LSHIndex,
     PGSession,
+    ShardedEngine,
     batched_pair_intersections,
     batched_pair_jaccard,
     default_session,
@@ -40,9 +44,10 @@ from repro.engine import (
     resolve_chunk_pairs,
     scatter_add_pair_intersections,
     sum_pair_intersections,
+    topk_pair_scores,
+    topk_per_source,
 )
 from repro.graph import CSRGraph, kronecker_graph
-from repro.parallel import ParallelConfig
 
 REPRESENTATIONS = ["bloom", "khash", "1hash", "kmv", "hll"]
 
@@ -72,15 +77,6 @@ def test_chunked_equals_unchunked_bit_identical(graph, pair_arrays, representati
     chunked = batched_pair_intersections(pg, u, v, config=EngineConfig(max_chunk_pairs=chunk))
     assert chunked.dtype == np.float64
     assert np.array_equal(direct, chunked)
-
-
-@pytest.mark.parametrize("representation", REPRESENTATIONS)
-def test_parallel_fanout_bit_identical(graph, pair_arrays, representation):
-    pg = ProbGraph(graph, representation=representation, storage_budget=0.25, seed=3)
-    u, v = pair_arrays
-    direct = pg.pair_intersections(u, v)
-    config = EngineConfig(max_chunk_pairs=128, parallel=ParallelConfig(num_workers=4))
-    assert np.array_equal(direct, batched_pair_intersections(pg, u, v, config=config))
 
 
 @pytest.mark.parametrize("representation", REPRESENTATIONS)
@@ -134,14 +130,45 @@ def test_bloom_estimator_kwarg_forwarded(graph, pair_arrays):
         assert np.array_equal(direct, chunked), kind
 
 
+@pytest.fixture(scope="module")
+def id_check_sources(graph):
+    """A k-hash ProbGraph and the 2-shard engine serving the same rows."""
+    pg = ProbGraph(graph, representation="khash", k=16, seed=3)
+    with ShardedEngine(graph, 2, representation="khash", k=16, seed=3) as engine:
+        yield pg, engine
+
+
+#: Every engine entry point that takes caller vertex IDs, as ``ids -> call``.
+_ID_ENTRY_POINTS = {
+    "batched_pairs": lambda pg, eng, ids: batched_pair_intersections(pg, ids, ids),
+    "topk_pair_scores": lambda pg, eng, ids: topk_pair_scores(pg, ids, ids, 1),
+    "topk_per_source.sources": lambda pg, eng, ids: topk_per_source(pg, ids, 3),
+    "topk_per_source.candidates": lambda pg, eng, ids: topk_per_source(pg, [0], 3, candidates=ids),
+    "sharded.pairs": lambda pg, eng, ids: eng.pair_intersections(ids, ids),
+    "sharded.top_k": lambda pg, eng, ids: eng.top_k_similar_batch(ids, 3),
+    "lsh.sources": lambda pg, eng, ids: LSHIndex(pg).topk_similar_batch(ids, 3),
+    "sharded_lsh.sources": lambda pg, eng, ids: eng.lsh_index().topk_similar_batch(ids, 3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ID_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", ["-1", "n"])
+def test_out_of_range_vertex_ids_rejected(id_check_sources, graph, entry, bad):
+    """-1 used to alias vertex n-1 and n failed mid-chunk; both now raise up front."""
+    pg, engine = id_check_sources
+    call = _ID_ENTRY_POINTS[entry]
+    call(pg, engine, np.empty(0, dtype=np.int64))  # empty input stays valid
+    vertex = -1 if bad == "-1" else graph.num_vertices
+    with pytest.raises(ValueError, match=r"must lie in \[0, "):
+        call(pg, engine, np.asarray([vertex], dtype=np.int64))
+
+
 def test_sum_and_scatter_match_materialized(graph, pair_arrays):
     pg = ProbGraph(graph, representation="bloom", storage_budget=0.25, seed=3)
     u, v = pair_arrays
     direct = pg.pair_intersections(u, v)
     cfg = EngineConfig(max_chunk_pairs=37)
     assert sum_pair_intersections(pg, u, v, config=cfg) == pytest.approx(float(direct.sum()))
-    par = EngineConfig(max_chunk_pairs=37, parallel=ParallelConfig(num_workers=3))
-    assert sum_pair_intersections(pg, u, v, config=par) == pytest.approx(float(direct.sum()))
     out = np.zeros(graph.num_vertices)
     scatter_add_pair_intersections(pg, u, v, out, u, config=cfg)
     expect = np.zeros(graph.num_vertices)

@@ -14,9 +14,10 @@ contracts rather than bit-equality with the full scan:
 * **Exact-fallback bit-identity** — ``exact=True`` and the Bloom/HLL families
   return exactly the full-scan path's floats, and every served LSH row equals
   the full scan restricted to the candidate set.
-* **Sharded ≡ single-process** — per-shard bucket tables with routed probes
-  return the same candidates, the same top-k rows, and the same fallback
-  results as one index over the assembled whole-graph ProbGraph.
+* **Sharded ≡ single-process** — an engine-backed index holds the same
+  bucket table, and returns the same candidates, the same top-k rows, and
+  the same fallback results, as one index over the assembled whole-graph
+  ProbGraph.
 """
 
 from __future__ import annotations
@@ -138,10 +139,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match="positive"):
             LSHIndex(pg, num_bands=0, rows_per_band=1)
 
-    def test_vertex_ids_must_cover_rows(self, graph):
-        pg = _pg(graph, "khash")
-        with pytest.raises(ValueError, match="entries"):
-            LSHIndex(pg, vertex_ids=np.arange(3))
+    def test_canonical_sort_matches_lexsort(self):
+        """Builds and splices order entries by key, then vertex ID."""
+        from repro.engine.lsh import _canonical_sort
+
+        rng = np.random.default_rng(4)
+        # Few distinct keys spread over the whole uint64 range, so runs of
+        # equal keys are long and the high bit is set.
+        keys = rng.integers(0, 40, 5000).astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        verts = rng.integers(0, 700, 5000).astype(np.int64)
+        order = np.lexsort((verts, keys))
+        got_keys, got_verts = _canonical_sort(keys, verts)
+        assert np.array_equal(got_keys, keys[order])
+        assert np.array_equal(got_verts, verts[order])
+        empty_keys, empty_verts = _canonical_sort(
+            np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
+        )
+        assert empty_keys.shape == empty_verts.shape == (0,)
 
     def test_isolated_vertices_create_no_entries(self):
         # 4 vertices, only 0-1 connected: rows 2,3 are all-sentinel.
@@ -360,13 +374,6 @@ class TestServing:
         clamped = index.topk_similar_batch(np.asarray([0]), 10, candidates=np.asarray([1, 2]))
         assert clamped.indices.shape == (1, 2)
 
-    def test_probe_only_index_cannot_score(self, graph):
-        pg = _pg(graph, "khash")
-        bare = LSHIndex(pg.sketches)
-        assert bare.banded
-        with pytest.raises(ValueError, match="probe-only"):
-            bare.topk_similar_batch(np.asarray([0]), 3)
-
     def test_stats_observe_probe_cost(self, graph):
         pg = _pg(graph, "khash")
         index = LSHIndex(pg)
@@ -438,12 +445,15 @@ class TestSessionLSH:
 # ---------------------------------------------------------------------------
 class TestShardedLSH:
     @pytest.mark.parametrize("representation", BANDED)
-    @pytest.mark.parametrize("num_shards", [2, 4])
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
     def test_probes_and_topk_bit_identical(self, graph, representation, num_shards):
         engine = ShardedEngine(graph, num_shards, representation=representation, k=16, seed=5)
         sharded = engine.lsh_index()
+        assert isinstance(sharded, LSHIndex)
         single = LSHIndex(engine.to_probgraph())
-        assert sharded.num_entries == single.num_entries
+        # One canonical table, whatever the shard count.
+        assert np.array_equal(sharded._keys, single._keys)
+        assert np.array_equal(sharded._verts, single._verts)
         sources = np.asarray([0, 3, 17, 100, 200, 255], dtype=np.int64)
         for got, want in zip(
             sharded.query_candidates_batch(sources),
@@ -480,6 +490,15 @@ class TestShardedLSH:
         sharded.topk_similar_batch(np.asarray([0, 1, 2, 3]), 5)
         assert engine.comm.queries >= 1
         assert engine.comm.routed_pairs == sharded.stats.candidates_scored
+
+    def test_sources_are_probgraphs_or_engines_and_only_probgraphs_save(
+        self, graph, tmp_path
+    ):
+        engine = ShardedEngine(graph, 2, representation="khash", k=16, seed=5)
+        with pytest.raises(ValueError, match="ProbGraph-backed"):
+            engine.lsh_index().save(tmp_path / "t.pgsk")
+        with pytest.raises(TypeError, match="ProbGraph or ShardedEngine"):
+            LSHIndex(engine.to_probgraph().sketches)
 
     def test_single_source_convenience(self, graph):
         engine = ShardedEngine(graph, 2, representation="khash", k=16, seed=5)

@@ -1,11 +1,9 @@
-"""Tests for the parallelism substrate: work-depth models, scheduler simulation, executor, communication model."""
+"""Tests for the parallelism substrate: work-depth models, scheduler simulation, chunking, communication model."""
 
 import numpy as np
 import pytest
 
-from repro.core import ProbGraph
 from repro.parallel import (
-    ParallelConfig,
     Scheme,
     WorkDepth,
     algorithm_cost,
@@ -14,7 +12,6 @@ from repro.parallel import (
     construction_cost,
     intersection_cost,
     intersection_costs_per_edge,
-    parallel_edge_map,
     partition_vertices,
     simulate_algorithm_runtime,
     simulate_schedule,
@@ -156,28 +153,6 @@ class TestExecutor:
             chunked_ranges(-1, 10)
         with pytest.raises(ValueError):
             chunked_ranges(10, 0)
-
-    def test_parallel_edge_map_matches_serial(self, kron_small):
-        pg = ProbGraph(kron_small, "bloom", 0.25, seed=1)
-        edges = kron_small.edge_array()
-        kernel = lambda u, v: pg.pair_intersections(u, v)  # noqa: E731 - tiny test kernel
-        serial = kernel(edges[:, 0], edges[:, 1])
-        parallel = parallel_edge_map(kernel, edges[:, 0], edges[:, 1], ParallelConfig(num_workers=4, chunk_size=500))
-        assert np.allclose(serial, parallel)
-
-    def test_parallel_edge_map_empty(self):
-        out = parallel_edge_map(lambda u, v: u + v, np.empty(0), np.empty(0))
-        assert out.size == 0
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            parallel_edge_map(lambda u, v: u, np.arange(3), np.arange(4))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ParallelConfig(num_workers=0)
-        with pytest.raises(ValueError):
-            ParallelConfig(chunk_size=0)
 
 
 class TestDistributedModel:

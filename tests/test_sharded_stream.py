@@ -11,15 +11,18 @@ The acceptance bar of the streaming-sharding composition
 * an engine built over a :class:`~repro.dynamic.DynamicGraph` must raise
   :class:`~repro.engine.StaleShardError` from every query entry point when
   the source moved without a routed delta — never silently serve stale rows;
-* :class:`~repro.engine.ShardedLSHIndex` bucket entries must be re-keyed to
-  exactly a fresh index's tables, and :meth:`ShardedEngine.repartition` must
-  redistribute rows without changing any served float.
+* an engine-backed :class:`~repro.engine.LSHIndex` must re-key its one
+  bucket table to exactly the table of ``LSHIndex(engine.to_probgraph())``,
+  and :meth:`ShardedEngine.repartition` must redistribute rows without
+  changing any served float or table entry.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -29,6 +32,7 @@ import pytest
 from repro.core import ProbGraph
 from repro.dynamic import DynamicGraph, EdgeBatch
 from repro.engine import (
+    LSHIndex,
     PGSession,
     ShardedEngine,
     ShardSkewStats,
@@ -70,6 +74,11 @@ def assert_pg_equal(a: ProbGraph, b: ProbGraph) -> None:
     assert pa.keys() == pb.keys() and pa
     for name, arr in pa.items():
         assert np.array_equal(arr, pb[name]), name
+
+
+def assert_table_equal(index: LSHIndex, reference: LSHIndex) -> None:
+    assert np.array_equal(index._keys, reference._keys)
+    assert np.array_equal(index._verts, reference._verts)
 
 
 def _stream(dyn, consumers, stream_edges, rng, batch_size=100, deletions=5):
@@ -325,43 +334,97 @@ class TestShardedLSHPatching:
         params = EXPLICIT_PARAMS[representation]
         edges = graph.edge_array()
         half = edges.shape[0] // 2
-        rng = np.random.default_rng(6)
-        dyn = DynamicGraph(num_vertices=graph.num_vertices)
-        dyn.apply_edges(insertions=edges[:half])
-        engine = ShardedEngine(dyn, 3, representation=representation, seed=3, pool=pool, **params)
-        index = engine.lsh_index()
-        n0 = dyn.num_vertices
-        growth = np.asarray([[n0, 0], [n0 + 1, 2], [n0 + 2, 4]])
-        final_edges = np.vstack([edges[half:], growth])
-        _stream(dyn, [engine], final_edges, rng)
-        fresh = ShardedEngine(dyn.snapshot(), 3, representation=representation, seed=3, pool=pool, **params)
-        fresh_index = fresh.lsh_index()
-        assert index.num_entries == fresh_index.num_entries
-        sources = np.arange(0, dyn.num_vertices, 5, dtype=np.int64)
-        for a, b in zip(
-            index.query_candidates_batch(sources),
-            fresh_index.query_candidates_batch(sources),
-        ):
-            assert np.array_equal(a, b)
-        got = index.topk_similar_batch(sources, 5)
-        want = fresh_index.topk_similar_batch(sources, 5)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.scores, want.scores)
+        for shards in (1, 2, 3, 4):
+            rng = np.random.default_rng(6)
+            dyn = DynamicGraph(num_vertices=graph.num_vertices)
+            dyn.apply_edges(insertions=edges[:half])
+            engine = ShardedEngine(
+                dyn, shards, representation=representation, seed=3, pool=pool, **params
+            )
+            index = engine.lsh_index()
+            n0 = dyn.num_vertices
+            growth = np.asarray([[n0, 0], [n0 + 1, 2], [n0 + 2, 4]])
+            final_edges = np.vstack([edges[half:], growth])
+            _stream(dyn, [engine], final_edges, rng)
+            fresh = ShardedEngine(
+                dyn.snapshot(), shards, representation=representation, seed=3, pool=pool,
+                **params,
+            )
+            fresh_index = fresh.lsh_index()
+            assert index.num_entries == fresh_index.num_entries
+            sources = np.arange(0, dyn.num_vertices, 5, dtype=np.int64)
+            want_cands = fresh_index.query_candidates_batch(sources)
+            for a, b in zip(index.query_candidates_batch(sources), want_cands):
+                assert np.array_equal(a, b)
+            got = index.topk_similar_batch(sources, 5)
+            want = fresh_index.topk_similar_batch(sources, 5)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.scores, want.scores)
+            # After a read the patched table is the single-process table ...
+            single = LSHIndex(engine.to_probgraph())
+            assert_table_equal(index, single)
+            # ... and a repartition leaves it, and every answer, as it was.
+            engine.repartition(seed=17)
+            for a, b in zip(index.query_candidates_batch(sources), want_cands):
+                assert np.array_equal(a, b)
+            assert_table_equal(index, single)
+            assert_table_equal(index, LSHIndex(engine.to_probgraph()))
+            moved = index.topk_similar_batch(sources, 5)
+            assert np.array_equal(moved.indices, want.indices)
+            assert np.array_equal(moved.scores, want.scores)
 
     def test_explicit_apply_delta_is_idempotent(self, graph, pool):
         dyn = DynamicGraph(graph)
         engine = ShardedEngine(dyn, 2, representation="khash", k=8, seed=3, pool=pool)
         index = engine.lsh_index()
+        stale = LSHIndex(engine.to_probgraph())
         delta = dyn.apply_edges(deletions=graph.edge_array()[:4])
-        engine.apply_delta(delta)  # marks the registered index's rows dirty
-        assert index._pending.shape[0] == delta.dirty_vertices.shape[0]
-        rekeyed = index.apply_delta(delta)  # explicit call flushes eagerly
+        engine.apply_delta(delta)  # marks the index's touched rows; no re-key yet
+        fresh = LSHIndex(engine.to_probgraph())
+        assert not np.array_equal(stale._keys, fresh._keys)
+        assert_table_equal(index, stale)
+        rekeyed = index.apply_delta(delta)  # explicit call re-keys now
         assert rekeyed == delta.dirty_vertices.shape[0]
-        assert index._pending.shape[0] == 0
-        entries = (index._shard_indexes[0]._keys.copy(), index._shard_indexes[1]._keys.copy())
+        assert_table_equal(index, fresh)
         assert index.apply_delta(delta) == rekeyed  # idempotent re-key
-        assert np.array_equal(index._shard_indexes[0]._keys, entries[0])
-        assert np.array_equal(index._shard_indexes[1]._keys, entries[1])
+        assert_table_equal(index, fresh)
+
+    def test_concurrent_reads_flush_marked_rows_once(self, pool):
+        """Readers racing to flush the same marked rows all see the patched table."""
+        big = kronecker_graph(scale=11, edge_factor=8, seed=21)
+        dyn = DynamicGraph(big)
+        engine = ShardedEngine(dyn, 2, representation="khash", k=8, seed=3, pool=pool)
+        index = engine.lsh_index()
+        engine.apply_delta(dyn.apply_edges(deletions=big.edge_array()[::40]))
+        fresh = LSHIndex(engine.to_probgraph())
+        sources = np.arange(0, big.num_vertices, 7, dtype=np.int64)
+        want = fresh.query_candidates_batch(sources)
+        results, errors = [], []
+        start = threading.Barrier(8)
+
+        def reader():
+            try:
+                start.wait(timeout=60)
+                results.append(index.query_candidates_batch(sources))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert len(results) == 8
+        for got in results:
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+        assert_table_equal(index, fresh)
 
     def test_apply_delta_requires_patched_engine(self, graph, pool):
         dyn = DynamicGraph(graph)
