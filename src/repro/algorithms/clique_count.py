@@ -5,15 +5,19 @@ for each oriented edge ``(u, v)`` it first derives the 3-clique completions
 ``C3 = N+_u ∩ N+_v`` and then, for every ``w ∈ C3``, adds ``|N+_w ∩ C3|`` —
 every 4-clique is counted exactly once thanks to the degree-order orientation.
 
-The PG-enhanced version approximates the inner cardinality ``|N+_w ∩ C3|``:
+Both versions list the triangles ``(edge, w ∈ C3)`` of a whole window of
+oriented edges at once and evaluate the inner terms in one call per window:
 
+* **exact** — count the ``x ∈ N+_w`` for which ``(edge, x)`` is listed too;
 * **Bloom filters** — the filter of ``C3`` is obtained *for free* as the
   bitwise AND of the filters of ``N+_u`` and ``N+_v`` (Bloom filters are closed
-  under AND), so the inner term is a triple-AND followed by the Eq. (2)
-  estimator.
-* **MinHash / KMV** — a sketch of the (small) candidate set ``C3`` is built on
-  the fly with the same family parameters and intersected with the stored
-  sketch of ``N+_w``.
+  under AND), so the inner term is a triple-AND popcount fed to Eq. (2) or (4);
+* **MinHash / KMV / HLL** — the window's ``C3`` sets are sketched as one CSR
+  with the family's parameters and scored against the stored ``N+_w`` rows;
+  KMV and HLL keep a standalone ``C3`` sketch's estimated sizes (Eq. 40).
+
+A window's extra memory scales with its triangles, about triangles ×
+``pair_scratch_bytes``; no whole-graph triangle list is made.
 """
 
 from __future__ import annotations
@@ -26,13 +30,22 @@ from ..core.estimators import (
     EstimatorKind,
     bf_intersection_and,
     bf_intersection_limit,
+    hll_intersection,
+    kmv_intersection,
 )
-from ..core.probgraph import ProbGraph, Representation
+from ..core.probgraph import ProbGraph, check_estimator_kind
 from ..engine.batch import EngineConfig, iter_pair_chunks
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, ragged_gather
+from ..parallel.executor import chunked_ranges
+from ..sketches.base import concat_sketch_rows
 from ..sketches.bloom import BloomNeighborhoodSketches
+from ..sketches.hll import HLLNeighborhoodSketches
+from ..sketches.kmv import KMVNeighborhoodSketches
 
 __all__ = ["CliqueCountResult", "four_clique_count", "four_clique_count_exact"]
+
+#: Oriented edges per window of the exact count, which has no engine budget.
+_EXACT_WINDOW_EDGES = 4096
 
 
 @dataclass(frozen=True)
@@ -50,104 +63,56 @@ class CliqueCountResult:
         return int(round(self.count))
 
 
+def _oriented_edges(base: CSRGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All oriented edges ``src → dst`` plus their sorted row-major ``src * n + dst`` keys."""
+    src = np.repeat(np.arange(base.num_vertices, dtype=np.int64), base.degrees)
+    return src, base.indices, src * base.num_vertices + base.indices
+
+
+def _is_listed(keys: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Mask of the ``probe`` values present in the sorted, non-empty ``keys``."""
+    return keys[np.minimum(np.searchsorted(keys, probe), keys.shape[0] - 1)] == probe
+
+
+def _window_triangles(
+    base: CSRGraph, keys: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Triangles of the edges ``u[i] → v[i]``: ``(edge, w)`` sorted by edge, then ``w``."""
+    counts = base.indptr[u + 1] - base.indptr[u]
+    w = base.indices[ragged_gather(base.indptr[u], counts)]
+    edge = np.repeat(np.arange(u.shape[0], dtype=np.int64), counts)
+    hit = _is_listed(keys, v[edge] * base.num_vertices + w)
+    return edge[hit], w[hit]
+
+
 def four_clique_count_exact(graph: CSRGraph) -> CliqueCountResult:
     """Exact 4-clique count by the oriented scheme of Listing 2."""
     oriented = graph.oriented()
-    indptr, indices = oriented.indptr, oriented.indices
+    src, dst, keys = _oriented_edges(oriented)
+    n, indptr = oriented.num_vertices, oriented.indptr
     total = 0
-    for u in range(oriented.num_vertices):
-        nu = indices[indptr[u]: indptr[u + 1]]
-        if nu.size < 2:
-            continue
-        for v in nu:
-            nv = indices[indptr[v]: indptr[v + 1]]
-            if nv.size == 0:
-                continue
-            c3 = np.intersect1d(nu, nv, assume_unique=True)
-            if c3.size == 0:
-                continue
-            for w in c3:
-                nw = indices[indptr[w]: indptr[w + 1]]
-                if nw.size == 0:
-                    continue
-                total += int(np.intersect1d(nw, c3, assume_unique=True).size)
+    for start, stop in chunked_ranges(src.shape[0], _EXACT_WINDOW_EDGES):
+        edge, w = _window_triangles(oriented, keys, src[start:stop], dst[start:stop])
+        if edge.size:
+            counts = indptr[w + 1] - indptr[w]
+            x = oriented.indices[ragged_gather(indptr[w], counts)]
+            total += int(np.count_nonzero(_is_listed(edge * n + w, np.repeat(edge, counts) * n + x)))
     return CliqueCountResult(float(total), True, "exact-oriented")
 
 
-def _oriented_edge_arrays(oriented: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
-    """All oriented edges ``v → u`` as parallel (src, dst) arrays."""
-    src = np.repeat(np.arange(oriented.num_vertices, dtype=np.int64), oriented.degrees)
-    return src, oriented.indices
-
-
-def _four_clique_pg_bloom(
-    pg: ProbGraph,
-    estimator: EstimatorKind | str | None,
-    config: EngineConfig | None = None,
-) -> CliqueCountResult:
-    kind = EstimatorKind(estimator) if estimator is not None else pg.estimator
-    if kind not in (EstimatorKind.BF_AND, EstimatorKind.BF_LIMIT):
-        kind = EstimatorKind.BF_AND
-    sketches = pg.sketches
-    assert isinstance(sketches, BloomNeighborhoodSketches)
-    oriented = pg.graph.oriented()
-    indptr, indices = oriented.indptr, oriented.indices
-    words = sketches.words
-    src, dst = _oriented_edge_arrays(oriented)
-    total = 0.0
-    # Stream the oriented edge list through engine-sized windows; the inner
-    # candidate-set work stays per-edge (C3 differs per edge) but the
-    # enumeration is bounded and accounted like every other engine query.
-    for start, stop in iter_pair_chunks(sketches, src.shape[0], config):
-        for i in range(start, stop):
-            u, v = int(src[i]), int(dst[i])
-            nu = indices[indptr[u]: indptr[u + 1]]
-            nv = indices[indptr[v]: indptr[v + 1]]
-            if nu.size < 2 or nv.size == 0:
-                continue
-            c3 = np.intersect1d(nu, nv, assume_unique=True)
-            if c3.size == 0:
-                continue
-            and_uv = words[u] & words[v]
-            triple = and_uv[None, :] & words[c3]
-            ones = np.bitwise_count(triple).sum(axis=1)
-            if kind is EstimatorKind.BF_AND:
-                ests = bf_intersection_and(ones, sketches.num_bits, sketches.num_hashes)
-            else:
-                ests = bf_intersection_limit(ones, sketches.num_hashes)
-            total += float(np.sum(ests))
-    return CliqueCountResult(total, False, f"pg-bloom-{kind.value}")
-
-
-def _four_clique_pg_sampling(
-    pg: ProbGraph,
-    estimator: EstimatorKind | str | None,
-    config: EngineConfig | None = None,
-) -> CliqueCountResult:
-    """MinHash / KMV variant: sketch the candidate set ``C3`` on the fly."""
-    oriented = pg.graph.oriented()
-    indptr, indices = oriented.indptr, oriented.indices
-    family = pg.family
-    sketches = pg.sketches
-    src, dst = _oriented_edge_arrays(oriented)
-    total = 0.0
-    for start, stop in iter_pair_chunks(sketches, src.shape[0], config):
-        for i in range(start, stop):
-            u, v = int(src[i]), int(dst[i])
-            nu = indices[indptr[u]: indptr[u + 1]]
-            nv = indices[indptr[v]: indptr[v + 1]]
-            if nu.size < 2 or nv.size == 0:
-                continue
-            c3 = np.intersect1d(nu, nv, assume_unique=True)
-            if c3.size == 0:
-                continue
-            c3_sketch = family.sketch(c3)
-            for w in c3:
-                w_sketch = sketches.sketch_of(int(w))
-                total += float(
-                    w_sketch.intersection_cardinality(c3_sketch, size_self=None, size_other=None)
-                )
-    return CliqueCountResult(total, False, f"pg-{pg.representation.value}")
+def _sketch_terms(pg: ProbGraph, edge: np.ndarray, w: np.ndarray) -> np.ndarray | float:
+    """``|N+_w ∩ C3|`` estimates from one pool: the window's ``C3`` rows, then the ``N+_w`` rows."""
+    _, starts, c3_row = np.unique(edge, return_index=True, return_inverse=True)
+    rows, w_row = np.unique(w, return_inverse=True)
+    c3 = pg.family.sketch_neighborhoods(np.append(starts, edge.shape[0]), w)
+    pool = concat_sketch_rows([c3, pg.sketches.take_rows(rows)])
+    w_row = w_row + starts.shape[0]
+    if isinstance(pool, (KMVNeighborhoodSketches, HLLNeighborhoodSketches)):
+        sizes = pool.cardinalities()
+        union = pool.pair_union_estimates(w_row, c3_row)
+        estimate = kmv_intersection if isinstance(pool, KMVNeighborhoodSketches) else hll_intersection
+        return estimate(sizes[w_row], sizes[c3_row], union)
+    return pool.pair_intersections(w_row, c3_row)
 
 
 def four_clique_count(
@@ -160,7 +125,9 @@ def four_clique_count(
     For ProbGraph inputs the sketches must have been built over the *oriented*
     neighborhoods (``ProbGraph(..., oriented=True)``) so that the stored
     filters correspond to the ``N+`` sets Listing 2 intersects.  The oriented
-    edge enumeration streams through the engine's chunk windows (``config``).
+    edges stream through the engine's chunk windows (``config``).  An
+    ``estimator`` the representation cannot evaluate raises ``ValueError``,
+    and so does the Bloom OR estimator.
     """
     if isinstance(graph, CSRGraph):
         return four_clique_count_exact(graph)
@@ -168,6 +135,26 @@ def four_clique_count(
         raise TypeError(f"expected CSRGraph or ProbGraph, got {type(graph).__name__}")
     if not graph.oriented:
         raise ValueError("4-clique counting needs ProbGraph(..., oriented=True) sketches of N+")
-    if graph.representation is Representation.BLOOM:
-        return _four_clique_pg_bloom(graph, estimator, config)
-    return _four_clique_pg_sampling(graph, estimator, config)
+    kind = graph.estimator if estimator is None else check_estimator_kind(graph.representation, estimator)
+    if kind is EstimatorKind.BF_OR:
+        raise ValueError("4-clique counting on Bloom filters supports the 'AND' and 'L' estimators, not 'OR'")
+    sketches, base = graph.sketches, graph.base
+    src, dst, keys = _oriented_edges(base)
+    total = 0.0
+    for start, stop in iter_pair_chunks(sketches, src.shape[0], config):
+        u, v = src[start:stop], dst[start:stop]
+        edge, w = _window_triangles(base, keys, u, v)
+        if edge.size == 0:
+            continue
+        if isinstance(sketches, BloomNeighborhoodSketches):
+            words = sketches.words
+            ones = np.bitwise_count(words[u[edge]] & words[v[edge]] & words[w]).sum(axis=1)
+            if kind is EstimatorKind.BF_AND:
+                terms = bf_intersection_and(ones, sketches.num_bits, sketches.num_hashes)
+            else:
+                terms = bf_intersection_limit(ones, sketches.num_hashes)
+        else:
+            terms = _sketch_terms(graph, edge, w)
+        total += float(np.sum(terms))
+    suffix = f"-{kind.value}" if isinstance(sketches, BloomNeighborhoodSketches) else ""
+    return CliqueCountResult(total, False, f"pg-{graph.representation.value}{suffix}")

@@ -72,7 +72,7 @@ def _triangle_count_pg(
     config: EngineConfig | None = None,
 ) -> TriangleCountResult:
     if pg.oriented:
-        oriented = pg.graph.oriented()
+        oriented = pg.base
         src = np.repeat(np.arange(oriented.num_vertices, dtype=np.int64), oriented.degrees)
         dst = oriented.indices
         if src.size == 0:
@@ -100,7 +100,7 @@ def triangle_count_sharded(
     floats as the single-process path; only the reduction order differs.
     """
     if engine.oriented:
-        oriented = engine.graph.oriented()
+        oriented = engine.base
         src = np.repeat(np.arange(oriented.num_vertices, dtype=np.int64), oriented.degrees)
         dst = oriented.indices
         method = f"pg-{engine.representation.value}-oriented-sharded"

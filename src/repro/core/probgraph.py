@@ -335,6 +335,12 @@ class ProbGraph:
         return self.graph.num_edges
 
     @property
+    def base(self) -> CSRGraph:
+        """The graph the sketches represent (read-only): ``graph.oriented()`` when
+        oriented, else ``graph``; :meth:`apply_delta` keeps it in step."""
+        return self._base
+
+    @property
     def base_degrees(self) -> np.ndarray:
         """Degrees of the **sketched base**: ``|N+_v|`` when oriented, ``|N_v|`` otherwise.
 
@@ -346,7 +352,7 @@ class ProbGraph:
         :meth:`jaccard`, the engine's ``batched_pair_jaccard``, and
         ``algorithms.similarity``.
         """
-        return self._base.degrees
+        return self.base.degrees
 
     @property
     def sketch_storage_bits(self) -> int:

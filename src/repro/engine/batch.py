@@ -206,9 +206,10 @@ def iter_pair_chunks(
     """Yield ``(start, stop)`` windows for streaming ``total`` pairs, with accounting.
 
     This is the engine's edge-enumeration contract: algorithms whose inner work
-    cannot be expressed as one ``pair_intersections`` call (4-clique counting
-    derives a candidate set per edge) still stream their pair lists through
-    engine-sized windows and show up in :func:`engine_stats`.
+    is not one ``pair_intersections`` call over the input (4-clique counting
+    scores each window's triangles, about triangles × ``pair_scratch_bytes``
+    of scratch) still stream through engine-sized windows and show up in
+    :func:`engine_stats`.
     """
     chunk = resolve_chunk_pairs(sketches, config)
     _STATS.queries += 1

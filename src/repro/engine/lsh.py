@@ -584,7 +584,7 @@ class LSHIndex:
         if source.oriented:
             # The source's apply_delta already ran, so the per-delta memo holds
             # the oriented row diff; the base argument is only used on a miss.
-            _, touched = delta.oriented_update(source._base)
+            _, touched = delta.oriented_update(source.base)
         else:
             touched = np.union1d(delta.ins_vertices, delta.dirty_vertices)
         with self._table_lock:

@@ -649,10 +649,15 @@ class ShardedEngine:
         return self.partition.owners
 
     @property
+    def base(self) -> CSRGraph:
+        """The sketched base graph — see :attr:`repro.core.ProbGraph.base`."""
+        return self._base
+
+    @property
     def base_degrees(self) -> np.ndarray:
         """Degrees of the sketched base (oriented ``N+`` when oriented) — see
         :attr:`repro.core.ProbGraph.base_degrees`."""
-        return self._base.degrees
+        return self.base.degrees
 
     @property
     def bits_per_set(self) -> int:

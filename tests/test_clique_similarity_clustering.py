@@ -11,8 +11,65 @@ from repro.algorithms import (
     similarity,
     similarity_scores,
 )
-from repro.core import ProbGraph
-from repro.graph import CSRGraph, complete_graph, erdos_renyi_graph, stochastic_block_model
+from repro.core import EstimatorKind, ProbGraph
+from repro.core.estimators import bf_intersection_and, bf_intersection_limit
+from repro.graph import (
+    CSRGraph,
+    complete_graph,
+    erdos_renyi_graph,
+    kronecker_graph,
+    stochastic_block_model,
+)
+from repro.sketches.bloom import BloomNeighborhoodSketches
+
+FAMILIES = ["bloom", "khash", "1hash", "kmv", "hll"]
+
+#: Estimator kinds 4-clique counting honours on each family.
+CLIQUE_ESTIMATORS = {"bloom": {"AND", "L"}, "khash": {"kH"}, "1hash": {"1H"}, "kmv": {"KMV"}, "hll": {"HLL"}}
+
+#: The graphs the batched count is checked on against the per-edge reference.
+REFERENCE_GRAPHS = {
+    "k10": lambda: complete_graph(10),
+    "er200": lambda: erdos_renyi_graph(200, 0.1, seed=3),
+    "kron8": lambda: kronecker_graph(scale=8, edge_factor=8, seed=1),
+}
+
+
+def per_edge_reference(pg: ProbGraph, estimator: str = "AND") -> float:
+    """The per-edge scalar 4-clique loop, kept as the batched path's reference.
+
+    For every oriented edge ``u → v`` it intersects ``N+_u`` and ``N+_v`` into
+    ``C3``; Bloom filters then score ``B_u & B_v & B_w`` per ``w ∈ C3``, and
+    the other families sketch ``C3`` alone and make one scalar
+    ``intersection_cardinality`` call per ``w`` (estimated sizes).
+    """
+    base = pg.graph.oriented()
+    indptr, indices = base.indptr, base.indices
+    sketches = pg.sketches
+    total = 0.0
+    for u in range(base.num_vertices):
+        nu = indices[indptr[u]: indptr[u + 1]]
+        for v in nu:
+            c3 = np.intersect1d(nu, indices[indptr[v]: indptr[v + 1]], assume_unique=True)
+            if c3.size == 0:
+                continue
+            if isinstance(sketches, BloomNeighborhoodSketches):
+                words = sketches.words
+                ones = np.bitwise_count((words[u] & words[v])[None, :] & words[c3]).sum(axis=1)
+                if estimator == "AND":
+                    ests = bf_intersection_and(ones, sketches.num_bits, sketches.num_hashes)
+                else:
+                    ests = bf_intersection_limit(ones, sketches.num_hashes)
+                total += float(np.sum(ests))
+                continue
+            c3_sketch = pg.family.sketch(c3)
+            for w in c3:
+                total += float(
+                    sketches.sketch_of(int(w)).intersection_cardinality(
+                        c3_sketch, size_self=None, size_other=None
+                    )
+                )
+    return total
 
 
 class TestFourCliqueCount:
@@ -62,6 +119,45 @@ class TestFourCliqueCount:
     def test_rejects_unknown_input(self):
         with pytest.raises(TypeError):
             four_clique_count(42)
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("graph_name", list(REFERENCE_GRAPHS))
+    def test_batched_count_matches_per_edge_reference(self, graph_name, family, seed):
+        pg = ProbGraph(REFERENCE_GRAPHS[graph_name](), family, oriented=True, seed=seed)
+        expected = per_edge_reference(pg)
+        assert expected > 0
+        assert float(four_clique_count(pg)) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("graph_name", list(REFERENCE_GRAPHS))
+    def test_bloom_limit_estimator_matches_per_edge_reference(self, graph_name):
+        pg = ProbGraph(REFERENCE_GRAPHS[graph_name](), "bloom", oriented=True, seed=1)
+        result = four_clique_count(pg, estimator="L")
+        assert result.method == "pg-bloom-L"
+        assert float(result) == pytest.approx(per_edge_reference(pg, "L"), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "family,kind",
+        [(f, k.value) for f in FAMILIES for k in EstimatorKind if k.value not in CLIQUE_ESTIMATORS[f]],
+    )
+    def test_rejects_estimator_kinds_it_cannot_honour(self, k6, family, kind):
+        pg = ProbGraph(k6, family, oriented=True, seed=1)
+        with pytest.raises(ValueError, match=repr(kind)):
+            four_clique_count(pg, estimator=kind)
+
+    def test_bloom_or_names_the_supported_kinds(self, k6):
+        pg = ProbGraph(k6, "bloom", num_bits=256, oriented=True, seed=1, estimator="OR")
+        for estimator in (None, "OR"):
+            with pytest.raises(ValueError, match="'AND' and 'L'"):
+                four_clique_count(pg, estimator=estimator)
+        assert four_clique_count(pg, estimator="AND").method == "pg-bloom-AND"
+
+    @pytest.mark.parametrize("family", [None] + FAMILIES)
+    def test_triangle_free_and_edgeless_graphs_count_zero(self, ring10, family):
+        edgeless = CSRGraph.from_edges(np.empty((0, 2), dtype=np.int64), num_vertices=6)
+        for graph in (ring10, edgeless):
+            target = graph if family is None else ProbGraph(graph, family, oriented=True, seed=1)
+            assert float(four_clique_count(target)) == 0.0
 
 
 class TestSimilarity:

@@ -224,7 +224,7 @@ class TestContainerUpdates:
         assert len(delta._oriented_memo) == 2  # base + changed, computed once
         shared_base = delta._oriented_memo["base"]
         for pg in pgs:
-            assert pg._base is shared_base
+            assert pg.base is shared_base
             fresh = ProbGraph(dyn.snapshot(), representation="bloom", num_bits=128,
                               oriented=True, seed=pg.seed)
             assert_bit_identical(pg, fresh)

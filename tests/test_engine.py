@@ -414,15 +414,17 @@ def test_chunked_algorithms_match_unchunked(graph):
         assert np.array_equal(default_clusters.labels, tiny_clusters.labels)
 
 
-def test_four_clique_chunked_matches_unchunked(k10_engine=None):
+def test_four_clique_chunked_matches_unchunked():
     from repro.graph import complete_graph
 
-    g = complete_graph(10)
-    for rep in ["bloom", "1hash"]:
-        pg = ProbGraph(g, representation=rep, storage_budget=0.5, seed=1, oriented=True)
-        full = float(four_clique_count(pg))
-        tiny = float(four_clique_count(pg, config=EngineConfig(max_chunk_pairs=3)))
-        assert tiny == pytest.approx(full)
+    for g in (complete_graph(10), kronecker_graph(scale=8, edge_factor=8, seed=1)):
+        for rep in REPRESENTATIONS:
+            pg = ProbGraph(g, representation=rep, storage_budget=0.5, seed=1, oriented=True)
+            full = float(four_clique_count(pg))
+            assert full > 0
+            for max_chunk_pairs in (1, 3):
+                config = EngineConfig(max_chunk_pairs=max_chunk_pairs)
+                assert float(four_clique_count(pg, config=config)) == pytest.approx(full)
 
 
 def test_cohesion_subset_through_session(graph):

@@ -119,6 +119,17 @@ class TestProbGraph:
         # out-neighbors, so all estimated cardinalities are small.
         assert pg.neighborhood_cardinalities().max() <= 2.0
 
+    def test_base_is_the_sketched_graph(self, kron_small):
+        oriented = ProbGraph(kron_small, "bloom", num_bits=256, oriented=True, seed=0)
+        expected = kron_small.oriented()
+        assert np.array_equal(oriented.base.indptr, expected.indptr)
+        assert np.array_equal(oriented.base.indices, expected.indices)
+        assert np.array_equal(oriented.base_degrees, expected.degrees)
+        full = ProbGraph(kron_small, "bloom", num_bits=256, seed=0)
+        assert full.base is kron_small
+        with pytest.raises(AttributeError):
+            full.base = expected
+
     def test_neighborhood_cardinalities_minhash_exact(self, kron_small):
         pg = ProbGraph(kron_small, "1hash", 0.25)
         assert np.array_equal(pg.neighborhood_cardinalities(), kron_small.degrees.astype(float))
