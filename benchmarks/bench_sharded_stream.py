@@ -70,7 +70,7 @@ def parse_args() -> argparse.Namespace:
 
 
 def _sketch_payload(pg) -> dict[str, np.ndarray]:
-    return {name: getattr(pg.sketches, name) for name in pg.sketches._row_arrays}
+    return pg.sketches.storage_arrays()
 
 
 def main() -> None:
@@ -161,7 +161,7 @@ def main() -> None:
             assert np.array_equal(arr, _sketch_payload(fresh_pg)[name]), name
         print(
             f"bit-identity: patched shards == fresh sharded rebuild on the final "
-            f"graph ({dyn.num_edges:,} edges) across {len(patched_pg.sketches._row_arrays)} row arrays"
+            f"graph ({dyn.num_edges:,} edges) across {len(patched_pg.sketches.storage_arrays())} row arrays"
         )
         engine.close()
 

@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""Sharded serving end to end: partition, multiprocess build, routed queries.
+"""Sharded serving end to end: partition, multiprocess build, counted queries.
 
 The §VIII-F story on one machine: vertices are partitioned into shards, each
-shard's neighborhood sketches are built in its own worker process, and every
-query is routed to the shard owning its sketch rows — cut pairs ship one
-fixed-size sketch (counted, and validated against the paper's communication
-model), never a CSR neighborhood.  Results are bit-identical to the
-single-process `PGSession` path throughout.
+shard's neighborhood sketches are built in its own worker process, and the
+engine serves every query from the assembled rows while counting what a
+distributed run would ship — one fixed-size sketch per cut pair (validated
+against the paper's communication model), never a CSR neighborhood.  Results
+are bit-identical to the single-process `PGSession` path throughout.
 
 Run with:  python examples/sharded_serving.py
 """
@@ -36,7 +36,7 @@ def main() -> None:
             f"{engine.partition.cut_fraction(graph):.0%} of edges cut)"
         )
 
-        # --- routed pair queries, bit-identical to the single-process engine ----
+        # --- pair queries, bit-identical to the single-process engine ----------
         session = PGSession()
         pg = session.probgraph(graph, representation="bloom", storage_budget=0.25, seed=7)
         rng = np.random.default_rng(3)
@@ -45,14 +45,14 @@ def main() -> None:
         sharded = engine.pair_intersections(u, v)
         single = session.pair_intersections(pg, u, v)
         print(
-            f"\n50k routed pair queries: bit-identical to single-process = "
+            f"\n50k pair queries: bit-identical to single-process = "
             f"{bool(np.array_equal(sharded, single))}"
         )
 
-        # --- top-k serving: broadcast the source, gather per-shard top-k --------
+        # --- top-k serving: each source counted once per candidate shard ------
         users = np.argsort(graph.degrees)[-6:].astype(np.int64)
         batch = engine.top_k_similar_batch(users, k=5)
-        print(f"\nscatter-gather top-5 for the {len(users)} busiest users:")
+        print(f"\nsharded top-5 for the {len(users)} busiest users:")
         for row, user in enumerate(users.tolist()):
             hits = ", ".join(
                 f"{c}({s:.2f})"
@@ -80,7 +80,7 @@ def main() -> None:
         knn = knn_graph_sharded(engine, k=4, sources=np.arange(32, dtype=np.int64))
         print(f"4-NN graph over 32 sources: {knn.to_csr(graph.num_vertices).num_edges} edges")
 
-        # --- what moved: the engine's shipments vs the paper's model ------------
+        # --- what would move: the engine's shipments vs the paper's model ------
         edges = graph.edge_array()
         engine.comm.reset()
         engine.pair_intersections(edges[:, 0], edges[:, 1])
@@ -92,7 +92,7 @@ def main() -> None:
         print(
             f"\nper-edge query over all {edges.shape[0]:,} edges: "
             f"{engine.comm.shipments:,} sketch shipments, "
-            f"{engine.comm.sketch_bytes / 1e6:.2f} MB moved "
+            f"{engine.comm.sketch_bytes / 1e6:.2f} MB to move "
             f"(§VIII-F model agrees = {agree}; exact CSR neighborhoods would move "
             f"{model.csr_bytes / 1e6:.2f} MB, {model.reduction_factor:.1f}x more)"
         )

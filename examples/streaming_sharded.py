@@ -3,8 +3,8 @@
 
 The streaming × sharding composition: a `DynamicGraph` absorbs edge batches
 (insertions *and* deletions), and each resulting `GraphDelta` is routed
-through `ShardedEngine.apply_delta` — the delta is split by shard owners,
-only the touched sketch rows are patched in place, and the engine's LSH
+through `ShardedEngine.apply_delta` — only the touched sketch rows are
+patched in place, new vertices go to the smallest shards, and the engine's LSH
 index (`engine.lsh_index()`, one bucket table of global vertex IDs) re-keys
 exactly those rows' bucket entries on its next read.  Queries keep being served between batches; an engine that missed a
 delta raises `StaleShardError` instead of answering from stale shards.  The
@@ -51,7 +51,7 @@ def main() -> None:
         current = dyn.snapshot().edge_array()
         dels = current[rng.choice(current.shape[0], size=10, replace=False)]
         delta = dyn.apply(EdgeBatch(insertions=ins, deletions=dels))
-        patched = engine.apply_delta(delta)  # routes sub-deltas to the shards
+        patched = engine.apply_delta(delta)  # patches only the touched rows
         topk = index.topk_similar_batch(probes, 3)  # first probe re-keys dirty rows
         best = ", ".join(
             f"{v}({s:.2f})" for v, s in zip(topk.indices[0], topk.scores[0]) if v >= 0
@@ -88,12 +88,12 @@ def main() -> None:
     engine.close()
     identical = all(
         np.array_equal(getattr(patched_pg.sketches, name), getattr(fresh_pg.sketches, name))
-        for name in patched_pg.sketches._row_arrays
+        for name in patched_pg.sketches.storage_arrays()
     )
     single = ProbGraph(dyn.snapshot(), **PARAMS)
     identical &= all(
         np.array_equal(getattr(patched_pg.sketches, name), getattr(single.sketches, name))
-        for name in single.sketches._row_arrays
+        for name in single.sketches.storage_arrays()
     )
     print(
         f"\nfinal graph: {dyn.num_edges:,} edges; patched shards bit-identical to "

@@ -212,15 +212,14 @@ def knn_graph_sharded(
 ) -> KNNGraphResult:
     """Build per-vertex top-k similarity lists on a sharded engine.
 
-    The scatter-gather counterpart of :func:`knn_graph`: every source batch is
+    The sharded counterpart of :func:`knn_graph`: every source batch is
     retrieved through
-    :meth:`~repro.engine.sharded.ShardedEngine.top_k_similar_batch` — each
-    shard scores the sources against its own candidates, the per-shard
-    selections merge canonically — and the resulting lists are bit-identical
-    to :func:`knn_graph` on the equivalent single-process ProbGraph.  Only the
-    engine-level measures are available (``"jaccard"`` and
-    ``"common_neighbors"``); neighbor-identity measures need the exact CSR
-    path.
+    :meth:`~repro.engine.sharded.ShardedEngine.top_k_similar_batch`, which
+    counts each source's shipments to the candidate-owning shards, and the
+    resulting lists are bit-identical to :func:`knn_graph` on the equivalent
+    single-process ProbGraph.  Only the engine-level measures are available
+    (``"jaccard"`` and ``"common_neighbors"``); neighbor-identity measures
+    need the exact CSR path.
     """
     if k < 0:
         raise ValueError("k must be non-negative")

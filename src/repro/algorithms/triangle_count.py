@@ -92,12 +92,11 @@ def triangle_count_sharded(
 ) -> TriangleCountResult:
     """Approximate TC served by a :class:`~repro.engine.sharded.ShardedEngine`.
 
-    The same per-edge estimate sum as the single-process PG path
-    (:func:`triangle_count` on a ProbGraph with identical parameters), but
-    every edge's intersection is evaluated at the shard owning its sketch rows
-    — cut edges ship one fixed-size sketch each, exactly the communication
-    pattern §VIII-F prices out.  The summed per-edge estimates are the same
-    floats as the single-process path; only the reduction order differs.
+    The same streamed per-edge estimate sum as the single-process PG path
+    (:func:`triangle_count` on a ProbGraph with identical parameters), so the
+    same float; the engine's :attr:`~repro.engine.ShardedEngine.comm` also
+    counts the fixed-size sketch each cut edge would ship — the
+    communication pattern §VIII-F prices out.
     """
     if engine.oriented:
         oriented = engine.base

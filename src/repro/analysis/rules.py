@@ -10,11 +10,11 @@ that at least one past regression has violated:
   wall-clock values are the same failure mode waiting to happen.
 * **family-contract** (``REPRO201``–``REPRO204``): any container declaring a
   ``storage_schema`` (or the legacy ``_row_arrays`` tuple) opts into the row
-  scatter-gather machinery of the sharded engine and the on-disk sketch
-  store; it must also declare the family params and implement the incremental
-  maintenance methods with the reference signatures of
-  :class:`repro.sketches.base.NeighborhoodSketches`, or shard routing and
-  delta patching break at runtime on that family only.
+  gathers of the sharded build and the on-disk sketch store; it must also
+  declare the family params and implement the incremental maintenance
+  methods with the reference signatures of
+  :class:`repro.sketches.base.NeighborhoodSketches`, or the sharded build
+  and delta patching break at runtime on that family only.
 * **dtype** (``REPRO301``, ``REPRO305``): ``np.zeros``/``np.empty``/``np.full``
   in kernel modules must pin an explicit dtype — bit-identity across rebuild /
   incremental / sharded paths depends on every backing array having the same

@@ -15,8 +15,8 @@ findings ledger, and the three primitive layers the ``reprosan`` detectors
   lock *name* and flag lock-order inversions (``SAN401``), the static
   ``REPRO401`` rule's dynamic counterpart for deadlocks rather than races.
 * **Write-epoch stamping** — :func:`guard_mapping` / :func:`stamp_write`:
-  registered guarded state (``PGSession._cache``, LSH bucket tables, shard
-  ``_row_arrays``) bumps a per-label write epoch on every mutation and
+  registered guarded state (``PGSession._cache``, LSH bucket tables, the
+  sharded engine's sketch rows) bumps a per-label write epoch on every mutation and
   verifies the owning lock is held by the mutating thread (``SAN402``) —
   one predicate per *mutation site*, never per bytecode.
 * **SharedMemory ledger** — :func:`create_segment` / :func:`track_segment` /
@@ -416,7 +416,7 @@ def stamp_write(lock: Any, label: str) -> None:
     """Stamp one mutation of ``label``-guarded state; the thread must hold ``lock``.
 
     The write-epoch alternative to tracing every bytecode: mutation sites of
-    registered guarded state (bucket tables, shard ``_row_arrays``) call this
+    registered guarded state (bucket tables, engine sketch rows) call this
     once per logical write.  Each call bumps the label's epoch and verifies
     lock ownership — a stamp without the lock held is a ``SAN402`` finding
     attributed to the mutating call site.  No-op when the sanitizer is off.

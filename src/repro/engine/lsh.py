@@ -24,13 +24,13 @@ already store:
   canonical order (score descending, ID ascending on ties) as
   :mod:`repro.engine.topk`.
 
-The rows come from a :class:`~repro.core.ProbGraph` or a
-:class:`~repro.engine.sharded.ShardedEngine` (one row block per shard).  A
-band key depends only on a row's signature values, never on where the row is
-stored, so both fill **one** ``(key, vertex)`` table of global vertex IDs —
-an engine's table is bit-identical to ``engine.to_probgraph()``'s, and
+The rows come from the ``sketches`` container of a
+:class:`~repro.core.ProbGraph` or a
+:class:`~repro.engine.sharded.ShardedEngine`, both in global vertex order, so
+either fills **one** ``(key, vertex)`` table of global vertex IDs — an
+engine's table is bit-identical to ``engine.to_probgraph()``'s, and
 re-partitioning the engine needs no LSH work.  Candidates are scored through
-the source's own ``pair_intersections`` (routed for an engine).
+the source's own ``pair_intersections`` (counted in shipments for an engine).
 
 Bloom and HyperLogLog containers store no per-element values, so no banding
 index can be built over them: the index transparently **falls back to the
@@ -89,6 +89,10 @@ __all__ = [
 _KEY_SEED = 0x1517
 
 _U64_EMPTY = np.uint64(np.iinfo(np.uint64).max)
+
+#: Rows hashed per block by :meth:`LSHIndex.band_keys`: 4,096 rows of a
+#: 16-slot signature are 512 KiB, small enough to stay in cache.
+_KEY_BLOCK_ROWS = 4096
 
 
 def signature_matrix(
@@ -219,12 +223,11 @@ class LSHIndex:
         # every table write is epoch-stamped against it.
         self._table_lock = _san.make_rlock("LSHIndex.tables")
         self._dirty = np.empty(0, dtype=np.int64)
-        container = self._container()
-        sig = signature_matrix(container)
+        sig = signature_matrix(source.sketches)
         if sig is None:
             if num_bands is not None or rows_per_band is not None:
                 raise ValueError(
-                    f"{type(container).__name__} stores no signature matrix; "
+                    f"{type(source.sketches).__name__} stores no signature matrix; "
                     "banding parameters are not applicable (queries fall back to "
                     "the full scan)"
                 )
@@ -272,27 +275,6 @@ class LSHIndex:
         return int(np.unique(self._keys).shape[0])
 
     # ------------------------------------------------------------ row source
-    def _container(self) -> NeighborhoodSketches:
-        """A container of the source's family: the ProbGraph's, or shard 0."""
-        if isinstance(self.source, ProbGraph):
-            return self.source.sketches
-        return self.source._shards[0]
-
-    def _row_blocks(
-        self, vertices: np.ndarray
-    ) -> list[tuple[NeighborhoodSketches, np.ndarray, np.ndarray | slice]]:
-        """``(container, local rows, positions in vertices)`` per owning block."""
-        source = self.source
-        if isinstance(source, ProbGraph):
-            return [(source.sketches, vertices, slice(None))]
-        partition = source.partition
-        owners = partition.owners[vertices]
-        blocks = []
-        for s in np.unique(owners):
-            at = np.flatnonzero(owners == s)
-            blocks.append((source._shards[int(s)], partition.local_index[vertices[at]], at))
-        return blocks
-
     def _check_fresh(self) -> None:
         """Refuse reads of an engine whose source graph moved out-of-band."""
         if not isinstance(self.source, ProbGraph):
@@ -310,46 +292,33 @@ class LSHIndex:
         keeps all-empty vertices from colliding with each other.
 
         Keys depend only on the family parameters and the band split, never
-        on which container holds the row, so an engine-backed index reads
-        each vertex's keys from its owning shard.
+        on which container holds the row.
         """
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        keys = np.empty((rows.shape[0], self.num_bands), dtype=np.uint64)
-        valid = np.empty((rows.shape[0], self.num_bands), dtype=bool)
-        for container, local, at in self._row_blocks(rows):
-            keys[at], valid[at] = self._container_band_keys(container, local)
-        return keys, valid
-
-    def _container_band_keys(
-        self, container: NeighborhoodSketches, local: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`band_keys` of rows ``local`` of one container."""
         assert self.resolution is not None
-        sig = signature_matrix(container)
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        sig = signature_matrix(self.source.sketches)
         assert sig is not None
-        sub = sig[0][local]
-        sub_empty = sig[1][local]
         b, r = self.resolution.num_bands, self.resolution.rows_per_band
-        keys = np.empty((local.shape[0], b), dtype=np.uint64)
-        valid = np.empty((local.shape[0], b), dtype=bool)
-        for band in range(b):
-            lo = band * r
-            h = splitmix64(sub[:, lo], seed=_KEY_SEED + lo)
-            for col in range(lo + 1, lo + r):
-                h = splitmix64(h ^ sub[:, col], seed=_KEY_SEED + col)
-            keys[:, band] = h
-            valid[:, band] = ~sub_empty[:, lo:lo + r].all(axis=1)
+        keys = np.empty((rows.shape[0], b), dtype=np.uint64)
+        valid = np.empty((rows.shape[0], b), dtype=bool)
+        # Row blocks keep the column-strided reads of the gathered rows in cache.
+        for start, stop in chunked_ranges(rows.shape[0], _KEY_BLOCK_ROWS):
+            sub = sig[0][rows[start:stop]]
+            sub_empty = sig[1][rows[start:stop]]
+            for band in range(b):
+                lo = band * r
+                h = splitmix64(sub[:, lo], seed=_KEY_SEED + lo)
+                for col in range(lo + 1, lo + r):
+                    h = splitmix64(h ^ sub[:, col], seed=_KEY_SEED + col)
+                keys[start:stop, band] = h
+                valid[start:stop, band] = ~sub_empty[:, lo:lo + r].all(axis=1)
         return keys, valid
 
     def _entries_for_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flat (keys, vertex IDs) bucket entries of the given vertices, unsorted."""
-        all_keys, all_verts = [np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=np.int64)]
-        for container, local, at in self._row_blocks(rows):
-            keys, valid = self._container_band_keys(container, local)
-            flat = valid.ravel()
-            all_keys.append(keys.ravel()[flat])
-            all_verts.append(np.repeat(rows[at], self.num_bands)[flat])
-        return np.concatenate(all_keys), np.concatenate(all_verts)
+        keys, valid = self.band_keys(rows)
+        flat = valid.ravel()
+        return keys.ravel()[flat], np.repeat(rows, self.num_bands)[flat]
 
     @staticmethod
     def _pack_entries(keys: np.ndarray, verts: np.ndarray) -> np.ndarray:
@@ -767,9 +736,9 @@ class LSHIndex:
         flat_scores = np.empty(total, dtype=np.float64)
         u_flat = np.repeat(sources, counts)
         v_flat = np.concatenate(cand_lists)
-        windows = chunked_ranges(total, resolve_chunk_pairs(self._container(), config))
+        windows = chunked_ranges(total, resolve_chunk_pairs(source.sketches, config))
         if isinstance(source, ProbGraph):
-            # An engine records each routed scatter-gather itself.
+            # An engine's pair_intersections records each window itself.
             record_query(total, len(windows))
         for start, stop in windows:
             flat_scores[start:stop] = score_fn(u_flat[start:stop], v_flat[start:stop])

@@ -1,14 +1,16 @@
-"""Sharded multiprocess query engine — real multi-core execution (§VIII-F).
+"""Sharded multiprocess engine — process-parallel builds, one served container (§VIII-F).
 
 :mod:`repro.parallel.distributed` *models* the paper's distributed claim
 (shipping fixed-size sketches instead of CSR neighborhoods cuts communication
-~4×), and threads are capped by the GIL for anything that is not one huge
-NumPy call.  This module executes the same idea for real on one machine:
-vertices are partitioned into shards
-(:mod:`repro.graph.partition`), each shard's neighborhood sketches are built in
-a separate **process** of a :class:`concurrent.futures.ProcessPoolExecutor`,
-and queries are served by routing every pair to the shard owning its sketch
-rows and scatter-gathering the results.
+~4×).  This module runs its construction half on one machine's cores:
+vertices are partitioned into shards (:mod:`repro.graph.partition`), each
+shard's neighborhood sketches are built in a separate **process** of a
+:class:`concurrent.futures.ProcessPoolExecutor`, and the row blocks are
+assembled once, in global vertex order, into one
+:class:`~repro.core.ProbGraph`.  That container serves every query and delta
+through the single-process code (:mod:`repro.engine.batch`,
+:mod:`repro.engine.topk`, :meth:`repro.core.ProbGraph.apply_delta`); the
+partition only prices the queries in shipments.
 
 These contracts make this safe to use everywhere the single-process engine is:
 
@@ -17,33 +19,32 @@ These contracts make this safe to use everywhere the single-process engine is:
   on any other row.  Every shard therefore builds with the *session* seed
   (no per-shard salt is needed for reproducibility: the row hashes already
   are deterministic), over horizontal row blocks of the full adjacency (never
-  induced subgraphs), so the union of shard containers is bit-identical to a
-  whole-graph build and every routed query returns exactly the floats the
+  induced subgraphs), so the assembled container is bit-identical to a
+  whole-graph build and every query returns exactly the floats the
   single-process :class:`~repro.engine.PGSession` path returns.
-* **Shipment accounting.**  For a cut pair the lower-degree endpoint's row is
-  shipped to the other endpoint's shard, deduplicated per
-  ``(vertex, destination shard)`` within a query — exactly the point-to-point
-  model of :func:`repro.parallel.distributed.communication_volume`, whose
-  shipment counts and sketch bytes the engine's :class:`ShardCommStats` are
-  validated against in the test suite.
+* **Shipment accounting.**  Ownership alone decides which sketch rows a query
+  would move between shards, so :class:`ShardCommStats` counts them without
+  copying any row.  A pair query follows
+  :func:`repro.parallel.distributed.pair_shipments`, the routing rule
+  :func:`~repro.parallel.distributed.communication_volume` models, so the
+  counted and the modeled shipments cannot drift apart.  A top-k query ships
+  each source once to every other shard that owns a candidate.
 * **Worker transport.**  Workers receive the CSR arrays either through
   pickled row-block views (``transport="pickle"``) or zero-copy through
   :mod:`multiprocessing.shared_memory` (``transport="shm"``, the default when
   available): the parent publishes the full ``(indptr, indices)`` arrays once
   and each worker slices out its own rows.
-* **Delta routing.**  A :class:`~repro.dynamic.graph.GraphDelta` is split by
-  ``partition.owners`` into per-shard sub-deltas (a cut edge touches both
-  endpoints' shards) and each shard's container is patched **in place** with
-  the same family ``apply_delta``/``grow`` machinery the single-process path
-  uses — bit-identical to a fresh sharded rebuild, at the cost of only the
-  touched rows (:meth:`ShardedEngine.apply_delta`).  Engines built over a
+* **Deltas.**  :meth:`ShardedEngine.apply_delta` patches the container with
+  :meth:`~repro.core.ProbGraph.apply_delta` and assigns new vertices to the
+  smallest shards; :meth:`ShardedEngine.repartition` swaps the ownership and
+  moves no rows.  Engines built over a
   :class:`~repro.dynamic.graph.DynamicGraph` additionally guard every query
   entry point: if the source graph moved without a routed delta, the engine
   raises :class:`StaleShardError` instead of silently serving stale rows.
 * **One LSH table.**  :meth:`ShardedEngine.lsh_index` is an ordinary
-  :class:`~repro.engine.lsh.LSHIndex` with one table of global vertex IDs:
-  a routed delta only marks its touched rows (the next read re-keys them),
-  and :meth:`ShardedEngine.repartition` leaves the table alone.
+  :class:`~repro.engine.lsh.LSHIndex` over :attr:`ShardedEngine.sketches`:
+  a delta only marks its touched rows (the next read re-keys them), and
+  :meth:`ShardedEngine.repartition` leaves the table alone.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.shared_memory import SharedMemory
@@ -71,27 +72,25 @@ from ..core.probgraph import (
     resolve_sketch_params,
 )
 from ..dynamic.graph import DynamicGraph, GraphDelta
-from ..graph.csr import CSRGraph, ragged_gather
+from ..graph.csr import CSRGraph
 from ..graph.partition import ShardPartition, partition_graph, slice_row_block
-from ..parallel.distributed import CommunicationVolume, communication_volume
-from ..parallel.executor import chunked_ranges
+from ..parallel.distributed import CommunicationVolume, communication_volume, pair_shipments
 from ..sketches.base import NeighborhoodSketches, concat_sketch_rows
-from ..sketches.bloom import BloomNeighborhoodSketches
 from ..storage import (
     StoreFormatError,
     StoreHandle,
     load_graph,
     load_partition,
-    load_sketches,
+    load_sketch_entry,
     save_graph,
     save_partition,
-    save_sketches,
+    save_sketch_entry,
     sketch_params_from_meta,
     sketch_params_meta,
 )
-from .batch import check_vertex_ids, record_query, record_topk, resolve_chunk_pairs
+from .batch import batched_pair_intersections, sum_pair_intersections
 from .lsh import LSHIndex
-from .topk import TopKResult
+from .topk import TopKResult, topk_per_source
 from ..core.budget import DEFAULT_LSH_THRESHOLD
 
 __all__ = [
@@ -101,7 +100,6 @@ __all__ = [
     "StaleShardError",
     "build_probgraph_sharded",
 ]
-
 
 class StaleShardError(RuntimeError):
     """The engine's source graph changed without a delta being routed to the shards.
@@ -117,13 +115,14 @@ class StaleShardError(RuntimeError):
 
 @dataclass
 class ShardCommStats:
-    """Bytes and rows the sharded engine actually moved between shards.
+    """Rows and bytes a distributed run of the engine's queries moves between shards.
 
     ``shipments`` counts unique ``(vertex, destination shard)`` row transfers —
     the same dedup unit as
     :attr:`repro.parallel.distributed.CommunicationVolume.shipments` — and
     ``sketch_bytes`` the corresponding sketch payload, so a pair query over a
-    graph's edge list is directly comparable to the §VIII-F model.
+    graph's edge list is directly comparable to the §VIII-F model.  The
+    counts follow from vertex ownership alone; the engine copies no rows.
     """
 
     queries: int = 0
@@ -195,8 +194,8 @@ class ShardSkewStats:
 
         The sharded engine's wall clock is gated by its most loaded shard, so
         once one shard holds ``threshold×`` the mean vertex or adjacency load,
-        redistributing ownership (:meth:`ShardedEngine.repartition` — a pure
-        row shuffle, no sketch is rebuilt) wins back the difference.  Update
+        redistributing ownership (:meth:`ShardedEngine.repartition`, which
+        moves no rows and rebuilds no sketch) wins back the difference.  Update
         skew is reported but not part of the trigger: a hot vertex keeps its
         shard hot under any balanced placement.
         """
@@ -253,17 +252,100 @@ def _build_shard_sketches(spec: tuple) -> NeighborhoodSketches:
         shm_indices.close()
 
 
+def _shard_specs(
+    base: CSRGraph,
+    partition: ShardPartition,
+    params: SketchParams,
+    seed: int,
+    transport: str,
+    owner: object,
+) -> tuple[list[tuple], tuple | None]:
+    """The per-shard worker specs, plus the shared-memory segments they read."""
+    if transport == "pickle":
+        specs = [
+            (params, seed, ("arrays", *partition.row_block(base.indptr, base.indices, s)))
+            for s in range(partition.num_shards)
+        ]
+        return specs, None
+    arrays = {
+        "indptr": np.ascontiguousarray(base.indptr, dtype=np.int64),
+        "indices": np.ascontiguousarray(base.indices, dtype=np.int64),
+    }
+    # Segments go through the sanitizer's tracked allocator: under
+    # reprosan each carries its allocation site and must be released by
+    # engine close/build teardown; in production this is a plain
+    # SharedMemory(create=True).
+    segments: list = []
+    try:
+        for name, arr in arrays.items():
+            segments.append(
+                _san.create_segment(arr.nbytes, owner=owner, purpose=f"CSR {name} transport")
+            )
+            np.ndarray(arr.shape, dtype=np.int64, buffer=segments[-1].buf)[:] = arr
+    except BaseException:
+        for shm in segments:
+            _san.release_segment(shm)
+        raise
+    shm_indptr, shm_indices = segments
+    payload = ("shm", shm_indptr.name, arrays["indptr"].shape[0],
+               shm_indices.name, arrays["indices"].shape[0])
+    specs = [
+        (params, seed, (*payload, partition.shard_vertices[s]))
+        for s in range(partition.num_shards)
+    ]
+    return specs, (shm_indptr, shm_indices)
+
+
+def _build_rows(
+    base: CSRGraph,
+    partition: ShardPartition,
+    params: SketchParams,
+    seed: int,
+    pool: ProcessPoolExecutor | None,
+    max_workers: int | None,
+    transport: str,
+    owner: object,
+) -> NeighborhoodSketches:
+    """Build every shard's row block in the pool; assemble them in global order."""
+    if partition.num_shards == 1:
+        # Nothing to fan out: the one row block is the whole adjacency.
+        return params.make_family(seed).sketch_neighborhoods(base.indptr, base.indices)
+    if transport == "auto":
+        try:
+            specs, handles = _shard_specs(base, partition, params, seed, "shm", owner)
+        except (OSError, ImportError):
+            # Shared memory unavailable (no /dev/shm, size limits, or no
+            # _posixshmem) — pickled row blocks are always possible.
+            specs, handles = _shard_specs(base, partition, params, seed, "pickle", owner)
+    else:
+        specs, handles = _shard_specs(base, partition, params, seed, transport, owner)
+    try:
+        if pool is not None:
+            blocks = list(pool.map(_build_shard_sketches, specs))
+        else:
+            with ProcessPoolExecutor(max_workers=max_workers or partition.num_shards) as owned:
+                blocks = list(owned.map(_build_shard_sketches, specs))
+    finally:
+        if handles is not None:
+            for shm in handles:
+                _san.release_segment(shm)
+    order = np.concatenate(partition.shard_vertices)
+    inverse = np.empty(order.shape[0], dtype=np.int64)
+    inverse[order] = np.arange(order.shape[0], dtype=np.int64)
+    return concat_sketch_rows(blocks).take_rows(inverse)
+
+
 # ---------------------------------------------------------------------------
 # parent side
 # ---------------------------------------------------------------------------
 class ShardedEngine:
-    """Per-shard sketch sets built in a process pool, served by routed queries.
+    """Sketch rows built per shard in a process pool, served from one container.
 
     Parameters mirror :class:`~repro.core.ProbGraph` (representation, budget,
     explicit sizes, ``oriented``, ``seed``, default ``estimator``), plus:
 
     num_shards:
-        Number of vertex shards (= per-shard sketch containers).
+        Number of vertex shards (= row blocks built in parallel).
     partition:
         ``"hash"`` (random balanced, default) or ``"locality"`` (BFS chunks) —
         see :func:`repro.graph.partition.partition_graph`.
@@ -282,9 +364,8 @@ class ShardedEngine:
         worker slice its rows, ``"pickle"`` sends per-shard row-block arrays,
         ``"auto"`` (default) tries shared memory and falls back to pickling.
 
-    Queries are safe to issue from concurrent threads: evaluation state is
-    per-call (shard containers are only read), and the :attr:`comm` counters
-    are updated under a lock.
+    Queries are safe to issue from concurrent threads: the container is only
+    read, and the :attr:`comm` counters are updated under a lock.
 
     ``graph`` may also be a :class:`~repro.dynamic.graph.DynamicGraph`: the
     engine shards its current snapshot and remembers the source, and every
@@ -324,121 +405,47 @@ class ShardedEngine:
         else:
             self._source = None
             self._source_version = -1
-        self.graph = graph
-        self.storage_budget = float(storage_budget)
-        self.oriented = bool(oriented)
-        self.seed = int(seed)
-        self.params: SketchParams = resolve_sketch_params(
+        params = resolve_sketch_params(
             graph, representation, storage_budget, num_hashes, num_bits, k, precision
         )
-        self.estimator = (
-            check_estimator_kind(self.params.representation, estimator)
-            if estimator is not None
-            else self.params.default_estimator
-        )
-        self._base = graph.oriented() if oriented else graph
-        self.partition: ShardPartition = partition_graph(
+        if estimator is not None:  # fail before the pool spins up
+            check_estimator_kind(params.representation, estimator)
+        base = graph.oriented() if oriented else graph
+        shards = partition_graph(
             graph, num_shards, method=partition,
-            seed=self.seed if partition_seed is None else int(partition_seed),
+            seed=int(seed) if partition_seed is None else int(partition_seed),
         )
-        self.family = self.params.make_family(self.seed)
-        self.comm = ShardCommStats()
-        # Instrumented under reprosan: the comm lock guards the stats
-        # counters, the patch lock serializes the structural mutators
-        # (apply_delta / repartition) whose row-array scatters are
-        # write-epoch stamped against it.
-        self._comm_lock = _san.make_rlock("ShardedEngine.comm")
-        self._patch_lock = _san.make_rlock("ShardedEngine.patch")
         self._closed = False
         self._handles: list[StoreHandle] = []
-        self._update_counts = np.zeros(self.num_shards, dtype=np.int64)
-        self._lsh_indexes: "weakref.WeakSet[LSHIndex]" = weakref.WeakSet()
         # reprolint: allow[determinism] -- wall-clock timing stat only; never feeds hash/seed/sketch state
         start = time.perf_counter()
-        self._shards: list[NeighborhoodSketches] = self._build(pool, max_workers, transport)
-        self.construction_seconds = time.perf_counter() - start  # reprolint: allow[determinism] -- timing stat only
-
-    # ------------------------------------------------------------ construction
-    def _shard_specs(self, transport: str) -> tuple[list[tuple], object | None]:
-        """Build the per-shard worker specs; returns (specs, shm_handles)."""
-        base = self._base
-        if transport == "pickle":
-            specs = []
-            for s in range(self.num_shards):
-                local_indptr, local_indices = self.partition.row_block(
-                    base.indptr, base.indices, s
-                )
-                specs.append((self.params, self.seed, ("arrays", local_indptr, local_indices)))
-            return specs, None
-        indptr = np.ascontiguousarray(base.indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(base.indices, dtype=np.int64)
-        # Segments go through the sanitizer's tracked allocator: under
-        # reprosan each carries its allocation site and must be released by
-        # engine close/build teardown; in production this is a plain
-        # SharedMemory(create=True).
-        shm_indptr = _san.create_segment(
-            indptr.nbytes, owner=self, purpose="CSR indptr transport"
+        rows = _build_rows(base, shards, params, int(seed), pool, max_workers, transport, self)
+        pg = ProbGraph.from_sketches(
+            graph, rows, params, oriented=oriented, seed=seed, estimator=estimator,
+            storage_budget=storage_budget, base=base,
+            construction_seconds=time.perf_counter() - start,  # reprolint: allow[determinism] -- timing stat only
         )
-        try:
-            shm_indices = _san.create_segment(
-                indices.nbytes, owner=self, purpose="CSR indices transport"
-            )
-        except BaseException:
-            _san.release_segment(shm_indptr)
-            raise
-        try:
-            np.ndarray(indptr.shape, dtype=np.int64, buffer=shm_indptr.buf)[:] = indptr
-            np.ndarray(indices.shape, dtype=np.int64, buffer=shm_indices.buf)[:] = indices
-        except BaseException:
-            for shm in (shm_indptr, shm_indices):
-                _san.release_segment(shm)
-            raise
-        specs = [
-            (
-                self.params,
-                self.seed,
-                (
-                    "shm",
-                    shm_indptr.name,
-                    indptr.shape[0],
-                    shm_indices.name,
-                    indices.shape[0],
-                    self.partition.shard_vertices[s],
-                ),
-            )
-            for s in range(self.num_shards)
-        ]
-        return specs, (shm_indptr, shm_indices)
+        self._serve(pg, shards)
 
-    def _build(
-        self,
-        pool: ProcessPoolExecutor | None,
-        max_workers: int | None,
-        transport: str,
-    ) -> list[NeighborhoodSketches]:
-        if self.num_shards == 1:
-            # Nothing to fan out — build the single row block in-process.
-            return [
-                _build_shard_sketches(self._shard_specs("pickle")[0][0])
-            ]
-        if transport == "auto":
-            try:
-                specs, handles = self._shard_specs("shm")
-            except (OSError, ImportError):
-                # Shared memory unavailable (no /dev/shm, size limits, or no
-                # _posixshmem) — pickled row blocks are always possible.
-                specs, handles = self._shard_specs("pickle")
-        else:
-            specs, handles = self._shard_specs(transport)
-        try:
-            if pool is not None:
-                return list(pool.map(_build_shard_sketches, specs))
-            with ProcessPoolExecutor(max_workers=max_workers or self.num_shards) as owned:
-                return list(owned.map(_build_shard_sketches, specs))
-        finally:
-            if handles is not None:
-                for shm in handles:
-                    _san.release_segment(shm)
+    def _serve(self, pg: ProbGraph, partition: ShardPartition) -> None:
+        """Install the served container and the ownership its queries are priced by."""
+        self._pg = pg
+        self.partition = partition
+        self.params: SketchParams = pg.sketch_params
+        self.estimator = pg.estimator
+        self.storage_budget = pg.storage_budget
+        self.oriented = pg.oriented
+        self.seed = pg.seed
+        self.family = pg.family
+        self.construction_seconds = pg.construction_seconds
+        self.comm = ShardCommStats()
+        # Instrumented under reprosan: the comm lock guards the stats
+        # counters, the patch lock serializes the mutators (apply_delta /
+        # repartition), whose container writes are stamped against it.
+        self._comm_lock = _san.make_rlock("ShardedEngine.comm")
+        self._patch_lock = _san.make_rlock("ShardedEngine.patch")
+        self._update_counts = np.zeros(partition.num_shards, dtype=np.int64)
+        self._lsh_indexes: "weakref.WeakSet[LSHIndex]" = weakref.WeakSet()
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -477,13 +484,15 @@ class ShardedEngine:
     def save(self, root: str | os.PathLike[str]) -> str:
         """Persist the engine into directory ``root`` for :meth:`open`.
 
-        Layout: ``manifest.json`` (session parameters and the graph
+        Layout: ``manifest.json`` (format 2: session parameters and the graph
         fingerprint), ``graph.pgsk`` (CSR adjacency), ``partition.pgsk``
-        (vertex ownership), and one ``shard_<i>.pgsk`` per shard container —
-        each a checksummed versioned block file
-        (:mod:`repro.storage.format`).  Saving is read-only with respect to
-        the engine and serialized against concurrent delta patches; the files
-        are byte-deterministic for a given engine state.  Returns ``root``.
+        (vertex ownership), and ``sketches.pgsk`` (the sketch rows in global
+        vertex order, headed by the identity
+        :func:`~repro.storage.load_sketch_entry` checks) — each a checksummed
+        versioned block file (:mod:`repro.storage.format`).  Saving is
+        read-only with respect to the engine and serialized against
+        concurrent delta patches; the files are byte-deterministic for a given
+        engine state.  Returns ``root``.
         """
         self._ensure_open()
         root = os.fspath(root)
@@ -492,18 +501,12 @@ class ShardedEngine:
             fingerprint = self.graph.fingerprint()
             save_graph(os.path.join(root, "graph.pgsk"), self.graph)
             save_partition(os.path.join(root, "partition.pgsk"), self.partition)
-            for s, shard in enumerate(self._shards):
-                save_sketches(
-                    os.path.join(root, f"shard_{s}.pgsk"),
-                    shard,
-                    meta={
-                        "shard": s,
-                        "num_shards": self.num_shards,
-                        "fingerprint": fingerprint,
-                    },
-                )
+            save_sketch_entry(
+                os.path.join(root, "sketches.pgsk"), self.sketches, fingerprint,
+                self.params, self.oriented, self.seed, self.construction_seconds,
+            )
             manifest = {
-                "format": 1,
+                "format": 2,
                 "kind": "sharded-engine",
                 "num_shards": self.num_shards,
                 "oriented": bool(self.oriented),
@@ -531,19 +534,20 @@ class ShardedEngine:
         """Attach an engine to a directory written by :meth:`save`.
 
         The cold-start counterpart of building: no process pool, no hashing —
-        the CSR adjacency and every shard container come straight from the
-        saved block files, zero-copy in ``"mmap"`` mode (``"eager"`` reads
-        them into process memory).  The opened engine answers every query
+        the CSR adjacency and the sketch rows come straight from the saved
+        block files, zero-copy in ``"mmap"`` mode (``"eager"`` reads them
+        into process memory).  The opened engine answers every query
         bit-identically to the engine that saved it; delta patches promote
-        the touched shard's mmap rows to writable copies lazily.  All store
-        handles are owned by the engine and released by :meth:`close`, where
-        the reprosan ledger audits them like shared-memory segments.
+        the mmap rows to writable copies lazily.  All store handles are owned
+        by the engine and released by :meth:`close`, where the reprosan
+        ledger audits them like shared-memory segments.
 
         ``estimator`` overrides the saved default estimator; everything else
         (representation, resolved sketch parameters, orientation, seed,
         partition) is restored from the manifest and verified against the
-        per-file metadata and graph fingerprint
-        (:class:`~repro.storage.StoreFormatError` on any mismatch).
+        graph fingerprint and the sketch file's header
+        (:class:`~repro.storage.StoreFormatError` on any mismatch, and for a
+        manifest of any format but 2).
         """
         root = os.fspath(root)
         # reprolint: allow[determinism] -- wall-clock timing stat only; never feeds hash/seed/sketch state
@@ -551,85 +555,53 @@ class ShardedEngine:
         manifest_path = os.path.join(root, "manifest.json")
         with open(manifest_path, encoding="utf-8") as f:
             manifest = json.load(f)
-        if manifest.get("kind") != "sharded-engine" or manifest.get("format") != 1:
+        if manifest.get("kind") != "sharded-engine" or manifest.get("format") != 2:
             raise StoreFormatError(
-                f"{manifest_path}: not a v1 sharded-engine manifest "
+                f"{manifest_path}: not a format-2 sharded-engine manifest "
                 f"(kind={manifest.get('kind')!r}, format={manifest.get('format')!r})"
             )
-        num_shards = int(manifest["num_shards"])
         fingerprint = str(manifest["fingerprint"])
+        params = sketch_params_from_meta(manifest["sketch_params"])
         engine = cls.__new__(cls)
         engine._source = None
         engine._source_version = -1
         engine._closed = False
         engine._handles = []
         try:
-            graph, graph_handle = load_graph(
+            graph, handle = load_graph(
                 os.path.join(root, "graph.pgsk"), mode=mode, owner=engine
             )
-            engine._handles.append(graph_handle)
+            engine._handles.append(handle)
             if graph.fingerprint() != fingerprint:
                 raise StoreFormatError(
                     f"{root}: stored adjacency fingerprint does not match the "
                     f"manifest ({graph.fingerprint()[:12]}... != {fingerprint[:12]}...)"
                 )
             partition = load_partition(os.path.join(root, "partition.pgsk"))
-            if partition.num_shards != num_shards:
+            shape = (int(manifest["num_shards"]), graph.num_vertices)
+            if (partition.num_shards, partition.num_vertices) != shape:
                 raise StoreFormatError(
-                    f"{root}: partition has {partition.num_shards} shards, "
-                    f"manifest says {num_shards}"
+                    f"{root}: partition covers {partition.num_shards} shards x "
+                    f"{partition.num_vertices} vertices; manifest and adjacency say {shape}"
                 )
-            if partition.owners.shape[0] != graph.num_vertices:
-                raise StoreFormatError(
-                    f"{root}: partition covers {partition.owners.shape[0]} "
-                    f"vertices, adjacency has {graph.num_vertices}"
-                )
-            shards: list[NeighborhoodSketches] = []
-            for s in range(num_shards):
-                shard, handle = load_sketches(
-                    os.path.join(root, f"shard_{s}.pgsk"), mode=mode, owner=engine
-                )
-                engine._handles.append(handle)
-                if (
-                    int(handle.meta.get("shard", -1)) != s
-                    or handle.meta.get("fingerprint") != fingerprint
-                ):
-                    raise StoreFormatError(
-                        f"{root}/shard_{s}.pgsk: shard metadata does not match "
-                        "the manifest (wrong shard index or graph fingerprint)"
-                    )
-                expected_rows = partition.shard_vertices[s].shape[0]
-                if shard.num_sets != expected_rows:
-                    raise StoreFormatError(
-                        f"{root}/shard_{s}.pgsk: {shard.num_sets} rows stored, "
-                        f"partition owns {expected_rows}"
-                    )
-                shards.append(shard)
+            sketches, handle = load_sketch_entry(
+                os.path.join(root, "sketches.pgsk"), fingerprint, params,
+                bool(manifest["oriented"]), int(manifest["seed"]), mode=mode, owner=engine,
+            )
+            engine._handles.append(handle)
+            pg = ProbGraph.from_sketches(
+                graph, sketches, params, oriented=bool(manifest["oriented"]),
+                seed=int(manifest["seed"]),
+                estimator=manifest["estimator"] if estimator is None else estimator,
+                storage_budget=float(manifest["storage_budget"]),
+                construction_seconds=time.perf_counter() - start,  # reprolint: allow[determinism] -- timing stat only
+            )
         except Exception:
             engine._closed = True
             for handle in engine._handles:
                 handle.close()
             raise
-        engine.graph = graph
-        engine.storage_budget = float(manifest["storage_budget"])
-        engine.oriented = bool(manifest["oriented"])
-        engine.seed = int(manifest["seed"])
-        engine.params = sketch_params_from_meta(manifest["sketch_params"])
-        engine.estimator = (
-            check_estimator_kind(engine.params.representation, estimator)
-            if estimator is not None
-            else EstimatorKind(manifest["estimator"])
-        )
-        engine._base = graph.oriented() if engine.oriented else graph
-        engine.partition = partition
-        engine.family = engine.params.make_family(engine.seed)
-        engine.comm = ShardCommStats()
-        engine._comm_lock = _san.make_rlock("ShardedEngine.comm")
-        engine._patch_lock = _san.make_rlock("ShardedEngine.patch")
-        engine._update_counts = np.zeros(num_shards, dtype=np.int64)
-        engine._lsh_indexes = weakref.WeakSet()
-        engine._shards = shards
-        engine.construction_seconds = time.perf_counter() - start  # reprolint: allow[determinism] -- timing stat only
+        engine._serve(pg, partition)
         return engine
 
     # ------------------------------------------------------------- properties
@@ -639,19 +611,30 @@ class ShardedEngine:
         return self.partition.num_shards
 
     @property
+    def graph(self) -> CSRGraph:
+        """The served graph (advanced by :meth:`apply_delta`)."""
+        return self._pg.graph
+
+    @property
+    def sketches(self) -> NeighborhoodSketches:
+        """The served sketch rows in global vertex order (read-only) — see
+        :attr:`repro.core.ProbGraph.sketches`."""
+        return self._pg.sketches
+
+    @property
     def num_vertices(self) -> int:
         """Number of vertices of the underlying graph."""
         return self.graph.num_vertices
 
     @property
     def owners(self) -> np.ndarray:
-        """Shard owning each vertex (the partitioning the queries route by)."""
+        """Shard owning each vertex (the partitioning shipments are counted by)."""
         return self.partition.owners
 
     @property
     def base(self) -> CSRGraph:
         """The sketched base graph — see :attr:`repro.core.ProbGraph.base`."""
-        return self._base
+        return self._pg.base
 
     @property
     def base_degrees(self) -> np.ndarray:
@@ -670,76 +653,28 @@ class ShardedEngine:
         return self.params.representation
 
     # ---------------------------------------------------------------- routing
-    def _route(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Home shard, cut mask, and shipped endpoint of every queried pair.
+    def _record(self, shipments: int, pairs: int = 0, cut_pairs: int = 0) -> None:
+        """Add one query's routing to :attr:`comm`."""
+        with self._comm_lock:
+            self.comm.queries += 1
+            self.comm.routed_pairs += pairs
+            self.comm.cut_pairs += cut_pairs
+            self.comm.shipments += shipments
+            self.comm.sketch_bytes += shipments * self.bits_per_set / 8.0
 
-        Mirrors :func:`repro.parallel.distributed.communication_volume`: a
-        same-shard pair is evaluated where it lives; a cut pair ships the
-        lower-degree endpoint's sketch row to the other endpoint's shard
-        (ties ship the first endpoint), so the evaluation happens at the
-        receiving shard.
-        """
-        owners = self.partition.owners
-        ou = owners[u]
-        ov = owners[v]
-        degs = self.graph.degrees
-        ship_u = degs[u] <= degs[v]
-        home = np.where(ou == ov, ou, np.where(ship_u, ov, ou))
-        shipped = np.where(ship_u, u, v)
-        return home, ou != ov, shipped
-
-    def _eval_container(
-        self, shard: int, local_vertices: np.ndarray, ship_vertices: np.ndarray
-    ) -> tuple[NeighborhoodSketches, np.ndarray]:
-        """A container over exactly the rows one routed evaluation touches.
-
-        ``local_vertices`` (unique global IDs owned by ``shard``) stay put;
-        ``ship_vertices`` (unique global IDs owned by *other* shards) are
-        gathered from their owners' containers — each gather is one counted
-        shipment of ``bits_per_set`` bits — and appended after them.  Only the
-        referenced rows are copied (never the whole shard), and when the query
-        touches every owned row with nothing shipped, the shard's container is
-        returned as-is.  The returned lookup is a fresh per-call array (queries
-        are safe to issue concurrently) mapping every referenced global ID to
-        its row in the returned container.
-        """
-        owned = self.partition.shard_vertices[shard]
-        lookup = np.empty(self.graph.num_vertices, dtype=np.int64)
-        if ship_vertices.size == 0 and local_vertices.shape[0] == owned.shape[0]:
-            # local_vertices is a unique subset of owned, so equal sizes mean
-            # the query touches the whole shard: serve the container in place.
-            lookup[owned] = np.arange(owned.shape[0], dtype=np.int64)
-            return self._shards[shard], lookup
-        parts = [self._shards[shard].take_rows(self.partition.local_index[local_vertices])]
-        lookup[local_vertices] = np.arange(local_vertices.shape[0], dtype=np.int64)
-        if ship_vertices.size:
-            src = self.partition.owners[ship_vertices]
-            order = np.argsort(src, kind="stable")
-            grouped = ship_vertices[order]
-            src_sorted = src[order]
-            for t in np.unique(src_sorted):
-                rows_t = grouped[src_sorted == t]
-                parts.append(
-                    self._shards[int(t)].take_rows(self.partition.local_index[rows_t])
-                )
-            lookup[grouped] = local_vertices.shape[0] + np.arange(
-                grouped.shape[0], dtype=np.int64
-            )
-            with self._comm_lock:
-                self.comm.shipments += int(ship_vertices.size)
-                self.comm.sketch_bytes += float(ship_vertices.size) * self.bits_per_set / 8.0
-        return concat_sketch_rows(parts), lookup
-
-    def _container_pairs(
-        self,
-        container: NeighborhoodSketches,
-        lu: np.ndarray,
-        lv: np.ndarray,
-        kind: EstimatorKind,
-    ) -> np.ndarray:
-        if isinstance(container, BloomNeighborhoodSketches):
-            return np.asarray(container.pair_intersections(lu, lv, estimator=kind), dtype=np.float64)
-        return np.asarray(container.pair_intersections(lu, lv), dtype=np.float64)
+    def _pair_query(
+        self, kernel: Callable[..., Any], u: np.ndarray, v: np.ndarray,
+        estimator: EstimatorKind | str | None,
+    ) -> Any:
+        """Run a :mod:`repro.engine.batch` pair kernel on the served container,
+        then count the pairs it routes and the rows it ships (no row moves)."""
+        self._check_fresh()
+        out = kernel(self._pg, u, v, estimator=self._resolve_estimator(estimator))
+        u = np.asarray(u, dtype=np.int64).ravel()
+        v = np.asarray(v, dtype=np.int64).ravel()
+        cut, shipped = pair_shipments(u, v, self.partition.owners, self.graph.degrees)
+        self._record(int(shipped.shape[0]), u.shape[0], int(np.count_nonzero(cut)))
+        return out
 
     def _resolve_estimator(self, estimator: EstimatorKind | str | None) -> EstimatorKind:
         if estimator is None:
@@ -770,32 +705,19 @@ class ShardedEngine:
 
     # ---------------------------------------------------------------- patching
     def apply_delta(self, delta: GraphDelta) -> int:
-        """Route one :class:`~repro.dynamic.graph.GraphDelta` to the owning shards.
+        """Patch the served container to ``delta.graph``; extend ownership to new vertices.
 
-        The sharded counterpart of :meth:`repro.core.ProbGraph.apply_delta` —
-        the delta is split by ``partition.owners`` into per-shard sub-deltas
-        (a cut edge's endpoints patch *both* owning shards), global vertex IDs
-        are translated to local container rows, and each shard's container is
-        patched **in place**:
-
-        * new vertices are assigned to the smallest shards
-          (:meth:`ShardPartition.assign_balanced`), the partition's ID maps
-          are extended, and the owning containers grow;
-        * pure insertions go through the containers' incremental
-          ``apply_delta`` (the delta's global set elements need no
-          translation — only the *row* addressing is shard-local);
-        * deletion-touched (and, when oriented, orientation-changed) rows are
-          rebuilt from the new adjacency with the reference row builder and
-          scattered over the owners' ``_row_arrays``.
-
-        The patched shards are bit-identical to a fresh sharded rebuild on
+        The sharded counterpart of :meth:`repro.core.ProbGraph.apply_delta`,
+        and literally it: the container is patched in place (insertions
+        incrementally, deletion-touched and orientation-changed rows
+        resketched), bit-identical to a fresh sharded rebuild on
         ``delta.graph`` (asserted across all five families × shard counts ×
-        orientations in the test suite).  Shard objects are patched, never
-        replaced, so live :meth:`lsh_index` indexes stay valid — each one has
-        the touched rows marked and re-keys them on its next read (so a burst
-        of deltas pays one table splice, not one per delta).  Per-shard patch
-        activity accumulates in :meth:`skew_stats`.  Returns the number of
-        patched rows.
+        orientations in the test suite).  New vertices are assigned to the
+        smallest shards (:meth:`ShardPartition.assign_balanced`).  Live
+        :meth:`lsh_index` indexes have the touched rows marked and re-key
+        them on their next read (so a burst of deltas pays one table splice,
+        not one per delta).  Patched rows accumulate per owning shard in
+        :meth:`skew_stats`.  Returns the number of patched rows.
 
         Note the single-process caveat applies here too: budget-derived
         parameters re-resolve against the *grown* graph on a fresh build, so
@@ -804,101 +726,31 @@ class ShardedEngine:
         """
         self._ensure_open()
         with self._patch_lock:
-            return self._apply_delta_locked(delta)
-
-    def _apply_delta_locked(self, delta: GraphDelta) -> int:
-        if delta.old_fingerprint != self.graph.fingerprint():
-            raise ValueError(
-                "delta does not start at this engine's graph (expected "
-                f"fingerprint {self.graph.fingerprint()[:12]}..., got "
-                f"{delta.old_fingerprint[:12]}...)"
-            )
-        new_graph = delta.graph
-        grown = np.arange(
-            self.graph.num_vertices, new_graph.num_vertices, dtype=np.int64
-        )
-        if grown.size:
-            self.partition = self.partition.extend(
-                self.partition.assign_balanced(grown.shape[0])
-            )
-            for s in range(self.num_shards):
-                self._shards[s].grow(self.partition.shard_vertices[s].shape[0])
-        if self.oriented:
-            new_base, touched = delta.oriented_update(self._base)
-            self._patch_resketch(touched, new_base)
-            self._base = new_base
-        else:
-            dirty = delta.dirty_vertices
-            ins_vertices, ins_indptr, ins_indices = delta.insertions_excluding(dirty)
-            self._patch_insert(new_graph, ins_vertices, ins_indptr, ins_indices)
-            self._patch_resketch(dirty, new_graph)
-            touched = np.union1d(ins_vertices, dirty)
-            self._base = new_graph
-        self.graph = new_graph
-        touched = np.union1d(touched, grown)
-        if touched.size:
+            old_base, old_n = self.base, self.num_vertices
+            _san.stamp_write(self._patch_lock, "ShardedEngine.sketches")
+            self._pg.apply_delta(delta)
+            if self.oriented:
+                touched = delta.oriented_update(old_base)[1]
+            else:
+                touched = np.union1d(delta.ins_vertices, delta.dirty_vertices)
+            grown = np.arange(old_n, self.num_vertices, dtype=np.int64)
+            if grown.size:
+                self.partition = self.partition.extend(
+                    self.partition.assign_balanced(grown.shape[0])
+                )
+            touched = np.union1d(touched, grown).astype(np.int64)
             self._update_counts += np.bincount(
                 self.partition.owners[touched], minlength=self.num_shards
             )
-        if self._source is not None and (
-            self._source.snapshot() is new_graph
-            or self._source.snapshot().fingerprint() == new_graph.fingerprint()
-        ):
-            self._source_version = self._source.version
-        for index in list(self._lsh_indexes):
-            index._mark(touched)
-        return int(touched.size)
-
-    def _patch_insert(
-        self,
-        new_graph: CSRGraph,
-        ins_vertices: np.ndarray,
-        ins_indptr: np.ndarray,
-        ins_indices: np.ndarray,
-    ) -> None:
-        """Apply the pure-insertion sub-delta of each owning shard in place."""
-        if ins_vertices.size == 0:
-            return
-        _san.stamp_write(self._patch_lock, "ShardedEngine._row_arrays")
-        counts = np.diff(ins_indptr)
-        owners = self.partition.owners[ins_vertices]
-        for s in np.unique(owners):
-            sel = owners == s
-            vs = ins_vertices[sel]
-            flat = ragged_gather(ins_indptr[:-1][sel], counts[sel])
-            sub_indptr = np.concatenate([[0], np.cumsum(counts[sel])]).astype(np.int64)
-            new_sizes = (
-                new_graph.indptr[vs + 1] - new_graph.indptr[vs]
-            ).astype(np.float64)
-            self._shards[int(s)].apply_delta(
-                self.partition.local_index[vs], sub_indptr, ins_indices[flat], new_sizes
-            )
-
-    def _patch_resketch(self, rows: np.ndarray, base: CSRGraph) -> None:
-        """Rebuild the given global rows from ``base`` and scatter them in place.
-
-        The containers' ``resketch_rows`` indexes its CSR arguments by the
-        container's own row IDs, which are shard-*local* here while the
-        adjacency is global — so instead, slice the global row block
-        (:func:`~repro.graph.partition.slice_row_block`), rebuild it with the
-        reference builder (``family.sketch_neighborhoods``, the same pure
-        function a fresh shard build runs), and scatter the ``_row_arrays``
-        payload — the complete per-row state — into the owners' containers.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return
-        _san.stamp_write(self._patch_lock, "ShardedEngine._row_arrays")
-        owners = self.partition.owners[rows]
-        for s in np.unique(owners):
-            vs = rows[owners == s]
-            local_indptr, local_indices = slice_row_block(base.indptr, base.indices, vs)
-            fresh = self.family.sketch_neighborhoods(local_indptr, local_indices)
-            shard = self._shards[int(s)]
-            shard.promote_rows_writable()
-            local = self.partition.local_index[vs]
-            for name in shard._row_arrays:
-                getattr(shard, name)[local] = getattr(fresh, name)
+            new_graph = delta.graph
+            if self._source is not None and (
+                self._source.snapshot() is new_graph
+                or self._source.snapshot().fingerprint() == new_graph.fingerprint()
+            ):
+                self._source_version = self._source.version
+            for index in list(self._lsh_indexes):
+                index._mark(touched)
+            return int(touched.size)
 
     # ------------------------------------------------------------ skew / balance
     def skew_stats(self) -> ShardSkewStats:
@@ -915,33 +767,21 @@ class ShardedEngine:
         )
 
     def repartition(self, method: str = "hash", seed: int | None = None) -> ShardSkewStats:
-        """Re-balance vertex ownership by redistributing the existing sketch rows.
+        """Re-balance vertex ownership; no sketch row moves or is rebuilt.
 
-        Sketch rows are position-independent, so rebalancing never rebuilds a
-        sketch: the shard containers are concatenated, reordered into the new
-        ownership, and re-split with ``take_rows`` — an ``O(n · k)`` row
-        shuffle with no hashing.  LSH indexes need no work: their table is
-        keyed by global vertex ID, and band keys do not depend on which shard
-        holds a row.  Call when :meth:`skew_stats` reports
-        ``needs_repartition()`` (streams that grow the graph unevenly, or a
-        locality partition whose regions drifted).  Resets the update
-        counters and returns the fresh stats.
+        The rows live in one global-order container, so a new partition only
+        changes which shipments later queries count.  LSH indexes need no
+        work either: their table is keyed by global vertex ID.  Call when
+        :meth:`skew_stats` reports ``needs_repartition()`` (streams that grow
+        the graph unevenly, or a locality partition whose regions drifted).
+        Resets the update counters and returns the fresh stats.
         """
         self._check_fresh()
         with self._patch_lock:
-            merged = concat_sketch_rows(self._shards)
-            order = np.concatenate(self.partition.shard_vertices)
-            inverse = np.empty(self.graph.num_vertices, dtype=np.int64)
-            inverse[order] = np.arange(self.graph.num_vertices, dtype=np.int64)
             self.partition = partition_graph(
                 self.graph, self.num_shards, method=method,
                 seed=self.seed if seed is None else int(seed),
             )
-            _san.stamp_write(self._patch_lock, "ShardedEngine._row_arrays")
-            self._shards = [
-                merged.take_rows(inverse[self.partition.shard_vertices[s]])
-                for s in range(self.num_shards)
-            ]
             self._update_counts = np.zeros(self.num_shards, dtype=np.int64)
             return self.skew_stats()
 
@@ -952,43 +792,15 @@ class ShardedEngine:
         v: np.ndarray,
         estimator: EstimatorKind | str | None = None,
     ) -> np.ndarray:
-        """Estimate ``|N_u ∩ N_v|`` per pair by routed scatter-gather.
+        """Estimate ``|N_u ∩ N_v|`` per pair, counting the shipments it routes.
 
-        Bit-identical to the single-process
+        Evaluated by :func:`repro.engine.batch.batched_pair_intersections` on
+        the served container, so bit-identical to the single-process
         :meth:`repro.engine.PGSession.pair_intersections` for the same
-        parameters and seed: each pair is evaluated from the same two sketch
-        rows by the same pure estimator, merely *where* the rows live.
+        parameters and seed; :attr:`comm` records what a distributed run
+        would ship (:func:`repro.parallel.distributed.pair_shipments`).
         """
-        self._check_fresh()
-        kind = self._resolve_estimator(estimator)
-        u = np.asarray(u, dtype=np.int64).ravel()
-        v = np.asarray(v, dtype=np.int64).ravel()
-        if u.shape != v.shape:
-            raise ValueError("u and v must have the same shape")
-        u = check_vertex_ids(u, self.num_vertices)
-        v = check_vertex_ids(v, self.num_vertices)
-        total = u.shape[0]
-        if total == 0:
-            with self._comm_lock:
-                self.comm.queries += 1
-            return np.empty(0, dtype=np.float64)
-        home, cut, shipped = self._route(u, v)
-        with self._comm_lock:
-            self.comm.queries += 1
-            self.comm.routed_pairs += total
-            self.comm.cut_pairs += int(np.count_nonzero(cut))
-        out = np.empty(total, dtype=np.float64)
-        homes = np.unique(home)
-        record_query(total, len(homes))
-        for s in homes:
-            idx = np.flatnonzero(home == s)
-            endpoints = np.unique(np.concatenate([u[idx], v[idx]]))
-            owned_here = self.partition.owners[endpoints] == s
-            container, lookup = self._eval_container(
-                int(s), endpoints[owned_here], endpoints[~owned_here]
-            )
-            out[idx] = self._container_pairs(container, lookup[u[idx]], lookup[v[idx]], kind)
-        return out
+        return self._pair_query(batched_pair_intersections, u, v, estimator)
 
     def pair_jaccard(
         self,
@@ -996,7 +808,7 @@ class ShardedEngine:
         v: np.ndarray,
         estimator: EstimatorKind | str | None = None,
     ) -> np.ndarray:
-        """Approximate Jaccard per pair — routed intersections over base degrees."""
+        """Approximate Jaccard per pair — counted intersections over base degrees."""
         inter = self.pair_intersections(u, v, estimator=estimator)
         degrees = self.base_degrees.astype(np.float64)
         u = np.asarray(u, dtype=np.int64).ravel()
@@ -1009,8 +821,12 @@ class ShardedEngine:
         v: np.ndarray,
         estimator: EstimatorKind | str | None = None,
     ) -> float:
-        """``Σ |N_u ∩ N_v|`` over all pairs (the sharded triangle-count kernel)."""
-        return float(self.pair_intersections(u, v, estimator=estimator).sum())
+        """``Σ |N_u ∩ N_v|`` over all pairs (the sharded triangle-count kernel).
+
+        The streaming reduction of :func:`repro.engine.batch.sum_pair_intersections`,
+        counted in :attr:`comm` like :meth:`pair_intersections`.
+        """
+        return float(self._pair_query(sum_pair_intersections, u, v, estimator))
 
     def top_k_similar_batch(
         self,
@@ -1021,118 +837,36 @@ class ShardedEngine:
         estimator: EstimatorKind | str | None = None,
         exclude_self: bool = True,
     ) -> TopKResult:
-        """Per-source top-k retrieval, scattered over shards and gathered.
+        """Per-source top-k retrieval, counting the sources it would broadcast.
 
-        Each source's sketch row is broadcast once per candidate-owning shard
-        (counted shipments); every shard scores the sources against its *own*
-        candidates and selects a local top-k; the per-shard selections are
-        merged under the canonical order (score descending, candidate ID
-        ascending on ties).  Bit-identical to
+        Evaluated by :func:`repro.engine.topk.topk_per_source` on the served
+        container, so bit-identical to
         :meth:`repro.engine.PGSession.top_k_similar_batch` with the same
         ``measure`` (``"jaccard"`` or ``"intersection"``/``"common_neighbors"``).
+        :attr:`comm` counts each unique source once per *other* shard that
+        owns a candidate — the broadcast a distributed run would make.
         """
-        if k < 0:
-            raise ValueError("k must be non-negative")
         if measure not in ("jaccard", "intersection", "common_neighbors"):
             raise ValueError(
                 f"unknown measure {measure!r}; expected 'jaccard', 'intersection', "
                 "or 'common_neighbors'"
             )
         self._check_fresh()
-        kind = self._resolve_estimator(estimator)
-        sources = check_vertex_ids(sources, self.num_vertices, "sources")
-        if candidates is None:
-            candidates = np.arange(self.num_vertices, dtype=np.int64)
-        else:
-            candidates = np.unique(check_vertex_ids(candidates, self.num_vertices, "candidates"))
-        num_sources = sources.shape[0]
-        k = min(int(k), candidates.shape[0])
-        record_topk()
-        with self._comm_lock:
-            self.comm.queries += 1
-        if num_sources == 0 or k == 0:
-            return TopKResult(
-                np.empty((num_sources, k), dtype=np.int64),
-                np.empty((num_sources, k), dtype=np.float64),
+        result = topk_per_source(
+            self._pg, sources, k, candidates=candidates, score=measure,
+            estimator=self._resolve_estimator(estimator), exclude_self=exclude_self,
+        )
+        shipments = 0
+        if result.indices.size:  # at least one source and k > 0
+            owners = self.partition.owners
+            held = np.unique(
+                owners if candidates is None
+                else owners[np.asarray(candidates, dtype=np.int64).ravel()]
             )
-        degrees = self.base_degrees.astype(np.float64)
-        best_idx = np.full((num_sources, k), -1, dtype=np.int64)
-        best_scores = np.full((num_sources, k), -np.inf, dtype=np.float64)
-        cand_owner = self.partition.owners[candidates]
-        for s in np.unique(cand_owner):
-            cand_s = candidates[cand_owner == s]
-            source_owners = self.partition.owners[sources]
-            local_needed = np.unique(
-                np.concatenate([cand_s, sources[source_owners == s]])
-            )
-            ship = np.unique(sources[source_owners != s])
-            container, lookup = self._eval_container(int(s), local_needed, ship)
-            local_sources = lookup[sources]
-            shard_idx, shard_scores = self._shard_topk(
-                container, lookup, local_sources, sources, cand_s, k, measure,
-                kind, degrees, exclude_self,
-            )
-            # Canonical cross-shard merge: candidate IDs are disjoint across
-            # shards, so sorting by ID then stably by descending score yields
-            # exactly the materialized reference's tie order.
-            merged_idx = np.concatenate([best_idx, shard_idx], axis=1)
-            merged_scores = np.concatenate([best_scores, shard_scores], axis=1)
-            by_id = np.argsort(merged_idx, axis=1, kind="stable")
-            merged_idx = np.take_along_axis(merged_idx, by_id, axis=1)
-            merged_scores = np.take_along_axis(merged_scores, by_id, axis=1)
-            by_score = np.argsort(-merged_scores, axis=1, kind="stable")[:, :k]
-            best_idx = np.take_along_axis(merged_idx, by_score, axis=1)
-            best_scores = np.take_along_axis(merged_scores, by_score, axis=1)
-        invalid = ~np.isfinite(best_scores)
-        best_idx[invalid] = -1
-        best_scores[invalid] = 0.0
-        return TopKResult(best_idx, best_scores)
-
-    def _shard_topk(
-        self,
-        container: NeighborhoodSketches,
-        lookup: np.ndarray,
-        local_sources: np.ndarray,
-        sources: np.ndarray,
-        cand_s: np.ndarray,
-        k: int,
-        measure: str,
-        kind: EstimatorKind,
-        degrees: np.ndarray,
-        exclude_self: bool,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One shard's local top-k over its owned candidates, window-streamed."""
-        num_sources = sources.shape[0]
-        kk = min(k, cand_s.shape[0])
-        best_idx = np.full((num_sources, kk), -1, dtype=np.int64)
-        best_scores = np.full((num_sources, kk), -np.inf, dtype=np.float64)
-        window = max(resolve_chunk_pairs(container) // max(num_sources, 1), 1)
-        for start, stop in chunked_ranges(cand_s.shape[0], window):
-            cw = cand_s[start:stop]
-            width = cw.shape[0]
-            uu = np.repeat(local_sources, width)
-            vv = np.tile(lookup[cw], num_sources)
-            inter = self._container_pairs(container, uu, vv, kind).reshape(num_sources, width)
-            if measure == "jaccard":
-                du = np.repeat(degrees[sources], width).reshape(num_sources, width)
-                dv = np.broadcast_to(degrees[cw], (num_sources, width))
-                scores = intersection_to_jaccard(inter.ravel(), du.ravel(), dv.ravel())
-                scores = scores.reshape(num_sources, width)
-            else:
-                scores = inter
-            if exclude_self:
-                scores = np.where(sources[:, None] == cw[None, :], -np.inf, scores)
-            # Candidates arrive in ascending ID order, so the stable sort of
-            # [running | window] breaks score ties by ascending candidate ID
-            # (the same invariant repro.engine.topk relies on).
-            merged_scores = np.concatenate([best_scores, scores], axis=1)
-            merged_idx = np.concatenate(
-                [best_idx, np.broadcast_to(cw, (num_sources, width))], axis=1
-            )
-            order = np.argsort(-merged_scores, axis=1, kind="stable")[:, :kk]
-            best_scores = np.take_along_axis(merged_scores, order, axis=1)
-            best_idx = np.take_along_axis(merged_idx, order, axis=1)
-        return best_idx, best_scores
+            homes = owners[np.unique(np.asarray(sources, dtype=np.int64))]
+            shipments = homes.size * held.size - int(np.count_nonzero(np.isin(homes, held)))
+        self._record(int(shipments))
+        return result
 
     def top_k_similar(
         self,
@@ -1155,7 +889,7 @@ class ShardedEngine:
         rows_per_band: int | None = None,
         threshold: float = DEFAULT_LSH_THRESHOLD,
     ) -> LSHIndex:
-        """An :class:`~repro.engine.lsh.LSHIndex` over this engine's shards."""
+        """An :class:`~repro.engine.lsh.LSHIndex` over this engine's sketch rows."""
         return LSHIndex(
             self, num_bands=num_bands, rows_per_band=rows_per_band, threshold=threshold
         )
@@ -1169,8 +903,8 @@ class ShardedEngine:
         Uses the engine's own ``owners`` and (by default) its actual
         ``bits_per_set``, so after one ``pair_intersections`` query over the
         graph's edge array the model's ``shipments`` and ``sketch_bytes``
-        equal what :attr:`comm` just measured — the model is validated against
-        the bytes the engine really moves.
+        equal what :attr:`comm` just counted — both apply
+        :func:`~repro.parallel.distributed.pair_shipments`.
         """
         return communication_volume(
             self.graph,
@@ -1183,28 +917,23 @@ class ShardedEngine:
 
     # ------------------------------------------------------------------ gather
     def to_probgraph(self, estimator: EstimatorKind | str | None = None) -> ProbGraph:
-        """Assemble the shard containers into one full-graph :class:`ProbGraph`.
+        """An independent :class:`ProbGraph` copy of the served container.
 
-        The per-shard rows are scattered back into global row order; the
-        result is bit-identical to ``ProbGraph(graph, ...)`` with the same
-        parameters and seed (asserted by the test suite), so it can serve
-        every single-process engine path — including being cached in a
-        :class:`~repro.engine.PGSession` (the ``shards=`` build option).
+        Bit-identical to ``ProbGraph(graph, ...)`` with the same parameters
+        and seed (asserted by the test suite), so it can serve every
+        single-process engine path; later deltas to the engine do not reach
+        the copy.
         """
         self._check_fresh()
-        merged = concat_sketch_rows(self._shards)
-        order = np.concatenate(self.partition.shard_vertices)
-        inverse = np.empty(self.graph.num_vertices, dtype=np.int64)
-        inverse[order] = np.arange(self.graph.num_vertices, dtype=np.int64)
         return ProbGraph.from_sketches(
             self.graph,
-            merged.take_rows(inverse),
+            self.sketches.take_rows(np.arange(self.num_vertices, dtype=np.int64)),
             self.params,
             oriented=self.oriented,
             seed=self.seed,
             estimator=estimator if estimator is not None else self.estimator,
             storage_budget=self.storage_budget,
-            base=self._base,
+            base=self.base,
             construction_seconds=self.construction_seconds,
         )
 
@@ -1240,9 +969,10 @@ def build_probgraph_sharded(
     """Build a :class:`~repro.core.ProbGraph` with a multiprocess sharded pass.
 
     Construction cost is split over ``num_shards`` worker processes; the
-    merged result is bit-identical to the in-process constructor.  This is
-    what :meth:`repro.engine.PGSession.probgraph` uses when the session is
-    created with ``shards=``.
+    result — the engine's own container, handed over without a copy — is
+    bit-identical to the in-process constructor.  This is what
+    :meth:`repro.engine.PGSession.probgraph` uses when the session is created
+    with ``shards=``.
     """
     engine = ShardedEngine(
         graph,
@@ -1261,4 +991,4 @@ def build_probgraph_sharded(
         max_workers=max_workers,
         transport=transport,
     )
-    return engine.to_probgraph(estimator=estimator)
+    return engine._pg

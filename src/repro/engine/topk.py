@@ -95,7 +95,7 @@ def _resolve_score_fn(
     other measure is injected as a callable by the algorithm layer
     (:mod:`repro.algorithms.knn` routes all similarity measures this way).
     A :class:`~repro.engine.sharded.ShardedEngine` scores like the ProbGraph
-    it shards, through its routed ``pair_intersections``.
+    it serves, through its shipment-counting ``pair_intersections``.
     """
     from .sharded import ShardedEngine
 

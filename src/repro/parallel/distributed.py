@@ -24,7 +24,7 @@ import numpy as np
 from ..graph.csr import CSRGraph, WORD_BITS
 from ..graph.partition import partition_vertices
 
-__all__ = ["CommunicationVolume", "partition_vertices", "communication_volume"]
+__all__ = ["CommunicationVolume", "communication_volume", "pair_shipments", "partition_vertices"]
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,28 @@ class CommunicationVolume:
         return self.csr_bytes / self.sketch_bytes if self.sketch_bytes > 0 else float("inf")
 
 
+def pair_shipments(
+    u: np.ndarray, v: np.ndarray, owners: np.ndarray, degrees: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The routing rule of the point-to-point model, applied to a pair list.
+
+    A pair whose endpoints live on different partitions is *cut*: the
+    lower-degree endpoint's representation (the first endpoint's on ties) is
+    shipped to the other endpoint's partition.  Shipments are deduplicated to
+    one per ``(vertex, destination partition)``.  Returns the cut mask and the
+    shipped vertex of every unique shipment.
+    """
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    ou, ov = owners[u], owners[v]
+    cut = ou != ov
+    ship_u = degrees[u[cut]] <= degrees[v[cut]]
+    shipped = np.where(ship_u, u[cut], v[cut])
+    destination = np.where(ship_u, ov[cut], ou[cut])
+    n = owners.shape[0]
+    return cut, np.unique(destination * n + shipped) % n
+
+
 def communication_volume(
     graph: CSRGraph,
     num_partitions: int = 4,
@@ -59,7 +81,7 @@ def communication_volume(
     one per ``(vertex, destination partition)`` pair — several cut edges from
     ``u`` into one partition move ``u``'s representation only once — so the
     reported volumes follow the paper's point-to-point model instead of
-    double-charging hub vertices.
+    double-charging hub vertices (:func:`pair_shipments`).
     """
     if owners is None:
         owners = partition_vertices(graph, num_partitions, seed)
@@ -67,23 +89,10 @@ def communication_volume(
     if owners.shape[0] != graph.num_vertices:
         raise ValueError("owners must assign every vertex")
     edges = graph.edge_array()
-    if edges.shape[0] == 0:
-        return CommunicationVolume(num_partitions, 0, 0, 0.0, 0.0)
-    cut = owners[edges[:, 0]] != owners[edges[:, 1]]
-    cut_edges = edges[cut]
     degs = graph.degrees.astype(np.float64)
-    if cut_edges.shape[0] == 0:
-        return CommunicationVolume(num_partitions, 0, 0, 0.0, 0.0)
-    # Ship the lower-degree endpoint's representation (the cheaper direction),
-    # then deduplicate to one shipment per (vertex, destination partition).
-    du = degs[cut_edges[:, 0]]
-    dv = degs[cut_edges[:, 1]]
-    ship_u = du <= dv
-    shipped = np.where(ship_u, cut_edges[:, 0], cut_edges[:, 1])
-    destination = owners[np.where(ship_u, cut_edges[:, 1], cut_edges[:, 0])]
-    shipments = np.unique(np.stack([shipped, destination], axis=1), axis=0)
-    csr_bytes = float(np.sum(degs[shipments[:, 0]]) * WORD_BITS / 8.0)
-    sketch_bytes = float(shipments.shape[0] * sketch_bits_per_vertex / 8.0)
+    cut, shipped = pair_shipments(edges[:, 0], edges[:, 1], owners, degs)
+    csr_bytes = float(np.sum(degs[shipped]) * WORD_BITS / 8.0)
+    sketch_bytes = float(shipped.shape[0] * sketch_bits_per_vertex / 8.0)
     return CommunicationVolume(
-        num_partitions, int(cut_edges.shape[0]), int(shipments.shape[0]), csr_bytes, sketch_bytes
+        num_partitions, int(np.count_nonzero(cut)), int(shipped.shape[0]), csr_bytes, sketch_bytes
     )

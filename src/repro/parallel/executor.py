@@ -3,8 +3,8 @@
 The performance-critical kernels of this library are NumPy-vectorized, which is
 the Python analogue of the paper's AVX inner loops; the scaling *curves* come
 from the simulator, and real multi-core execution is the process-sharded
-engine (:mod:`repro.engine.sharded`).  What remains here is the window split
-that the engine's memory-bounded streaming and the sharded top-k share.
+build (:mod:`repro.engine.sharded`).  What remains here is the window split
+that the engine's memory-bounded streaming, top-k and LSH scoring share.
 """
 
 from __future__ import annotations

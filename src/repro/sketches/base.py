@@ -79,9 +79,9 @@ class StorageSchema:
     ``arrays`` declares every per-row backing array (first axis = sketch row);
     ``params`` names the scalar family parameters two containers must share
     for their rows to be comparable (sizes and hash seeds).  The schema drives
-    :meth:`NeighborhoodSketches.take_rows`, :func:`concat_sketch_rows`, shard
-    row scatter, and the versioned on-disk format of ``repro.storage`` — one
-    declaration per family instead of per-family serializers.
+    :meth:`NeighborhoodSketches.take_rows`, :func:`concat_sketch_rows` and the
+    versioned on-disk format of ``repro.storage`` — one declaration per
+    family instead of per-family serializers.
     """
 
     arrays: tuple[ArraySpec, ...] = ()
@@ -292,20 +292,10 @@ class NeighborhoodSketches(abc.ABC):
 
     #: Declared storage contract: per-row backing arrays (name, dtype, shape
     #: role) plus the scalar family parameters.  Subclasses declare it to opt
-    #: into :meth:`take_rows` / :func:`concat_sketch_rows` — the row-scatter
-    #: primitives of the sharded engine — and into the versioned on-disk
+    #: into :meth:`take_rows` / :func:`concat_sketch_rows` — the row assembly
+    #: of the sharded build — and into the versioned on-disk
     #: format of ``repro.storage``.  An empty schema opts out of both.
     storage_schema: ClassVar[StorageSchema] = StorageSchema()
-
-    @property
-    def _row_arrays(self) -> tuple[str, ...]:
-        """Attribute names of the per-row backing arrays (from the schema)."""
-        return self.storage_schema.row_arrays
-
-    @property
-    def _param_attrs(self) -> tuple[str, ...]:
-        """Attribute names of the scalar family parameters (from the schema)."""
-        return self.storage_schema.params
 
     def storage_arrays(self) -> dict[str, np.ndarray]:
         """The schema-declared row arrays by name, in schema order (no copies)."""
@@ -346,7 +336,7 @@ class NeighborhoodSketches(abc.ABC):
 
         Containers loaded zero-copy from a sketch store hold read-only
         ``np.memmap`` views; the first in-place mutation (``apply_delta`` /
-        ``resketch_rows`` / shard row scatter) calls this to promote them.
+        ``resketch_rows``) calls this to promote them.
         Promotion copies each read-only array once, wholesale — subsequent
         patches then write in place — and never touches arrays that are
         already writable.  Returns whether anything was promoted.
@@ -364,10 +354,10 @@ class NeighborhoodSketches(abc.ABC):
 
         Two containers with equal keys sketch sets under the same hash family
         and sizes, so rows taken from either may be intersected against each
-        other (the invariant behind shard scatter-gather).
+        other (the invariant behind :func:`concat_sketch_rows`).
         """
         return (type(self).__name__,) + tuple(
-            getattr(self, name) for name in self._param_attrs
+            getattr(self, name) for name in self.storage_schema.params
         )
 
     def take_rows(self, rows: np.ndarray) -> "NeighborhoodSketches":
@@ -379,7 +369,7 @@ class NeighborhoodSketches(abc.ABC):
         container for the corresponding rows — rows are self-contained by
         design (the load-balancing property of Fig. 1).
         """
-        if not self._row_arrays:
+        if not self.storage_schema.row_arrays:
             raise NotImplementedError(
                 f"{type(self).__name__} does not declare its row arrays"
             )
@@ -387,7 +377,7 @@ class NeighborhoodSketches(abc.ABC):
         if rows.size and (rows.min() < 0 or rows.max() >= self.num_sets):
             raise IndexError("row index out of range")
         clone = copy.copy(self)
-        for name in self._row_arrays:
+        for name in self.storage_schema.row_arrays:
             setattr(clone, name, getattr(self, name)[rows])
         return clone
 
@@ -553,15 +543,14 @@ def concat_sketch_rows(parts: Sequence[NeighborhoodSketches]) -> NeighborhoodSke
     All ``parts`` must be the same container type with identical family
     parameters (:meth:`NeighborhoodSketches.family_key`); the result holds
     their rows concatenated in order and is bit-identical, row for row, to the
-    inputs.  This is how the sharded engine assembles per-shard builds into a
-    full sketch set, and how shipped rows are appended to a shard's local
-    container for scatter-gather query evaluation.
+    inputs.  This is how the sharded engine assembles its per-shard builds
+    into one full sketch set.
     """
     parts = list(parts)
     if not parts:
         raise ValueError("concat_sketch_rows needs at least one container")
     first = parts[0]
-    if not first._row_arrays:
+    if not first.storage_schema.row_arrays:
         raise NotImplementedError(
             f"{type(first).__name__} does not declare its row arrays"
         )
@@ -577,6 +566,6 @@ def concat_sketch_rows(parts: Sequence[NeighborhoodSketches]) -> NeighborhoodSke
         # of paying an np.concatenate copy (which would also promote mmap-backed
         # rows to heap memory for no reason).
         return clone
-    for name in first._row_arrays:
+    for name in first.storage_schema.row_arrays:
         setattr(clone, name, np.concatenate([getattr(p, name) for p in parts], axis=0))
     return clone

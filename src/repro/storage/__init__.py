@@ -24,9 +24,11 @@ from .store import (
     SketchStore,
     load_graph,
     load_partition,
+    load_sketch_entry,
     load_sketches,
     save_graph,
     save_partition,
+    save_sketch_entry,
     save_sketches,
     sketch_params_from_meta,
     sketch_params_meta,
@@ -43,11 +45,13 @@ __all__ = [
     "StoreVersionError",
     "load_graph",
     "load_partition",
+    "load_sketch_entry",
     "load_sketches",
     "open_blocks",
     "read_store_header",
     "save_graph",
     "save_partition",
+    "save_sketch_entry",
     "save_sketches",
     "sketch_params_from_meta",
     "sketch_params_meta",

@@ -36,9 +36,11 @@ __all__ = [
     "SketchStore",
     "load_graph",
     "load_partition",
+    "load_sketch_entry",
     "load_sketches",
     "save_graph",
     "save_partition",
+    "save_sketch_entry",
     "save_sketches",
     "sketch_params_from_meta",
     "sketch_params_meta",
@@ -202,6 +204,72 @@ def sketch_params_from_meta(meta: Mapping[str, Any]) -> SketchParams:
 
 
 # ---------------------------------------------------------------------------
+# sketch sets bound to the graph and parameters they were built for
+# ---------------------------------------------------------------------------
+def save_sketch_entry(
+    path: str | os.PathLike[str],
+    sketches: NeighborhoodSketches,
+    fingerprint: str,
+    params: SketchParams,
+    oriented: bool,
+    seed: int,
+    construction_seconds: float = 0.0,
+) -> None:
+    """Persist a graph's sketch set with the identity :func:`load_sketch_entry` checks.
+
+    The header records ``(graph fingerprint, params, oriented, seed)`` — the
+    :meth:`ProbGraph.cache_key` tuple — next to the family's own params.
+    """
+    save_sketches(
+        path,
+        sketches,
+        meta={
+            "fingerprint": fingerprint,
+            "oriented": bool(oriented),
+            "seed": int(seed),
+            "sketch_params": sketch_params_meta(params),
+            "construction_seconds": float(construction_seconds),
+        },
+    )
+
+
+def load_sketch_entry(
+    path: str | os.PathLike[str],
+    fingerprint: str,
+    params: SketchParams,
+    oriented: bool,
+    seed: int,
+    mode: str = "mmap",
+    owner: Any = None,
+) -> tuple[NeighborhoodSketches, StoreHandle]:
+    """Load a :func:`save_sketch_entry` file, refusing one built for anything else.
+
+    Raises :class:`StoreFormatError` when the stored graph fingerprint,
+    params key, orientation or seed differs from the requested one, so a
+    same-graph file of another family, size, seed or orientation is never
+    served.  The caller owns the returned handle.
+    """
+    sketches, handle = load_sketches(path, mode=mode, owner=owner)
+    try:
+        meta = handle.meta
+        for name, stored, wanted in (
+            ("fingerprint", meta.get("fingerprint"), fingerprint),
+            ("params", sketch_params_from_meta(meta["sketch_params"]).key(), params.key()),
+            ("orientation", meta.get("oriented"), bool(oriented)),
+            ("seed", meta.get("seed"), int(seed)),
+        ):
+            if stored != wanted:
+                raise StoreFormatError(
+                    f"{os.fspath(path)}: stored {name} {stored!r} does not match "
+                    f"the requested {wanted!r}"
+                )
+    except Exception:
+        handle.close()
+        raise
+    return sketches, handle
+
+
+# ---------------------------------------------------------------------------
 # the keyed store directory
 # ---------------------------------------------------------------------------
 class SketchStore:
@@ -239,19 +307,11 @@ class SketchStore:
 
     def put(self, pg: ProbGraph) -> str:
         """Persist ``pg``'s sketches under its cache key; returns the entry path."""
-        path = self.entry_path(
-            pg.graph.fingerprint(), pg.sketch_params, pg.oriented, pg.seed
-        )
-        save_sketches(
-            path,
-            pg.sketches,
-            meta={
-                "fingerprint": pg.graph.fingerprint(),
-                "oriented": bool(pg.oriented),
-                "seed": int(pg.seed),
-                "sketch_params": sketch_params_meta(pg.sketch_params),
-                "construction_seconds": float(pg.construction_seconds),
-            },
+        fingerprint = pg.graph.fingerprint()
+        path = self.entry_path(fingerprint, pg.sketch_params, pg.oriented, pg.seed)
+        save_sketch_entry(
+            path, pg.sketches, fingerprint, pg.sketch_params, pg.oriented, pg.seed,
+            construction_seconds=pg.construction_seconds,
         )
         return path
 
@@ -276,20 +336,10 @@ class SketchStore:
         path = self.entry_path(fingerprint, params, oriented, seed)
         if not os.path.exists(path):
             return None
-        sketches, handle = load_sketches(path, mode=mode, owner=owner)
+        sketches, handle = load_sketch_entry(
+            path, fingerprint, params, oriented, seed, mode=mode, owner=owner
+        )
         try:
-            stored_fp = handle.meta.get("fingerprint")
-            if stored_fp != fingerprint:
-                raise StoreFormatError(
-                    f"{path}: entry fingerprint {stored_fp!r} does not match the "
-                    f"requested graph ({fingerprint!r})"
-                )
-            stored_params = sketch_params_from_meta(handle.meta["sketch_params"])
-            if stored_params.key() != params.key():
-                raise StoreFormatError(
-                    f"{path}: entry params {stored_params.key()!r} do not match "
-                    f"the requested params ({params.key()!r})"
-                )
             pg = ProbGraph.from_sketches(
                 graph,
                 sketches,

@@ -5,10 +5,11 @@ The acceptance bar mirrors the single-process engine's:
 * sharded ``pair_intersections`` / ``pair_jaccard`` / ``top_k_similar_batch``
   must be **bit-identical** to the single-process :class:`PGSession` path for
   every family × shard count × orientation;
-* the shipment counts and sketch bytes the engine *actually moves* must equal
-  the §VIII-F communication model
+* the shipment counts and sketch bytes the engine counts must equal the
+  §VIII-F communication model
   (:func:`repro.parallel.distributed.communication_volume`) on the same
-  partitioning;
+  partitioning, and a top-k query must count each source once per other
+  shard that owns a candidate;
 * ``to_probgraph`` (and the session ``shards=`` build) must hand back a
   ProbGraph indistinguishable from an in-process construction.
 """
@@ -256,6 +257,61 @@ class TestCommunicationAccounting:
         # The modeled exact execution always moves more bytes than the sketches.
         assert model.csr_bytes > model.sketch_bytes
 
+    @pytest.mark.parametrize(
+        "num_shards, repartition", [(1, False), (2, False), (4, True)],
+        ids=["1-shard", "2-shards", "4-shards-repartitioned"],
+    )
+    def test_engine_shipments_match_model_per_shard_count(
+        self, graph, pool, num_shards, repartition
+    ):
+        engine = ShardedEngine(graph, num_shards, representation="1hash", seed=3, pool=pool)
+        if repartition:
+            built = engine.partition.owners
+            engine.repartition(seed=29)
+            assert not np.array_equal(engine.partition.owners, built)
+        edges = graph.edge_array()
+        engine.comm.reset()
+        engine.pair_intersections(edges[:, 0], edges[:, 1])
+        model = engine.communication_model()
+        # The model prices the engine's current owners, not the build's.
+        assert model == communication_volume(
+            graph, num_shards, engine.bits_per_set, owners=engine.partition.owners
+        )
+        assert engine.comm.shipments == model.shipments
+        assert engine.comm.sketch_bytes == model.sketch_bytes
+        assert engine.comm.cut_pairs == model.cut_edges
+        assert engine.comm.routed_pairs == edges.shape[0]
+
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("case", ["all-candidates", "subset-17", "k-0", "no-sources"])
+    def test_topk_shipments_match_brute_force(self, graph, pool, num_shards, case):
+        engine = ShardedEngine(graph, num_shards, representation="khash", seed=3, pool=pool)
+        rng = np.random.default_rng(12)
+        n = graph.num_vertices
+        sources = rng.integers(0, n, size=9).astype(np.int64)
+        sources = np.concatenate([sources, sources[:3]])  # repeated sources ship once
+        candidates = None
+        if case == "subset-17":
+            candidates = rng.choice(n, size=17, replace=False).astype(np.int64)
+        elif case == "no-sources":
+            sources = sources[:0]
+        k = 0 if case == "k-0" else 5
+        engine.comm.reset()
+        engine.top_k_similar_batch(sources, k, candidates=candidates)
+        # Brute force: each unique source, once per other shard owning a candidate.
+        owners = engine.partition.owners
+        pool_ids = range(n) if candidates is None else candidates
+        candidate_shards = {int(owners[c]) for c in pool_ids}
+        expected = 0
+        if k > 0:
+            for src in set(sources.tolist()):
+                expected += len(candidate_shards - {int(owners[src])})
+        assert engine.comm.queries == 1
+        assert engine.comm.shipments == expected
+        assert engine.comm.sketch_bytes == expected * engine.bits_per_set / 8.0
+        if num_shards > 1 and case in ("all-candidates", "subset-17"):
+            assert expected > 0
+
     def test_same_shard_pairs_ship_nothing(self, graph, pool):
         engine = ShardedEngine(graph, 2, seed=5, pool=pool)
         owned = engine.partition.shard_vertices[0]
@@ -278,7 +334,7 @@ class TestGatherAndSession:
         engine = ShardedEngine(graph, 3, representation=representation, seed=7, pool=pool)
         merged = engine.to_probgraph()
         direct = ProbGraph(graph, representation=representation, seed=7)
-        for name in direct.sketches._row_arrays:
+        for name in direct.sketches.storage_arrays():
             assert np.array_equal(
                 getattr(merged.sketches, name), getattr(direct.sketches, name)
             ), name

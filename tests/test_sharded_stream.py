@@ -66,7 +66,7 @@ def pool():
 
 
 def _payload(pg: ProbGraph) -> dict[str, np.ndarray]:
-    return {name: getattr(pg.sketches, name) for name in pg.sketches._row_arrays}
+    return pg.sketches.storage_arrays()
 
 
 def assert_pg_equal(a: ProbGraph, b: ProbGraph) -> None:
@@ -531,15 +531,16 @@ class TestTrajectoryHelper:
         assert [r["speedup"] for r in doc["runs"]] == [2.0, 3.0]
         assert json.loads(path.read_text())["runs"][1]["speedup"] == 3.0
 
-    def test_absorbs_legacy_single_run_payload(self, tmp_path, append_run):
-        path = tmp_path / "BENCH_y.json"
-        path.write_text(json.dumps({"speedup": 9.9, "smoke": False}))
-        doc = append_run(path, "y", {"speedup": 1.1})
-        assert len(doc["runs"]) == 2
-        assert doc["runs"][0]["speedup"] == 9.9  # the legacy record survives
-
-    def test_replaces_corrupt_files(self, tmp_path, append_run):
+    @pytest.mark.parametrize(
+        "content",
+        ["{not json", json.dumps({"speedup": 9.9}), "[]", json.dumps({"runs": {}})],
+        ids=["bad-json", "single-run-dict", "list", "runs-not-a-list"],
+    )
+    def test_unreadable_file_raises_and_stays_untouched(self, tmp_path, append_run, content):
         path = tmp_path / "BENCH_z.json"
-        path.write_text("{not json")
-        doc = append_run(path, "z", {"ok": True})
-        assert len(doc["runs"]) == 1
+        path.write_text(content)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="not overwriting"):
+            append_run(path, "z", {"ok": True})
+        assert path.read_bytes() == before
+        assert not (tmp_path / "BENCH_z.json.tmp").exists()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import struct
 import zlib
 
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from repro.analysis import runtime
 from repro.analysis import sanitizer as reprosan
 from repro.core import ProbGraph
+from repro.core.probgraph import resolve_sketch_params
 from repro.dynamic import DynamicGraph
 from repro.engine import LSHIndex, PGSession, ShardedEngine
 from repro.graph import CSRGraph, erdos_renyi_graph
@@ -430,6 +432,20 @@ class TestTypedStore:
         with pytest.raises(StoreFormatError, match="fingerprint"):
             store.load(other, pg.sketch_params)
 
+    @pytest.mark.parametrize(
+        "key", [{"k": 16}, {"seed": 3}, {"oriented": True}],
+        ids=["other-params", "other-seed", "other-orientation"],
+    )
+    def test_store_rejects_entry_under_another_key(self, tmp_path, graph, key):
+        store = SketchStore(tmp_path / "store")
+        pg = _build(graph, "khash", seed=2)
+        entry = store.put(pg)
+        params = resolve_sketch_params(graph, "khash", k=key.get("k", 8))
+        oriented, seed = key.get("oriented", False), key.get("seed", 2)
+        shutil.copyfile(entry, store.entry_path(graph.fingerprint(), params, oriented, seed))
+        with pytest.raises(StoreFormatError, match="does not match"):
+            store.load(graph, params, oriented=oriented, seed=seed)
+
 
 # ---------------------------------------------------------------------------
 # hypothesis: save → load bit-identity and corruption rejection
@@ -604,11 +620,29 @@ class TestShardedPersistence:
         with pytest.raises(StoreFormatError, match="fingerprint"):
             ShardedEngine.open(tmp_path / "eng")
 
+    @pytest.mark.parametrize(
+        "change", [{"k": 16}, {"seed": 7}, {"oriented": True}],
+        ids=["other-k", "other-seed", "other-orientation"],
+    )
+    def test_foreign_same_graph_sketch_file_rejected(self, tmp_path, graph, change):
+        params = dict(representation="khash", k=8, seed=6, oriented=False)
+        with ShardedEngine(graph, num_shards=2, transport="pickle", **params) as eng:
+            eng.save(tmp_path / "eng")
+        with ShardedEngine(
+            graph, num_shards=2, transport="pickle", **{**params, **change}
+        ) as other:
+            other.save(tmp_path / "other")
+        shutil.copyfile(tmp_path / "other" / "sketches.pgsk", tmp_path / "eng" / "sketches.pgsk")
+        for mode in ("mmap", "eager"):
+            with pytest.raises(StoreFormatError, match="does not match"):
+                ShardedEngine.open(tmp_path / "eng", mode=mode)
+
     def test_wrong_manifest_kind_rejected(self, tmp_path):
         os.makedirs(tmp_path / "eng", exist_ok=True)
-        (tmp_path / "eng" / "manifest.json").write_text(json.dumps({"kind": "zoo"}))
-        with pytest.raises(StoreFormatError, match="manifest"):
-            ShardedEngine.open(tmp_path / "eng")
+        for manifest in ({"kind": "zoo"}, {"kind": "sharded-engine", "format": 1}):
+            (tmp_path / "eng" / "manifest.json").write_text(json.dumps(manifest))
+            with pytest.raises(StoreFormatError, match="manifest"):
+                ShardedEngine.open(tmp_path / "eng")
 
     def test_closed_open_engine_rejects_queries(self, tmp_path, graph):
         with ShardedEngine(
