@@ -10,6 +10,12 @@ mode: for all five sketch families × 1/2/4 shards, an engine reopened from
 disk answers routed pair queries **bit-identically** to the engine that
 saved it — and to a fresh sharded build of the same graph.
 
+A saved k-hash engine also holds its LSH bucket tables (``lsh.pgsk``), so
+the LSH cold start is timed too: ``open`` + ``lsh_index()`` (maps the saved
+tables) against ``open`` + ``LSHIndex(engine)`` (hashes and sorts every
+entry again), best of 3 each.  Both must give the same tables, in every
+mode; the time is recorded, not gated.
+
 The full run appends a timestamped record to the ``BENCH_persistence.json``
 trajectory (see ``benchmarks/_trajectory.py``).  ``--smoke`` caps the
 workload for CI and skips the trajectory write and the speedup assertion
@@ -33,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from _trajectory import append_run
-from repro.engine import ShardedEngine
+from repro.engine import LSHIndex, ShardedEngine
 from repro.graph import kronecker_graph
 
 REQUIRED_SPEEDUP = 10.0
@@ -97,6 +103,33 @@ def check_identity_matrix(graph, seed: int) -> int:
     return cells
 
 
+def time_lsh_cold_start(graph, shards: int, seed: int) -> tuple[float, float]:
+    """Best-of-3 ``open`` + mapped ``lsh_index()`` vs ``open`` + ``LSHIndex`` build."""
+    root = tempfile.mkdtemp(prefix="pgbench_lsh_")
+    try:
+        with ShardedEngine(
+            graph, shards, representation="khash", seed=seed, transport="pickle",
+            **FAMILY_PARAMS["khash"],
+        ) as engine:
+            engine.save(root)
+        mapped_s = built_s = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            with ShardedEngine.open(root) as opened:
+                mapped = opened.lsh_index()
+                mapped_s = min(mapped_s, time.perf_counter() - start)
+                assert mapped._handle is not None, "lsh_index() did not map lsh.pgsk"
+                start = time.perf_counter()
+                with ShardedEngine.open(root) as rebuilt:
+                    built = LSHIndex(rebuilt)
+                    built_s = min(built_s, time.perf_counter() - start)
+                    assert np.array_equal(mapped._keys, built._keys), "mapped keys differ"
+                    assert np.array_equal(mapped._verts, built._verts), "mapped vertices differ"
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+    return mapped_s, built_s
+
+
 def main() -> None:
     args = parse_args()
     if args.smoke:
@@ -148,6 +181,12 @@ def main() -> None:
         f"ShardedEngine.open {open_s * 1e3:.1f} ms -> {speedup:.1f}x "
         f"({store_bytes / 1e6:.1f} MB on disk)"
     )
+    lsh_open_s, lsh_build_s = time_lsh_cold_start(graph, args.shards, args.seed)
+    print(
+        f"LSH cold start (khash k={FAMILY_PARAMS['khash']['k']}): open + lsh_index() "
+        f"{lsh_open_s * 1e3:.1f} ms (maps lsh.pgsk), open + LSHIndex build "
+        f"{lsh_build_s * 1e3:.1f} ms -> {lsh_build_s / lsh_open_s:.1f}x; tables equal"
+    )
 
     if not args.smoke:
         assert speedup >= REQUIRED_SPEEDUP, (
@@ -163,6 +202,8 @@ def main() -> None:
             "open_seconds": round(open_s, 6),
             "speedup": round(speedup, 2),
             "store_bytes": store_bytes,
+            "lsh_open_seconds": round(lsh_open_s, 6),
+            "lsh_build_seconds": round(lsh_build_s, 6),
             "identity_cells": cells,
         }
         doc = append_run(args.output, "persistence_cold_start", payload)

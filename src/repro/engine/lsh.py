@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import os
 import zlib
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -223,26 +224,29 @@ class LSHIndex:
         # every table write is epoch-stamped against it.
         self._table_lock = _san.make_rlock("LSHIndex.tables")
         self._dirty = np.empty(0, dtype=np.int64)
-        sig = signature_matrix(source.sketches)
-        if sig is None:
-            if num_bands is not None or rows_per_band is not None:
-                raise ValueError(
-                    f"{type(source.sketches).__name__} stores no signature matrix; "
-                    "banding parameters are not applicable (queries fall back to "
-                    "the full scan)"
-                )
-            self.resolution: LSHResolution | None = None
-            self._keys = np.empty(0, dtype=np.uint64)
-            self._verts = np.empty(0, dtype=np.int64)
-            self._num_rows = source.num_vertices
-        else:
-            slots = sig[0].shape[1]
-            self.resolution = _resolve_band_split(slots, num_bands, rows_per_band, threshold)
-            self._rebuild()
-        if not isinstance(source, ProbGraph):
-            # ShardedEngine.apply_delta marks the rows it patched on every live
-            # index; the weak registration ends with the index.
-            source._lsh_indexes.add(self)
+        # ShardedEngine.apply_delta marks the rows it patched on every live
+        # index (a weak registration that ends with the index).  Building and
+        # registering under the engine's patch lock means a concurrent delta
+        # lands either before the build or on the registered index.
+        with nullcontext() if isinstance(source, ProbGraph) else source._patch_lock:
+            sig = signature_matrix(source.sketches)
+            if sig is None:
+                if num_bands is not None or rows_per_band is not None:
+                    raise ValueError(
+                        f"{type(source.sketches).__name__} stores no signature matrix; "
+                        "banding parameters are not applicable (queries fall back to "
+                        "the full scan)"
+                    )
+                self.resolution: LSHResolution | None = None
+                self._keys = np.empty(0, dtype=np.uint64)
+                self._verts = np.empty(0, dtype=np.int64)
+                self._num_rows = source.num_vertices
+            else:
+                slots = sig[0].shape[1]
+                self.resolution = _resolve_band_split(slots, num_bands, rows_per_band, threshold)
+                self._rebuild()
+            if not isinstance(source, ProbGraph):
+                source._lsh_indexes.add(self)
 
     # ------------------------------------------------------------- properties
     @property
@@ -387,17 +391,15 @@ class LSHIndex:
     def save(self, path: str | os.PathLike[str]) -> None:
         """Persist the bucket tables as one ``kind="lsh"`` block file.
 
-        Only banded, ProbGraph-backed indexes have tables to persist; Bloom/HLL
-        full-scan fallbacks and engine-backed indexes raise
-        :class:`ValueError`.  The header records the band split and a
-        checksum of the source signature matrix, so :meth:`open` refuses to
-        attach the tables to a container they were not built from.
+        Works for a :class:`~repro.core.ProbGraph` or a
+        :class:`~repro.engine.sharded.ShardedEngine` source alike (both hold
+        their rows in global vertex order); :meth:`ShardedEngine.save
+        <repro.engine.sharded.ShardedEngine.save>` writes its default split
+        this way as ``lsh.pgsk``.  Bloom/HLL full-scan fallbacks have no
+        tables and raise :class:`ValueError`.  The header records the band
+        split and a checksum of the source signature matrix, so :meth:`open`
+        refuses to attach the tables to a container they were not built from.
         """
-        if not isinstance(self.source, ProbGraph):
-            raise ValueError(
-                "only a ProbGraph-backed index can be saved; an engine-backed "
-                "index is rebuilt from the engine's shards"
-            )
         sketches = self.source.sketches
         if self.resolution is None:
             raise ValueError(
@@ -429,7 +431,7 @@ class LSHIndex:
     def open(
         cls,
         path: str | os.PathLike[str],
-        source: ProbGraph,
+        source: "ProbGraph | ShardedEngine",
         mode: str = "mmap",
     ) -> "LSHIndex":
         """Attach saved bucket tables to ``source`` — probe-ready, no rebuild.
@@ -440,13 +442,10 @@ class LSHIndex:
         on mismatch), so a stale or foreign table file cannot silently serve
         wrong candidates.  In ``"mmap"`` mode the tables are zero-copy views;
         patches splice into fresh in-memory arrays (tables are rebound, never
-        written in place), so the file stays valid.  The index owns the
-        handle — release it with :meth:`close`.
+        written in place), so the file stays valid.  An engine source marks
+        the attached index on every later delta, as it does a built one.  The
+        index owns the handle — release it with :meth:`close`.
         """
-        if not isinstance(source, ProbGraph):
-            raise TypeError(
-                f"saved LSH tables attach to a ProbGraph, got {type(source).__name__}"
-            )
         index = cls.__new__(cls)
         handle = open_blocks(
             path, mode=mode, owner=index, purpose="LSH bucket tables",
@@ -506,6 +505,8 @@ class LSHIndex:
         index._keys = handle.arrays["keys"]
         index._verts = handle.arrays["verts"]
         index._num_rows = num_rows
+        if not isinstance(source, ProbGraph):
+            source._lsh_indexes.add(index)
         return index
 
     def close(self) -> None:

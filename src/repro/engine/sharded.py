@@ -44,7 +44,9 @@ These contracts make this safe to use everywhere the single-process engine is:
 * **One LSH table.**  :meth:`ShardedEngine.lsh_index` is an ordinary
   :class:`~repro.engine.lsh.LSHIndex` over :attr:`ShardedEngine.sketches`:
   a delta only marks its touched rows (the next read re-keys them), and
-  :meth:`ShardedEngine.repartition` leaves the table alone.
+  :meth:`ShardedEngine.repartition` leaves the table alone.  A saved engine
+  stores its default-split table, so an opened engine maps it instead of
+  hashing every row again.
 """
 
 from __future__ import annotations
@@ -89,9 +91,9 @@ from ..storage import (
     sketch_params_meta,
 )
 from .batch import batched_pair_intersections, sum_pair_intersections
-from .lsh import LSHIndex
+from .lsh import LSHIndex, _resolve_band_split
 from .topk import TopKResult, topk_per_source
-from ..core.budget import DEFAULT_LSH_THRESHOLD
+from ..core.budget import DEFAULT_LSH_THRESHOLD, resolve_lsh_params
 
 __all__ = [
     "ShardCommStats",
@@ -446,6 +448,9 @@ class ShardedEngine:
         self._patch_lock = _san.make_rlock("ShardedEngine.patch")
         self._update_counts = np.zeros(partition.num_shards, dtype=np.int64)
         self._lsh_indexes: "weakref.WeakSet[LSHIndex]" = weakref.WeakSet()
+        # (path, mode) of the bucket tables an opened engine may map; the
+        # first delta drops it, as the tables then describe older rows.
+        self._saved_lsh: tuple[str, str] | None = None
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -486,13 +491,17 @@ class ShardedEngine:
 
         Layout: ``manifest.json`` (format 2: session parameters and the graph
         fingerprint), ``graph.pgsk`` (CSR adjacency), ``partition.pgsk``
-        (vertex ownership), and ``sketches.pgsk`` (the sketch rows in global
+        (vertex ownership), ``sketches.pgsk`` (the sketch rows in global
         vertex order, headed by the identity
-        :func:`~repro.storage.load_sketch_entry` checks) — each a checksummed
-        versioned block file (:mod:`repro.storage.format`).  Saving is
-        read-only with respect to the engine and serialized against
-        concurrent delta patches; the files are byte-deterministic for a given
-        engine state.  Returns ``root``.
+        :func:`~repro.storage.load_sketch_entry` checks), and, for the
+        families with a signature matrix (k-hash, 1-hash, KMV), ``lsh.pgsk``:
+        the bucket tables of the default band split, written by
+        :meth:`LSHIndex.save <repro.engine.lsh.LSHIndex.save>` for
+        :meth:`lsh_index` to map after :meth:`open`.  Each is a checksummed
+        versioned block file (:mod:`repro.storage.format`); the manifest is
+        written last.  Saving is read-only with respect to the engine and
+        serialized against concurrent delta patches; the files are
+        byte-deterministic for a given engine state.  Returns ``root``.
         """
         self._ensure_open()
         root = os.fspath(root)
@@ -505,6 +514,12 @@ class ShardedEngine:
                 os.path.join(root, "sketches.pgsk"), self.sketches, fingerprint,
                 self.params, self.oriented, self.seed, self.construction_seconds,
             )
+            lsh_path = os.path.join(root, "lsh.pgsk")
+            index = LSHIndex(self)
+            if index.banded:
+                index.save(lsh_path)
+            elif os.path.exists(lsh_path):
+                os.remove(lsh_path)  # left by an earlier save of a banded family
             manifest = {
                 "format": 2,
                 "kind": "sharded-engine",
@@ -538,9 +553,11 @@ class ShardedEngine:
         block files, zero-copy in ``"mmap"`` mode (``"eager"`` reads them
         into process memory).  The opened engine answers every query
         bit-identically to the engine that saved it; delta patches promote
-        the mmap rows to writable copies lazily.  All store handles are owned
-        by the engine and released by :meth:`close`, where the reprosan
-        ledger audits them like shared-memory segments.
+        the mmap rows to writable copies lazily.  ``open`` only notes whether
+        the directory holds ``lsh.pgsk``; :meth:`lsh_index` maps it later, in
+        the same ``mode``.  All store handles are owned by the engine and
+        released by :meth:`close`, where the reprosan ledger audits them like
+        shared-memory segments.
 
         ``estimator`` overrides the saved default estimator; everything else
         (representation, resolved sketch parameters, orientation, seed,
@@ -602,6 +619,9 @@ class ShardedEngine:
                 handle.close()
             raise
         engine._serve(pg, partition)
+        lsh_path = os.path.join(root, "lsh.pgsk")
+        if os.path.exists(lsh_path):
+            engine._saved_lsh = (lsh_path, mode)
         return engine
 
     # ------------------------------------------------------------- properties
@@ -750,6 +770,7 @@ class ShardedEngine:
                 self._source_version = self._source.version
             for index in list(self._lsh_indexes):
                 index._mark(touched)
+            self._saved_lsh = None
             return int(touched.size)
 
     # ------------------------------------------------------------ skew / balance
@@ -889,7 +910,37 @@ class ShardedEngine:
         rows_per_band: int | None = None,
         threshold: float = DEFAULT_LSH_THRESHOLD,
     ) -> LSHIndex:
-        """An :class:`~repro.engine.lsh.LSHIndex` over this engine's sketch rows."""
+        """An :class:`~repro.engine.lsh.LSHIndex` over this engine's sketch rows.
+
+        An engine from :meth:`open` that has applied no delta maps the saved
+        ``lsh.pgsk`` when the requested band split is the default one it
+        holds: :meth:`LSHIndex.open <repro.engine.lsh.LSHIndex.open>` checks
+        family, row count and signature checksum
+        (:class:`~repro.storage.StoreFormatError` on a stale or foreign file),
+        and :meth:`close` releases the mapping.  Every other call builds the
+        tables in memory.  Either way the tables equal
+        ``LSHIndex(engine.to_probgraph())``'s, and later deltas re-key them
+        into fresh arrays, never into the file.
+        """
+        self._ensure_open()
+        with self._patch_lock:
+            if self._saved_lsh is not None and self.params.k is not None:
+                requested = _resolve_band_split(self.params.k, num_bands, rows_per_band, threshold)
+                saved = resolve_lsh_params(self.params.k, DEFAULT_LSH_THRESHOLD)
+                split = (requested.num_bands, requested.rows_per_band)
+                if split == (saved.num_bands, saved.rows_per_band):
+                    path, mode = self._saved_lsh
+                    index = LSHIndex.open(path, self, mode=mode)
+                    if (index.num_bands, index.rows_per_band) != split:
+                        index.close()
+                        raise StoreFormatError(
+                            f"{path}: tables use band split "
+                            f"({index.num_bands}, {index.rows_per_band}), not the "
+                            f"default {split} a save writes"
+                        )
+                    assert index._handle is not None
+                    self._handles.append(index._handle)
+                    return index
         return LSHIndex(
             self, num_bands=num_bands, rows_per_band=rows_per_band, threshold=threshold
         )

@@ -13,8 +13,8 @@ partitioners the sharded engine and the communication model share:
   breadth-first-grown region of the graph and far fewer edges cross shards.
 
 Both return an ``owners`` array; :func:`partition_graph` wraps one of them
-into a :class:`ShardPartition` carrying the global↔local ID maps the sharded
-engine routes queries with.
+into a :class:`ShardPartition` carrying the per-shard vertex lists the
+sharded engine builds and prices queries with.
 """
 
 from __future__ import annotations
@@ -112,18 +112,16 @@ def partition_vertices_locality(graph: CSRGraph, num_partitions: int, seed: int 
 
 @dataclass(frozen=True)
 class ShardPartition:
-    """A vertex partitioning plus the global↔local ID maps sharded execution needs.
+    """A vertex partitioning: who owns each vertex, and each shard's vertices.
 
     ``owners[v]`` is the shard owning vertex ``v``; ``shard_vertices[s]`` lists
-    shard ``s``'s vertices in ascending global order; ``local_index[v]`` is
-    ``v``'s row position inside its owner's shard (the sketch-row index of the
-    per-shard containers).
+    shard ``s``'s vertices in ascending global order (the rows a build worker
+    sketches).
     """
 
     owners: np.ndarray
     num_shards: int
     shard_vertices: tuple[np.ndarray, ...] = field(repr=False)
-    local_index: np.ndarray = field(repr=False)
 
     @property
     def num_vertices(self) -> int:
@@ -168,9 +166,8 @@ class ShardPartition:
         """A partition over ``num_vertices + len(new_owners)`` vertices.
 
         The new vertices carry IDs above every existing one, so each appends
-        to the *end* of its shard's (ascending) vertex list: every existing
-        vertex keeps its local row index, which is what lets grown per-shard
-        sketch containers be patched in place instead of rebuilt.
+        to the *end* of its shard's (ascending) vertex list, and every
+        existing vertex keeps its owner and its position in that list.
         """
         new_owners = np.asarray(new_owners, dtype=np.int64).ravel()
         if new_owners.size == 0:
@@ -179,21 +176,12 @@ class ShardPartition:
             raise ValueError("new owners must lie in [0, num_shards)")
         n = self.num_vertices
         new_ids = n + np.arange(new_owners.shape[0], dtype=np.int64)
-        local_index = np.concatenate(
-            [self.local_index, np.empty(new_owners.shape[0], dtype=np.int64)]
+        shard_vertices = tuple(
+            np.concatenate([self.shard_vertices[s], new_ids[new_owners == s]])
+            for s in range(self.num_shards)
         )
-        shard_vertices = []
-        for s in range(self.num_shards):
-            extra = new_ids[new_owners == s]
-            local_index[extra] = self.shard_vertices[s].shape[0] + np.arange(
-                extra.shape[0], dtype=np.int64
-            )
-            shard_vertices.append(np.concatenate([self.shard_vertices[s], extra]))
         return ShardPartition(
-            np.concatenate([self.owners, new_owners]),
-            self.num_shards,
-            tuple(shard_vertices),
-            local_index,
+            np.concatenate([self.owners, new_owners]), self.num_shards, shard_vertices
         )
 
     def row_block(self, indptr: np.ndarray, indices: np.ndarray, shard: int) -> tuple[np.ndarray, np.ndarray]:
@@ -243,7 +231,4 @@ def partition_from_owners(owners: np.ndarray, num_shards: int | None = None) -> 
     shard_vertices = tuple(
         np.flatnonzero(owners == s).astype(np.int64) for s in range(int(num_shards))
     )
-    local_index = np.empty(owners.shape[0], dtype=np.int64)
-    for ids in shard_vertices:
-        local_index[ids] = np.arange(ids.shape[0], dtype=np.int64)
-    return ShardPartition(owners, int(num_shards), shard_vertices, local_index)
+    return ShardPartition(owners, int(num_shards), shard_vertices)

@@ -491,12 +491,18 @@ class TestShardedLSH:
         assert engine.comm.queries >= 1
         assert engine.comm.routed_pairs == sharded.stats.candidates_scored
 
-    def test_sources_are_probgraphs_or_engines_and_only_probgraphs_save(
-        self, graph, tmp_path
-    ):
+    def test_sources_are_probgraphs_or_engines_and_both_save(self, graph, tmp_path):
         engine = ShardedEngine(graph, 2, representation="khash", k=16, seed=5)
-        with pytest.raises(ValueError, match="ProbGraph-backed"):
-            engine.lsh_index().save(tmp_path / "t.pgsk")
+        built = engine.lsh_index()
+        built.save(tmp_path / "t.pgsk")
+        with LSHIndex.open(tmp_path / "t.pgsk", engine) as loaded:
+            assert np.array_equal(loaded._keys, built._keys)
+            assert np.array_equal(loaded._verts, built._verts)
+            sources = np.asarray([0, 3, 17, 100, 200, 255], dtype=np.int64)
+            got = loaded.topk_similar_batch(sources, 8)
+            want = built.topk_similar_batch(sources, 8)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.scores, want.scores)
         with pytest.raises(TypeError, match="ProbGraph or ShardedEngine"):
             LSHIndex(engine.to_probgraph().sketches)
 

@@ -391,7 +391,6 @@ class TestTypedStore:
         assert np.array_equal(loaded.owners, part.owners)
         for s in range(3):
             assert np.array_equal(loaded.shard_vertices[s], part.shard_vertices[s])
-        assert np.array_equal(loaded.local_index, part.local_index)
 
     def test_sketch_params_meta_round_trip(self, graph):
         for rep in REPRESENTATIONS:
@@ -656,6 +655,142 @@ class TestShardedPersistence:
         with pytest.raises(RuntimeError, match="closed"):
             eng2.pair_intersections(np.array([0]), np.array([1]))
 
+    # -- the saved LSH tables (lsh.pgsk) -------------------------------------
+    @staticmethod
+    def _saved(root, graph, representation="khash", num_shards=2, **change):
+        params = {"seed": 6, **EXPLICIT_PARAMS[representation], **change}
+        with ShardedEngine(
+            graph, num_shards=num_shards, representation=representation,
+            transport="pickle", **params,
+        ) as eng:
+            eng.save(root)
+        return root
+
+    @staticmethod
+    def _assert_same_tables(index, reference):
+        sources = np.arange(0, 120, 7)
+        got = index.topk_similar_batch(sources, 5)  # a read re-keys marked rows
+        want = reference.topk_similar_batch(sources, 5)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.scores, want.scores)
+        assert np.array_equal(index._keys, reference._keys)
+        assert np.array_equal(index._verts, reference._verts)
+
+    @pytest.mark.parametrize("representation", ["khash", "1hash", "kmv"])
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_cold_start_maps_the_built_lsh_tables(self, tmp_path, graph, representation, num_shards):
+        root = self._saved(tmp_path / "eng", graph, representation, num_shards)
+        for mode in ("mmap", "eager"):
+            with ShardedEngine.open(root, mode=mode) as eng2:
+                index = eng2.lsh_index()
+                assert index._handle is not None and index._handle.mode == mode
+                self._assert_same_tables(index, LSHIndex(eng2.to_probgraph()))
+
+    @pytest.mark.parametrize("representation", ["bloom", "hll"])
+    def test_unbanded_families_save_no_lsh_tables(self, tmp_path, graph, representation):
+        # Saved over a k-hash directory, so its lsh.pgsk must go too.
+        root = self._saved(tmp_path / "eng", graph)
+        assert os.path.exists(root / "lsh.pgsk")
+        self._saved(root, graph, representation)
+        assert not os.path.exists(root / "lsh.pgsk")
+        with ShardedEngine.open(root) as eng2:
+            assert not eng2.lsh_index().banded
+
+    def test_delta_rekeys_mapped_tables_into_fresh_arrays(self, tmp_path, graph):
+        root = self._saved(tmp_path / "eng", graph)
+        saved_bytes = (root / "lsh.pgsk").read_bytes()
+        n = graph.num_vertices
+        delta = DynamicGraph(graph).apply_edges(insertions=[(0, n), (5, n + 1), (n, 7)])
+        with ShardedEngine.open(root) as eng2:
+            index = eng2.lsh_index()
+            assert isinstance(index._keys, np.memmap)
+            eng2.apply_delta(delta)
+            assert eng2.num_vertices == n + 2
+            self._assert_same_tables(index, LSHIndex(eng2.to_probgraph()))
+            assert not isinstance(index._keys, np.memmap)
+            assert (root / "lsh.pgsk").read_bytes() == saved_bytes
+            rebuilt = eng2.lsh_index()
+            assert rebuilt._handle is None
+            self._assert_same_tables(rebuilt, index)
+
+    def test_directory_without_lsh_tables_builds_in_memory(self, tmp_path, graph):
+        # A format-2 directory from before the tables were saved.
+        root = self._saved(tmp_path / "eng", graph)
+        os.remove(root / "lsh.pgsk")
+        with ShardedEngine.open(root) as eng2:
+            index = eng2.lsh_index()
+            assert index._handle is None
+            self._assert_same_tables(index, LSHIndex(eng2.to_probgraph()))
+
+    def test_other_band_split_builds_in_memory(self, tmp_path, graph):
+        root = self._saved(tmp_path / "eng", graph)
+        with ShardedEngine.open(root) as eng2:
+            index = eng2.lsh_index(num_bands=4, rows_per_band=2)
+            assert index._handle is None
+            ref = LSHIndex(eng2.to_probgraph(), num_bands=4, rows_per_band=2)
+            self._assert_same_tables(index, ref)
+            # The saved default split, asked for explicitly, still maps.
+            assert eng2.lsh_index(num_bands=8, rows_per_band=1)._handle is not None
+
+    @pytest.mark.parametrize(
+        "donor, message",
+        [({"seed": 7}, "checksum mismatch"), ({"representation": "kmv"}, "built over"),
+         ({"split": (4, 2)}, "band split")],
+        ids=["other-seed", "other-family", "other-split"],
+    )
+    def test_foreign_lsh_tables_rejected(self, tmp_path, graph, donor, message):
+        root = self._saved(tmp_path / "eng", graph)
+        if "split" in donor:
+            with ShardedEngine.open(root) as eng:
+                b, r = donor["split"]
+                LSHIndex(eng, num_bands=b, rows_per_band=r).save(root / "lsh.pgsk")
+        else:
+            other = self._saved(tmp_path / "other", graph, **donor)
+            shutil.copyfile(other / "lsh.pgsk", root / "lsh.pgsk")
+        for mode in ("mmap", "eager"):
+            with ShardedEngine.open(root, mode=mode) as eng2:
+                with pytest.raises(StoreFormatError, match=message):
+                    eng2.lsh_index()
+
+    def test_truncated_lsh_tables_rejected(self, tmp_path, graph):
+        root = self._saved(tmp_path / "eng", graph)
+        path = root / "lsh.pgsk"
+        path.write_bytes(path.read_bytes()[: os.path.getsize(path) // 2])
+        with reprosan.enabled(strict=False) as region:
+            for mode in ("mmap", "eager"):
+                with ShardedEngine.open(root, mode=mode) as eng2:
+                    with pytest.raises(StoreFormatError, match="truncated"):
+                        eng2.lsh_index()
+        assert region.findings == []
+
+    @pytest.mark.parametrize("change", [{"k": 16}, {}], ids=["other-k", "identical"])
+    def test_interrupted_lsh_write_during_resave(self, tmp_path, graph, monkeypatch, change):
+        root = self._saved(tmp_path / "eng", graph)
+        with ShardedEngine.open(root, mode="eager") as eng:
+            u, v = _query_pairs(graph)
+            pairs = eng.pair_intersections(u, v)
+            top = eng.lsh_index().topk_similar_batch(np.arange(30), 5)
+
+        def interrupted(self, path):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(LSHIndex, "save", interrupted)
+            with pytest.raises(OSError, match="disk full"):
+                self._saved(root, graph, **change)
+        for mode in ("mmap", "eager"):
+            if change:
+                with pytest.raises(StoreFormatError, match="does not match"):
+                    ShardedEngine.open(root, mode=mode)
+                continue
+            with ShardedEngine.open(root, mode=mode) as eng2:
+                assert np.array_equal(eng2.pair_intersections(u, v), pairs)
+                index = eng2.lsh_index()
+                assert index._handle is not None
+                got = index.topk_similar_batch(np.arange(30), 5)
+                assert np.array_equal(got.indices, top.indices)
+                assert np.array_equal(got.scores, top.scores)
+
 
 # ---------------------------------------------------------------------------
 # LSHIndex table persistence
@@ -731,9 +866,19 @@ class TestMmapLedger:
             transport="pickle", num_bits=128,
         ) as eng:
             eng.save(tmp_path / "eng")
+        with ShardedEngine(
+            graph, num_shards=2, representation="khash", seed=6,
+            transport="pickle", k=8,
+        ) as eng:
+            eng.save(tmp_path / "khash")
         with reprosan.enabled(strict=False) as region:
             with ShardedEngine.open(tmp_path / "eng") as eng2:
                 eng2.pair_intersections(np.array([0, 1]), np.array([2, 3]))
+            # The mapped LSH tables are one more handle the engine releases.
+            with ShardedEngine.open(tmp_path / "khash") as eng2:
+                index = eng2.lsh_index()
+                assert index._handle is not None
+                index.topk_similar_batch(np.array([0, 1]), 3)
         assert [f.code for f in region.findings] == []
 
     def test_session_sweep_releases_handles(self, tmp_path, graph):
