@@ -23,5 +23,9 @@ test:
 sanitize:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_sanitizer_overhead.py
 
+# Every example runs with TMPDIR set to a fresh directory, which must still be
+# empty afterwards: an example that leaves temporary files behind fails.
 examples:
-	for ex in examples/*.py; do PYTHONPATH=src $(PYTHON) $$ex || exit 1; done
+	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for ex in examples/*.py; do TMPDIR=$$tmp PYTHONPATH=src $(PYTHON) $$ex || exit 1; done; \
+	if [ -n "$$(ls -A "$$tmp")" ]; then echo "the examples left files in TMPDIR:"; ls -A "$$tmp"; exit 1; fi

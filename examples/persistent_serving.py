@@ -21,41 +21,44 @@ import numpy as np
 
 from repro import PGSession, ShardedEngine
 from repro.engine import LSHIndex
-from repro.graph import kronecker_graph
+from repro.graph import CSRGraph, kronecker_graph
 
 
 def main() -> None:
     graph = kronecker_graph(scale=12, edge_factor=10, seed=1)
     print(f"graph: n={graph.num_vertices:,}, m={graph.num_edges:,}")
+    with tempfile.TemporaryDirectory(prefix="pgstore_") as store_dir, \
+            tempfile.TemporaryDirectory(prefix="pgengine_") as engine_dir:
+        run(graph, store_dir, engine_dir)
 
-    store_dir = tempfile.mkdtemp(prefix="pgstore_")
+
+def run(graph: CSRGraph, store_dir: str, engine_dir: str) -> None:
     rng = np.random.default_rng(5)
     u = rng.integers(0, graph.num_vertices, 20_000).astype(np.int64)
     v = rng.integers(0, graph.num_vertices, 20_000).astype(np.int64)
 
     # --- build once, persist into the keyed store ---------------------------
-    first = PGSession(store=store_dir)
-    pg = first.probgraph(graph, representation="bloom", seed=7)
-    baseline = first.pair_intersections(pg, u, v)
-    print(
-        f"\nfirst session: built in {pg.construction_seconds * 1e3:.0f} ms, "
-        f"saved to the store ({first.stats.store_saves} entry)"
-    )
+    with PGSession(store=store_dir) as first:
+        pg = first.probgraph(graph, representation="bloom", seed=7)
+        baseline = first.pair_intersections(pg, u, v)
+        print(
+            f"\nfirst session: built in {pg.construction_seconds * 1e3:.0f} ms, "
+            f"saved to the store ({first.stats.store_saves} entry)"
+        )
 
     # --- a restarted server: same key, zero-copy load, zero rebuilds --------
-    start = time.perf_counter()
-    second = PGSession(store=store_dir)
-    pg2 = second.probgraph(graph, representation="bloom", seed=7)
-    loaded = second.pair_intersections(pg2, u, v)
-    print(
-        f"second session: store hit in {(time.perf_counter() - start) * 1e3:.1f} ms "
-        f"(constructions={second.stats.constructions}, "
-        f"mmap rows writable={pg2.sketches.words.flags.writeable}), "
-        f"20k queries bit-identical={bool(np.array_equal(baseline, loaded))}"
-    )
+    with PGSession(store=store_dir) as second:
+        start = time.perf_counter()
+        pg2 = second.probgraph(graph, representation="bloom", seed=7)
+        loaded = second.pair_intersections(pg2, u, v)
+        print(
+            f"second session: store hit in {(time.perf_counter() - start) * 1e3:.1f} ms "
+            f"(constructions={second.stats.constructions}, "
+            f"mmap rows writable={pg2.sketches.words.flags.writeable}), "
+            f"20k queries bit-identical={bool(np.array_equal(baseline, loaded))}"
+        )
 
     # --- sharded cold start from a saved engine directory -------------------
-    engine_dir = tempfile.mkdtemp(prefix="pgengine_")
     with ShardedEngine(graph, 4, representation="bloom", seed=7) as engine:
         build_s = engine.construction_seconds
         engine.save(engine_dir)
@@ -101,16 +104,18 @@ def main() -> None:
     # --- deltas still apply: mmap rows promote on first patch ---------------
     from repro.dynamic import DynamicGraph
 
-    dyn = DynamicGraph(graph)
-    delta = dyn.apply_edges(insertions=rng.integers(0, graph.num_vertices, (64, 2)))
-    second.apply_delta(delta)
-    fresh = PGSession().probgraph(dyn.snapshot(), representation="bloom", seed=7)
-    print(
-        f"\nafter a 64-edge delta: store-loaded rows promoted "
-        f"(writable={pg2.sketches.words.flags.writeable}), patched sketches "
-        f"bit-identical to a fresh build="
-        f"{bool(np.array_equal(pg2.sketches.words, fresh.sketches.words))}"
-    )
+    with PGSession(store=store_dir) as third:
+        pg3 = third.probgraph(graph, representation="bloom", seed=7)
+        dyn = DynamicGraph(graph)
+        delta = dyn.apply_edges(insertions=rng.integers(0, graph.num_vertices, (64, 2)))
+        third.apply_delta(delta)
+        fresh = PGSession().probgraph(dyn.snapshot(), representation="bloom", seed=7)
+        print(
+            f"\nafter a 64-edge delta: store-loaded rows promoted "
+            f"(writable={pg3.sketches.words.flags.writeable}), patched sketches "
+            f"bit-identical to a fresh build="
+            f"{bool(np.array_equal(pg3.sketches.words, fresh.sketches.words))}"
+        )
 
 
 if __name__ == "__main__":

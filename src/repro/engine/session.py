@@ -463,6 +463,24 @@ class PGSession:
             self._lsh_cache.clear()
             self._sweep_handles()
 
+    def close(self) -> None:
+        """Release the session: drop every cached entry and close every store handle.
+
+        Idempotent.  This is :meth:`clear` plus the reprosan lifecycle audit
+        of :meth:`ShardedEngine.close <repro.engine.sharded.ShardedEngine.close>`:
+        a store handle this session opened and left unreleased becomes a
+        ``SAN601`` finding here.  Objects callers still hold keep answering
+        queries, and a later lookup loads or builds afresh.
+        """
+        self.clear()
+        _san.check_owner_segments(self)
+
+    def __enter__(self) -> "PGSession":
+        return self
+
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
+        self.close()
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._cache)

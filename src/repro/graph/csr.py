@@ -269,8 +269,11 @@ class CSRGraph:
 
     # ------------------------------------------------------------- orientation
     def degree_order_ranks(self) -> np.ndarray:
-        """Vertex ranks ``R`` such that ``R(v) < R(u)`` implies ``d_v <= d_u`` (Listing 1, line 2)."""
-        order = np.lexsort((np.arange(self.num_vertices), self.degrees))
+        """Vertex ranks ``R`` such that ``R(v) < R(u)`` implies ``d_v <= d_u`` (Listing 1, line 2).
+
+        Ties go to the lower vertex ID: a stable sort by degree.
+        """
+        order = np.argsort(self.degrees, kind="stable")
         ranks = np.empty(self.num_vertices, dtype=np.int64)
         ranks[order] = np.arange(self.num_vertices)
         return ranks
@@ -281,18 +284,17 @@ class CSRGraph:
         The result is a DAG stored in the same CSR class; each undirected edge
         appears exactly once, directed from the lower-rank endpoint to the
         higher-rank endpoint.  This is the preprocessing step of Listings 1–2.
+
+        Precondition: every row of ``indices`` is sorted, the class invariant
+        that every constructor in the package keeps.  The filter keeps each
+        row's entries in their input order, so ``N+_v`` comes out sorted
+        without a sort of its own.
         """
         ranks = self.degree_order_ranks()
-        src = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.degrees)
-        keep = ranks[src] < ranks[self.indices]
-        out_src = src[keep]
-        out_dst = self.indices[keep]
-        order = np.lexsort((out_dst, out_src))
-        out_src, out_dst = out_src[order], out_dst[order]
-        indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
-        np.add.at(indptr, out_src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return CSRGraph(self.num_vertices, indptr, out_dst)
+        keep = np.repeat(ranks, self.degrees) < ranks[self.indices]
+        kept = np.zeros(keep.shape[0] + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        return CSRGraph(self.num_vertices, kept[self.indptr], self.indices[keep])
 
     # ---------------------------------------------------------------- plumbing
     def subgraph(self, vertices: np.ndarray) -> "CSRGraph":

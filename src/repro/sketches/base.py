@@ -33,6 +33,7 @@ __all__ = [
     "as_id_array",
     "ragged_gather",
     "iter_count_groups",
+    "sorted_row_repeats",
     "concat_sketch_rows",
 ]
 
@@ -163,6 +164,41 @@ def iter_count_groups(counts: np.ndarray) -> Iterator[tuple[np.ndarray, int]]:
         if count == 0:
             continue
         yield group, count
+
+
+def sorted_row_repeats(
+    merged: np.ndarray, empty: Any
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where each row of ``merged`` repeats a value, visiting only those positions.
+
+    The value-sketch pair kernels (bottom-k, KMV) concatenate two sorted rows
+    of distinct values and sort the result, so a value held by both rows sits
+    twice, side by side, and the ``empty`` sentinel (the largest value) pads
+    each row's tail.  A *repeat* is a position ``j > 0`` with
+    ``merged[r, j] == merged[r, j - 1] < empty``.  One flat ``==`` over the
+    rows finds the repeats; after that only they, and a few counts per row,
+    are touched.  Returns ``(rows, ranks, repeats, filled)``:
+
+    * ``rows``: the row of every repeat, in row-major order;
+    * ``ranks``: the 1-based rank of each repeated value among its row's
+      distinct non-empty values;
+    * ``repeats``: the number of repeats per row;
+    * ``filled``: the number of non-empty entries per row, so a row holds
+      ``filled - repeats`` distinct values.
+    """
+    pairs, width = merged.shape
+    flat = merged.ravel()
+    valid = flat < empty
+    filled = np.count_nonzero(valid.reshape(pairs, width), axis=1)
+    same = flat[1:] == flat[:-1]
+    same &= valid[1:]
+    same[width - 1 :: width] = False  # a row's first entry repeats nothing
+    rows, cols = np.divmod(np.flatnonzero(same) + 1, width)
+    repeats = np.bincount(rows, minlength=pairs)
+    before = np.cumsum(repeats) - repeats  # index of each row's first repeat
+    # Distinct values up to column c: c + 1 entries minus the repeats among them.
+    ranks = cols - (np.arange(rows.shape[0]) - before[rows])
+    return rows, ranks, repeats, filled
 
 
 class SetSketch(abc.ABC):

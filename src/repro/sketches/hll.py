@@ -60,6 +60,11 @@ HLL_REGISTER_BITS = 6
 MIN_PRECISION = 4
 MAX_PRECISION = 18
 
+#: ``2**-r`` for every uint8 register value ``r``, the terms of the HLL sum.
+#: Reading them from this table gives the same float64 values as computing
+#: ``np.power(2.0, -r)`` per register, at the cost of one gather.
+_INV_POW2 = np.power(2.0, -np.arange(256, dtype=np.float64))
+
 
 def _alpha(m: int) -> float:
     """Bias-correction constant alpha_m of the HLL estimator."""
@@ -108,11 +113,13 @@ def estimate_register_rows(registers: np.ndarray) -> np.ndarray:
 
     Applies the Flajolet et al. small-range (linear counting) and large-range
     corrections row-wise; the scalar :meth:`HyperLogLog.cardinality` and all
-    batch-container estimates share this one code path.
+    batch-container estimates share this one code path.  ``registers`` holds
+    uint8 ranks; each ``2**-r`` term is read from a 256-entry table (the
+    values ``np.power(2.0, -r)`` gives) and the terms are summed along the row.
     """
     registers = np.asarray(registers)
     m = registers.shape[-1]
-    inv_sum = np.sum(np.power(2.0, -registers.astype(np.float64)), axis=-1)
+    inv_sum = np.sum(_INV_POW2[registers], axis=-1)
     raw = _alpha(m) * m * m / inv_sum
     out = np.asarray(raw, dtype=np.float64).copy()
     zeros = np.count_nonzero(registers == 0, axis=-1)
@@ -234,11 +241,14 @@ class HLLNeighborhoodSketches(NeighborhoodSketches):
 
     @property
     def pair_scratch_bytes(self) -> int:
-        """Per-pair scratch: two gathered rows, the merged row, and the float64 temps.
+        """Per-pair scratch: two gathered rows, the merged row, and the estimate's temps.
 
-        :func:`estimate_register_rows` materializes up to three ``(pairs, m)``
-        float64 temporaries per chunk (the cast, its negation, and the power),
-        on top of the two gathered uint8 rows and their merged maximum.
+        :func:`estimate_register_rows` materializes one ``(pairs, m)`` float64
+        temporary per chunk (the ``2**-r`` terms read from the table) and one
+        bool ``== 0`` mask, on top of the two gathered uint8 rows and their
+        merged maximum.  The figure allows three float64 temporaries, so it
+        overstates the peak; it is kept as it is because it sets the chunk
+        boundaries, and with them the summation order of the triangle count.
         """
         return self.num_registers * (2 + 1 + 3 * 8) + 64
 

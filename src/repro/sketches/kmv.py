@@ -25,6 +25,7 @@ from .base import (
     StorageSchema,
     as_id_array,
     iter_count_groups,
+    sorted_row_repeats,
 )
 from .hashing import hash_to_unit
 
@@ -141,11 +142,26 @@ class KMVNeighborhoodSketches(NeighborhoodSketches):
 
     @property
     def pair_scratch_bytes(self) -> int:
-        """Per-pair scratch: the merged row (sorted twice) plus the duplicate mask."""
+        """Per-pair scratch: the merged sorted row plus the repeat scan's temporaries.
+
+        The merged row is ``2k`` float64 values, built from two gathered
+        ``k``-wide rows and sorted once.
+        :func:`~repro.sketches.base.sorted_row_repeats` adds flat ``<`` and
+        ``==`` masks (one byte per entry each) and a few int64 counts per pair
+        (repeats, fill, the ``k``-th value's column), plus int64 rows and ranks
+        per repeat.  The value is kept as it is because it sets the chunk
+        boundaries.
+        """
         return 2 * self.k * (8 + 1) + 48
 
     def pair_union_estimates(self, u: np.ndarray, v: np.ndarray, chunk: int = 65536) -> np.ndarray:
-        """``|N_u ∪ N_v|^K`` for every pair (k smallest values of the merged rows)."""
+        """``|N_u ∪ N_v|^K`` for every pair (k smallest values of the merged rows).
+
+        After one row sort a value held by both rows repeats.  The union holds
+        ``filled - repeats`` distinct values, and its ``k``-th smallest sits
+        ``k - 1`` columns in, shifted right by every repeat of a value ranked
+        below ``k``.
+        """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         out = np.empty(u.shape[0], dtype=np.float64)
@@ -153,17 +169,12 @@ class KMVNeighborhoodSketches(NeighborhoodSketches):
             stop = min(start + chunk, u.shape[0])
             merged = np.concatenate([self.values[u[start:stop]], self.values[v[start:stop]]], axis=1)
             merged.sort(axis=1)
-            # Remove duplicate values (same element present in both sketches) by
-            # pushing them to the sentinel before re-sorting.
-            dup = np.zeros_like(merged, dtype=bool)
-            dup[:, 1:] = (merged[:, 1:] == merged[:, :-1]) & (merged[:, 1:] < _EMPTY)
-            merged[dup] = _EMPTY
-            merged.sort(axis=1)
-            distinct = (merged < _EMPTY).sum(axis=1)
-            kth = merged[:, self.k - 1]
-            full = distinct >= self.k
+            rows, ranks, repeats, filled = sorted_row_repeats(merged, _EMPTY)
+            distinct = filled - repeats
+            full = np.flatnonzero(distinct >= self.k)
+            shift = np.bincount(rows[ranks < self.k], minlength=stop - start)
             est = distinct.astype(np.float64)
-            est[full] = (self.k - 1) / kth[full]
+            est[full] = (self.k - 1) / merged[full, self.k - 1 + shift[full]]
             out[start:stop] = est
         return out
 

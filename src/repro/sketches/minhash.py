@@ -36,6 +36,7 @@ from .base import (
     as_id_array,
     iter_count_groups,
     ragged_gather,
+    sorted_row_repeats,
 )
 from .hashing import HashFamily, splitmix64
 
@@ -402,15 +403,23 @@ class BottomKNeighborhoodSketches(NeighborhoodSketches):
 
     @property
     def pair_scratch_bytes(self) -> int:
-        """Per-pair scratch: the merged sorted row, boolean masks, and the rank cumsum."""
+        """Per-pair scratch: the merged sorted row plus the repeat scan's temporaries.
+
+        The merged row is ``2k`` uint64 values, built from two gathered
+        ``k``-wide rows.  :func:`~repro.sketches.base.sorted_row_repeats` adds
+        flat ``<`` and ``==`` masks (one byte per entry each) and a few int64
+        counts per pair, plus int64 rows, columns and ranks per repeat (at
+        most ``k`` per pair, usually far fewer).  The value is kept as it is
+        because it sets the chunk boundaries.
+        """
         return 2 * self.k * (8 + 8 + 3) + 32
 
     def pair_common(self, u: np.ndarray, v: np.ndarray, chunk: int = 65536) -> np.ndarray:
         """``|M¹_{N_u} ∩ M¹_{N_v}|`` for every pair, vectorized.
 
         Each row holds distinct sorted values, so the number of common values
-        between two rows equals the number of adjacent duplicates after merging
-        and sorting the concatenation of the rows.  This avoids per-pair Python
+        between two rows equals the number of repeats after merging and
+        sorting the concatenation of the rows.  This avoids per-pair Python
         loops entirely; pairs are processed in chunks to bound peak memory.
         """
         u = np.asarray(u, dtype=np.int64)
@@ -420,8 +429,7 @@ class BottomKNeighborhoodSketches(NeighborhoodSketches):
             stop = min(start + chunk, u.shape[0])
             merged = np.concatenate([self.values[u[start:stop]], self.values[v[start:stop]]], axis=1)
             merged.sort(axis=1)
-            dup = (merged[:, 1:] == merged[:, :-1]) & (merged[:, 1:] != _EMPTY)
-            out[start:stop] = dup.sum(axis=1)
+            out[start:stop] = sorted_row_repeats(merged, _EMPTY)[2]
         return out
 
     def _pair_matches_effective_k(
@@ -430,10 +438,11 @@ class BottomKNeighborhoodSketches(NeighborhoodSketches):
         """Per pair: matches within the union's bottom-k and the effective sample size ``s``.
 
         Mirrors :meth:`BottomKSketch._matches_and_effective_k` but vectorized
-        over many pairs: concatenate the two sorted rows, sort, identify first
-        occurrences (distinct union values) and duplicated values (present in
-        both sketches), and count duplicates among the ``s`` smallest distinct
-        values.
+        over many pairs: concatenate the two sorted rows and sort; a value in
+        both sketches then repeats.  The union holds ``s' = filled - repeats``
+        distinct values and ``s = min(k, s')``.  A repeated value counts as a
+        match when its distinct rank is at most ``k``; a repeat's rank never
+        exceeds ``s'``, so that is the same as ranking within the bottom ``s``.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -443,17 +452,9 @@ class BottomKNeighborhoodSketches(NeighborhoodSketches):
             stop = min(start + chunk, u.shape[0])
             merged = np.concatenate([self.values[u[start:stop]], self.values[v[start:stop]]], axis=1)
             merged.sort(axis=1)
-            valid = merged != _EMPTY
-            dup_next = np.zeros_like(valid)
-            dup_next[:, :-1] = (merged[:, 1:] == merged[:, :-1]) & valid[:, 1:]
-            is_first = valid.copy()
-            is_first[:, 1:] &= merged[:, 1:] != merged[:, :-1]
-            distinct_total = is_first.sum(axis=1)
-            s = np.minimum(self.k, distinct_total)
-            distinct_rank = np.cumsum(is_first, axis=1)
-            in_bottom_s = distinct_rank <= s[:, None]
-            matches[start:stop] = (is_first & dup_next & in_bottom_s).sum(axis=1)
-            eff_k[start:stop] = s
+            rows, ranks, repeats, filled = sorted_row_repeats(merged, _EMPTY)
+            matches[start:stop] = np.bincount(rows[ranks <= self.k], minlength=stop - start)
+            eff_k[start:stop] = np.minimum(self.k, filled - repeats)
         return matches, eff_k
 
     def pair_jaccard(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -3,7 +3,107 @@
 import numpy as np
 import pytest
 
-from repro.graph import CSRGraph, complete_graph
+from repro.dynamic import DynamicGraph
+from repro.graph import (
+    CSRGraph,
+    barabasi_albert_graph,
+    chung_lu_graph,
+    complete_graph,
+    erdos_renyi_graph,
+    grid_graph,
+    kronecker_graph,
+    load_graph,
+    planted_clique_graph,
+    ring_graph,
+    star_graph,
+    stochastic_block_model,
+    watts_strogatz_graph,
+    write_edge_list,
+)
+from repro.storage import load_graph as load_stored_graph
+from repro.storage import save_graph
+
+
+def _lexsort_oriented(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Reference orientation that sorts the kept ``(src, dst)`` pairs itself.
+
+    It assumes nothing about row order, so ``CSRGraph.oriented()`` (which
+    relies on sorted rows) must equal it on every graph the package builds.
+    """
+    n = graph.num_vertices
+    order = np.lexsort((np.arange(n), graph.degrees))
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(n)
+    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    keep = ranks[src] < ranks[graph.indices]
+    out_src, out_dst = src[keep], graph.indices[keep]
+    order = np.lexsort((out_dst, out_src))
+    out_src, out_dst = out_src[order], out_dst[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, out_src + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, out_dst
+
+
+def _rows_strictly_increasing(graph: CSRGraph) -> bool:
+    row = np.repeat(np.arange(graph.num_vertices), graph.degrees)
+    same_row = row[1:] == row[:-1]
+    return bool(np.all(np.diff(graph.indices)[same_row] > 0))
+
+
+def _dynamic_snapshots() -> list[tuple[str, CSRGraph]]:
+    """Snapshots after deletions with tombstones, after compaction, and after re-insertion."""
+    base = kronecker_graph(scale=8, edge_factor=6, seed=3)
+    edges = base.edge_array()
+    rng = np.random.default_rng(11)
+    doomed = edges[rng.choice(edges.shape[0], edges.shape[0] // 3, replace=False)]
+    out = []
+    tomb = DynamicGraph(base, max_tombstone_fraction=1.0)
+    tomb.apply_edges(deletions=doomed)
+    assert tomb.num_tombstones > 0
+    out.append(("dynamic-tombstones", tomb.snapshot()))
+    compacted = DynamicGraph(base, max_tombstone_fraction=0.05)
+    compacted.apply_edges(deletions=doomed)
+    assert compacted.stats.compactions >= 1
+    out.append(("dynamic-compacted", compacted.snapshot()))
+    grown = rng.integers(0, base.num_vertices + 20, (300, 2))
+    compacted.apply_edges(insertions=grown, deletions=doomed[:5])
+    tomb.apply_edges(insertions=grown)
+    out.append(("dynamic-compacted-reinsert", compacted.snapshot()))
+    out.append(("dynamic-tombstones-reinsert", tomb.snapshot()))
+    return out
+
+
+def _package_graphs(tmp_path) -> list[tuple[str, CSRGraph]]:
+    """One graph from every place the package makes a ``CSRGraph``."""
+    rng = np.random.default_rng(5)
+    raw = rng.integers(0, 120, (900, 2))  # duplicates, reversed pairs and self-loops
+    kron = kronecker_graph(scale=9, edge_factor=8, seed=42)
+    graphs = [
+        ("from_edges", CSRGraph.from_edges(raw)),
+        ("from_edges-isolated", CSRGraph.from_edges(raw, num_vertices=150)),
+        ("subgraph", kron.subgraph(rng.choice(kron.num_vertices, 200, replace=False))),
+        ("remove_edges", kron.remove_edges(kron.edge_array()[::3])),
+        ("kronecker", kron),
+        ("erdos_renyi", erdos_renyi_graph(150, p=0.05, seed=2)),
+        ("barabasi_albert", barabasi_albert_graph(150, attach=3, seed=2)),
+        ("watts_strogatz", watts_strogatz_graph(150, k=6, rewire_p=0.2, seed=2)),
+        ("sbm", stochastic_block_model([60, 60], p_in=0.2, p_out=0.02, seed=2)),
+        ("complete", complete_graph(12)),
+        ("ring", ring_graph(30)),
+        ("star", star_graph(25)),
+        ("grid", grid_graph(6, 7)),
+        ("planted_clique", planted_clique_graph(120, 10, p=0.05, seed=2)),
+        ("chung_lu", chung_lu_graph(300, 1500, seed=2)),
+    ]
+    graphs += _dynamic_snapshots()
+    write_edge_list(kron, tmp_path / "g.el")
+    graphs.append(("load_graph", load_graph(tmp_path / "g.el")))
+    save_graph(tmp_path / "g.pgsk", kron)
+    stored, handle = load_stored_graph(tmp_path / "g.pgsk", mode="mmap")
+    graphs.append(("storage.load_graph", stored))
+    handle.close()
+    return graphs
 
 
 class TestConstruction:
@@ -159,6 +259,30 @@ class TestOrientation:
     def test_degree_order_ranks_are_permutation(self, kron_small):
         ranks = kron_small.degree_order_ranks()
         assert np.array_equal(np.sort(ranks), np.arange(kron_small.num_vertices))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [ring_graph(40), grid_graph(5, 8), complete_graph(9), star_graph(30),
+         kronecker_graph(scale=9, edge_factor=4, seed=1)],
+        ids=["ring", "grid", "complete", "star", "kronecker"],
+    )
+    def test_degree_order_ranks_break_ties_by_id(self, graph):
+        n = graph.num_vertices
+        assert np.unique(graph.degrees).size < n // 4  # tie-heavy
+        order = np.lexsort((np.arange(n), graph.degrees))
+        expected = np.empty(n, dtype=np.int64)
+        expected[order] = np.arange(n)
+        assert np.array_equal(graph.degree_order_ranks(), expected)
+
+    def test_oriented_equals_lexsort_reference_on_package_graphs(self, tmp_path):
+        for name, graph in _package_graphs(tmp_path):
+            assert _rows_strictly_increasing(graph), name
+            oriented = graph.oriented()
+            indptr, indices = _lexsort_oriented(graph)
+            assert np.array_equal(oriented.indptr, indptr), name
+            assert np.array_equal(oriented.indices, indices), name
+            assert _rows_strictly_increasing(oriented), name
+            assert oriented.indices.shape[0] == graph.num_edges, name
 
 
 class TestEditing:

@@ -7,7 +7,31 @@ from repro.core import ProbGraph, hll_intersection, resolve_hll_precision
 from repro.core.probgraph import Representation, resolve_sketch_params
 from repro.engine import PGSession
 from repro.graph import kronecker_graph
-from repro.sketches.hll import HLL_REGISTER_BITS, HLLFamily, HyperLogLog
+from repro.sketches.hll import (
+    HLL_REGISTER_BITS,
+    HLLFamily,
+    HyperLogLog,
+    _alpha,
+    estimate_register_rows,
+)
+
+
+def _power_estimate(registers):
+    """Reference HLL estimate that computes every ``2**-r`` term with ``np.power``."""
+    registers = np.asarray(registers)
+    m = registers.shape[-1]
+    inv_sum = np.sum(np.power(2.0, -registers.astype(np.float64)), axis=-1)
+    raw = _alpha(m) * m * m / inv_sum
+    out = np.asarray(raw, dtype=np.float64).copy()
+    zeros = np.count_nonzero(registers == 0, axis=-1)
+    linear = (raw <= 2.5 * m) & (zeros > 0)
+    if np.any(linear):
+        out[linear] = m * np.log(m / zeros[linear])
+    two64 = float(2**64)
+    large = raw > two64 / 30.0
+    if np.any(large):
+        out[large] = -two64 * np.log1p(-raw[large] / two64)
+    return out
 
 
 class TestHyperLogLog:
@@ -87,6 +111,26 @@ class TestHyperLogLog:
         snapshot = hll.registers.copy()
         hll.add_many(np.arange(100, 200))
         assert np.all(hll.registers >= snapshot)
+
+
+class TestRegisterEstimate:
+    @pytest.mark.parametrize("precision", [4, 5, 10, 18])
+    def test_equals_power_formula_for_every_rank(self, precision):
+        m = 1 << precision
+        rng = np.random.default_rng(precision)
+        rows = np.empty((4, m), dtype=np.uint8)
+        # Rows of all-high ranks push the large-range correction past 2**64,
+        # where both formulas give NaN; they must agree there too.
+        with np.errstate(invalid="ignore"):
+            for rank in range(62):
+                rows[:] = rank
+                rows[1, ::2] = 0  # zero registers: the linear-counting branch
+                rows[2] = rng.integers(0, rank + 1, m)
+                rows[3, 1:] = 40  # one `rank` term among mid-range ones, no NaN
+                got, want = estimate_register_rows(rows), _power_estimate(rows)
+                assert np.array_equal(got, want, equal_nan=True), rank
+        mixed = rng.integers(0, 62, (4, m)).astype(np.uint8)
+        assert np.array_equal(estimate_register_rows(mixed), _power_estimate(mixed))
 
 
 class TestHLLFamily:

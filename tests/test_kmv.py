@@ -3,8 +3,52 @@
 import numpy as np
 import pytest
 
-from repro.graph import erdos_renyi_graph
-from repro.sketches.kmv import KMVFamily, KMVSketch
+from repro.core import kmv_intersection_exact_sizes
+from repro.graph import erdos_renyi_graph, kronecker_graph
+from repro.sketches.kmv import KMVFamily, KMVNeighborhoodSketches, KMVSketch
+
+_EMPTY = 2.0
+
+
+def _two_sort_union_estimates(values, k, u, v, chunk=65536):
+    """Reference KMV union kernel: push repeats to the sentinel and sort each merge again."""
+    out = np.empty(u.shape[0], dtype=np.float64)
+    for start in range(0, u.shape[0], chunk):
+        stop = min(start + chunk, u.shape[0])
+        merged = np.concatenate([values[u[start:stop]], values[v[start:stop]]], axis=1)
+        merged.sort(axis=1)
+        dup = np.zeros_like(merged, dtype=bool)
+        dup[:, 1:] = (merged[:, 1:] == merged[:, :-1]) & (merged[:, 1:] < _EMPTY)
+        merged[dup] = _EMPTY
+        merged.sort(axis=1)
+        distinct = (merged < _EMPTY).sum(axis=1)
+        kth = merged[:, k - 1]
+        full = distinct >= k
+        est = distinct.astype(np.float64)
+        est[full] = (k - 1) / kth[full]
+        out[start:stop] = est
+    return out
+
+
+def _oracle_pairs(graph, seed):
+    """Edge pairs, random pairs, ``u == v`` pairs, and pairs on empty rows."""
+    rng = np.random.default_rng(seed)
+    n = graph.num_vertices
+    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    empty = np.flatnonzero(graph.degrees == 0)
+    assert empty.size and np.any((graph.degrees > 0) & (graph.degrees < 4))
+    u = np.concatenate([src, rng.integers(0, n, 1500), np.arange(n), empty, empty[::-1]])
+    v = np.concatenate([graph.indices, rng.integers(0, n, 1500), np.arange(n),
+                        rng.integers(0, n, empty.size), empty])
+    return u.astype(np.int64), v.astype(np.int64)
+
+
+def _assert_kmv_equals_two_sort_reference(sketches, u, v):
+    ref = _two_sort_union_estimates(sketches.values, sketches.k, u, v)
+    for chunk in (65536, 7):
+        assert np.array_equal(sketches.pair_union_estimates(u, v, chunk=chunk), ref)
+    ref_inter = kmv_intersection_exact_sizes(sketches.exact_sizes[u], sketches.exact_sizes[v], ref)
+    assert np.array_equal(sketches.pair_intersections(u, v), ref_inter)
 
 
 class TestKMVSketch:
@@ -104,6 +148,37 @@ class TestKMVBatch:
         edges = graph.edge_array()
         est = batch.pair_intersections(edges[:, 0], edges[:, 1])
         assert np.all(est >= 0)
+
+    @pytest.mark.parametrize("oriented", [False, True])
+    @pytest.mark.parametrize("seed", [1, 7919])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 16, 32])
+    def test_union_kernel_equals_two_sort_reference(self, k, seed, oriented):
+        graph = kronecker_graph(scale=8, edge_factor=4, seed=5)
+        base = graph.oriented() if oriented else graph
+        sketches = KMVFamily(k, seed=seed).sketch_neighborhoods(base.indptr, base.indices)
+        u, v = _oracle_pairs(base, seed)
+        _assert_kmv_equals_two_sort_reference(sketches, u, v)
+
+    def test_union_kernel_on_hand_made_rows(self):
+        e = _EMPTY
+        values = np.array(
+            [
+                [0.1, 0.25, 0.5, 0.75],
+                [0.1, 0.3, 0.5, e],
+                [0.05, 0.1, 0.25, e],
+                [0.25, 0.75, e, e],
+                [0.75, e, e, e],
+                [e, e, e, e],
+                [0.05, 0.1, 0.25, 1.0],
+                [0.2, 0.3, 0.4, 0.6],
+            ]
+        )
+        sizes = np.array([9.0, 3.0, 3.0, 2.0, 1.0, 0.0, 5.0, 12.0])
+        sketches = KMVNeighborhoodSketches(values, 4, 0, sizes)
+        u, v = (a.ravel() for a in np.meshgrid(np.arange(8), np.arange(8)))
+        # (0, 0) then (4, 4): one merged row ends with the value the next starts with.
+        u, v = np.append(u, [0, 4]), np.append(v, [0, 4])
+        _assert_kmv_equals_two_sort_reference(sketches, u, v)
 
     def test_storage_accounting(self):
         graph = self._graph()

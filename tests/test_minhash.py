@@ -3,13 +3,81 @@
 import numpy as np
 import pytest
 
-from repro.graph import erdos_renyi_graph
+from repro.graph import erdos_renyi_graph, kronecker_graph
 from repro.sketches.minhash import (
     BottomKFamily,
+    BottomKNeighborhoodSketches,
     BottomKSketch,
     KHashFamily,
     KHashSignature,
 )
+
+_EMPTY = np.uint64(np.iinfo(np.uint64).max)
+
+
+def _sort_common(values, u, v, chunk=65536):
+    """Reference ``pair_common``: count adjacent equal non-empty entries of each sorted merge."""
+    out = np.empty(u.shape[0], dtype=np.int64)
+    for start in range(0, u.shape[0], chunk):
+        stop = min(start + chunk, u.shape[0])
+        merged = np.concatenate([values[u[start:stop]], values[v[start:stop]]], axis=1)
+        merged.sort(axis=1)
+        dup = (merged[:, 1:] == merged[:, :-1]) & (merged[:, 1:] != _EMPTY)
+        out[start:stop] = dup.sum(axis=1)
+    return out
+
+
+def _sort_matches_effective_k(values, k, u, v, chunk=65536):
+    """Reference bottom-k kernel: whole-row masks and a distinct-rank cumsum per sorted merge."""
+    matches = np.empty(u.shape[0], dtype=np.int64)
+    eff_k = np.empty(u.shape[0], dtype=np.int64)
+    for start in range(0, u.shape[0], chunk):
+        stop = min(start + chunk, u.shape[0])
+        merged = np.concatenate([values[u[start:stop]], values[v[start:stop]]], axis=1)
+        merged.sort(axis=1)
+        valid = merged != _EMPTY
+        dup_next = np.zeros_like(valid)
+        dup_next[:, :-1] = (merged[:, 1:] == merged[:, :-1]) & valid[:, 1:]
+        is_first = valid.copy()
+        is_first[:, 1:] &= merged[:, 1:] != merged[:, :-1]
+        distinct_total = is_first.sum(axis=1)
+        s = np.minimum(k, distinct_total)
+        distinct_rank = np.cumsum(is_first, axis=1)
+        in_bottom_s = distinct_rank <= s[:, None]
+        matches[start:stop] = (is_first & dup_next & in_bottom_s).sum(axis=1)
+        eff_k[start:stop] = s
+    return matches, eff_k
+
+
+def _oracle_pairs(graph, seed):
+    """Edge pairs, random pairs, ``u == v`` pairs, and pairs on empty rows."""
+    rng = np.random.default_rng(seed)
+    n = graph.num_vertices
+    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    empty = np.flatnonzero(graph.degrees == 0)
+    assert empty.size and np.any((graph.degrees > 0) & (graph.degrees < 4))
+    u = np.concatenate([src, rng.integers(0, n, 1500), np.arange(n), empty, empty[::-1]])
+    v = np.concatenate([graph.indices, rng.integers(0, n, 1500), np.arange(n),
+                        rng.integers(0, n, empty.size), empty])
+    return u.astype(np.int64), v.astype(np.int64)
+
+
+def _assert_bottomk_equals_sort_reference(sketches, u, v):
+    ref_matches, ref_s = _sort_matches_effective_k(sketches.values, sketches.k, u, v)
+    ref_jaccard = np.zeros(u.shape[0], dtype=np.float64)
+    nonzero = ref_s > 0
+    ref_jaccard[nonzero] = ref_matches[nonzero] / ref_s[nonzero]
+    sizes = sketches.exact_sizes[u] + sketches.exact_sizes[v]
+    assert np.array_equal(sketches.pair_jaccard(u, v), ref_jaccard)
+    assert np.array_equal(
+        sketches.pair_intersections(u, v), ref_jaccard / (1.0 + ref_jaccard) * sizes
+    )
+    for chunk in (65536, 7):
+        matches, eff_k = sketches._pair_matches_effective_k(u, v, chunk=chunk)
+        assert np.array_equal(matches, ref_matches)
+        assert np.array_equal(eff_k, ref_s)
+        common = sketches.pair_common(u, v, chunk=chunk)
+        assert np.array_equal(common, _sort_common(sketches.values, u, v, chunk=chunk))
 
 
 class TestKHashSignature:
@@ -171,6 +239,38 @@ class TestBatchContainers:
         edges = graph.edge_array()
         j = batch.pair_jaccard(edges[:, 0], edges[:, 1])
         assert np.all(j >= 0) and np.all(j <= 1)
+
+    @pytest.mark.parametrize("oriented", [False, True])
+    @pytest.mark.parametrize("seed", [1, 7919])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 16, 32])
+    def test_bottomk_kernels_equal_sort_reference(self, k, seed, oriented):
+        graph = kronecker_graph(scale=8, edge_factor=4, seed=5)
+        base = graph.oriented() if oriented else graph
+        sketches = BottomKFamily(k, seed=seed).sketch_neighborhoods(base.indptr, base.indices)
+        u, v = _oracle_pairs(base, seed)
+        _assert_bottomk_equals_sort_reference(sketches, u, v)
+
+    def test_bottomk_kernels_on_hand_made_rows(self):
+        e = _EMPTY
+        values = np.array(
+            [
+                [3, 8, 20, 41],
+                [3, 9, 20, e],
+                [1, 3, 8, e],
+                [8, 41, e, e],
+                [41, e, e, e],
+                [e, e, e, e],
+                [2, 3, 8, 2**64 - 1],  # a last value equal to the sentinel reads as empty
+                [0, 1, 2, 3],
+            ],
+            dtype=np.uint64,
+        )
+        sizes = np.array([9.0, 3.0, 3.0, 2.0, 1.0, 0.0, 4.0, 4.0])
+        sketches = BottomKNeighborhoodSketches(values, 4, 0, sizes)
+        u, v = (a.ravel() for a in np.meshgrid(np.arange(8), np.arange(8)))
+        # (0, 0) then (4, 4): one merged row ends with the value the next starts with.
+        u, v = np.append(u, [0, 4]), np.append(v, [0, 4])
+        _assert_bottomk_equals_sort_reference(sketches, u, v)
 
     def test_bottomk_pair_common_chunking(self):
         graph = self._graph()

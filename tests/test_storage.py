@@ -509,18 +509,18 @@ class TestStoreProperties:
 # ---------------------------------------------------------------------------
 class TestSessionStore:
     def test_miss_builds_and_saves_hit_loads(self, tmp_path, graph):
-        s1 = PGSession(store=tmp_path / "store")
-        pg = s1.probgraph(graph, representation="bloom", seed=4, num_bits=128)
-        assert s1.stats.constructions == 1
-        assert s1.stats.store_saves == 1
+        with PGSession(store=tmp_path / "store") as s1:
+            pg = s1.probgraph(graph, representation="bloom", seed=4, num_bits=128)
+            assert s1.stats.constructions == 1
+            assert s1.stats.store_saves == 1
 
-        s2 = PGSession(store=tmp_path / "store")
-        pg2 = s2.probgraph(graph, representation="bloom", seed=4, num_bits=128)
-        assert s2.stats.constructions == 0
-        assert s2.stats.store_hits == 1
-        assert not pg2.sketches.words.flags.writeable  # zero-copy mmap rows
-        u, v = _query_pairs(graph)
-        assert np.array_equal(pg.pair_intersections(u, v), pg2.pair_intersections(u, v))
+        with PGSession(store=tmp_path / "store") as s2:
+            pg2 = s2.probgraph(graph, representation="bloom", seed=4, num_bits=128)
+            assert s2.stats.constructions == 0
+            assert s2.stats.store_hits == 1
+            assert not pg2.sketches.words.flags.writeable  # zero-copy mmap rows
+            u, v = _query_pairs(graph)
+            assert np.array_equal(pg.pair_intersections(u, v), pg2.pair_intersections(u, v))
 
     def test_eager_store_mode_loads_writable(self, tmp_path, graph):
         s1 = PGSession(store=tmp_path / "store")
@@ -536,16 +536,30 @@ class TestSessionStore:
             PGSession(store=tmp_path, store_mode="lazy")
 
     def test_delta_patch_promotes_mmap_entry(self, tmp_path, graph):
-        s1 = PGSession(store=tmp_path / "store")
-        s1.probgraph(graph, representation="bloom", seed=4, num_bits=128)
-        s2 = PGSession(store=tmp_path / "store")
-        pg2 = s2.probgraph(graph, representation="bloom", seed=4, num_bits=128)
-        dyn = DynamicGraph(graph)
-        delta = dyn.apply_edges(insertions=[(0, graph.num_vertices - 1), (3, 7)])
-        assert s2.apply_delta(delta) == 1
-        assert pg2.sketches.words.flags.writeable  # promoted on first patch
-        fresh = _build(dyn.snapshot(), "bloom", seed=4)
-        assert np.array_equal(fresh.sketches.words, pg2.sketches.words)
+        with PGSession(store=tmp_path / "store") as s1:
+            s1.probgraph(graph, representation="bloom", seed=4, num_bits=128)
+        with PGSession(store=tmp_path / "store") as s2:
+            pg2 = s2.probgraph(graph, representation="bloom", seed=4, num_bits=128)
+            dyn = DynamicGraph(graph)
+            delta = dyn.apply_edges(insertions=[(0, graph.num_vertices - 1), (3, 7)])
+            assert s2.apply_delta(delta) == 1
+            assert pg2.sketches.words.flags.writeable  # promoted on first patch
+            fresh = _build(dyn.snapshot(), "bloom", seed=4)
+            assert np.array_equal(fresh.sketches.words, pg2.sketches.words)
+
+    def test_close_releases_handles_and_is_idempotent(self, tmp_path, graph):
+        with PGSession(store=tmp_path / "store") as warm:
+            warm.probgraph(graph, representation="bloom", seed=4, num_bits=128)
+        s = PGSession(store=tmp_path / "store")
+        with s as entered:
+            assert entered is s
+            pg = s.probgraph(graph, representation="bloom", seed=4, num_bits=128)
+            handle = s._handles[id(pg)]
+        assert handle.closed
+        assert not s._handles and len(s) == 0
+        s.close()  # a second close is a no-op
+        u, v = _query_pairs(graph)
+        assert pg.pair_intersections(u, v).shape == u.shape  # held objects still answer
 
     def test_eviction_and_clear_close_handles(self, tmp_path, graph):
         store_dir = tmp_path / "store"
