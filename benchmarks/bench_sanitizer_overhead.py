@@ -22,14 +22,15 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 
 #: The concurrency-sensitive subset: sharded engine (locks + shared memory),
-#: session cache (guarded state), LSH tables (stamped writes), the store
-#: handles an opened engine acquires and releases, and the sanitizer's own
-#: fixture tests.
+#: session cache (guarded state), LSH tables (stamped writes, including the
+#: session-path re-key splices of ``test_dynamic.py``), the store handles an
+#: opened engine acquires and releases, and the sanitizer's own fixture tests.
 FOCUSED_TESTS = [
     "tests/test_sharded.py",
     "tests/test_sharded_stream.py",
     "tests/test_engine.py",
     "tests/test_lsh.py",
+    "tests/test_dynamic.py",
     "tests/test_sanitizer.py",
     "tests/test_storage.py",
     "tests/test_properties_sharded.py",

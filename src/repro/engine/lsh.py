@@ -42,6 +42,15 @@ producing tables bit-identical to a fresh build on the new graph.
 :meth:`LSHIndex.apply_delta` (the :meth:`repro.engine.PGSession.apply_delta`
 path) marks and re-keys at once; ``ShardedEngine.apply_delta`` only marks,
 so a burst of deltas pays one table splice at the next query.
+
+A re-key costs what changed, not what the table holds.  The index keeps the
+``(n, b)`` band-key matrix and validity mask its build computes (9 bytes per
+``(row, band)`` cell), so :meth:`LSHIndex.rekey_rows` hashes only the marked
+rows, compares their keys with the matrix cell by cell, and moves only the
+entries whose key changed: each is found by ``searchsorted`` on the sorted
+keys plus a binary search on the vertex IDs inside its run of equal keys, and
+one assembly pass writes the new tables.  A MinHash slot moves only when a new
+neighbour beats its minimum, so most cells of a touched row keep their key.
 """
 
 from __future__ import annotations
@@ -112,14 +121,28 @@ def signature_matrix(
     The view aliases the container's live arrays — recompute it after the
     container is patched or grown rather than holding on to it.
     """
+    matrix = _signature_view(sketches)
+    if matrix is None:
+        return None
+    return matrix, _empty_slots(sketches, matrix)
+
+
+def _signature_view(sketches: NeighborhoodSketches) -> np.ndarray | None:
+    """The matrix half of :func:`signature_matrix`, without the O(n·k) empty mask."""
     if isinstance(sketches, KHashNeighborhoodSketches):
-        return sketches.signatures, sketches.signatures == _U64_EMPTY
+        return sketches.signatures
     if isinstance(sketches, BottomKNeighborhoodSketches):
-        return sketches.values, sketches.values == _U64_EMPTY
+        return sketches.values
     if isinstance(sketches, KMVNeighborhoodSketches):
-        values = np.ascontiguousarray(sketches.values)
-        return values.view(np.uint64), sketches.values >= 2.0
+        return np.ascontiguousarray(sketches.values).view(np.uint64)
     return None
+
+
+def _empty_slots(sketches: NeighborhoodSketches, rows: np.ndarray) -> np.ndarray:
+    """Which slots of ``rows`` (gathered from :func:`_signature_view`) are empty."""
+    if isinstance(sketches, KMVNeighborhoodSketches):
+        return rows.view(np.float64) >= 2.0
+    return rows == _U64_EMPTY
 
 
 @dataclass
@@ -224,12 +247,16 @@ class LSHIndex:
         # every table write is epoch-stamped against it.
         self._table_lock = _san.make_rlock("LSHIndex.tables")
         self._dirty = np.empty(0, dtype=np.int64)
+        # The (n, b) band keys and validity mask of every (row, band) cell, as
+        # the tables hold them; None until a build (or an open index's first
+        # re-key).
+        self._key_matrix: tuple[np.ndarray, np.ndarray] | None = None
         # ShardedEngine.apply_delta marks the rows it patched on every live
         # index (a weak registration that ends with the index).  Building and
         # registering under the engine's patch lock means a concurrent delta
         # lands either before the build or on the registered index.
         with nullcontext() if isinstance(source, ProbGraph) else source._patch_lock:
-            sig = signature_matrix(source.sketches)
+            sig = _signature_view(source.sketches)
             if sig is None:
                 if num_bands is not None or rows_per_band is not None:
                     raise ValueError(
@@ -242,7 +269,7 @@ class LSHIndex:
                 self._verts = np.empty(0, dtype=np.int64)
                 self._num_rows = source.num_vertices
             else:
-                slots = sig[0].shape[1]
+                slots = sig.shape[1]
                 self.resolution = _resolve_band_split(slots, num_bands, rows_per_band, threshold)
                 self._rebuild()
             if not isinstance(source, ProbGraph):
@@ -300,15 +327,16 @@ class LSHIndex:
         """
         assert self.resolution is not None
         rows = np.asarray(rows, dtype=np.int64).ravel()
-        sig = signature_matrix(self.source.sketches)
+        sketches = self.source.sketches
+        sig = _signature_view(sketches)
         assert sig is not None
         b, r = self.resolution.num_bands, self.resolution.rows_per_band
         keys = np.empty((rows.shape[0], b), dtype=np.uint64)
         valid = np.empty((rows.shape[0], b), dtype=bool)
         # Row blocks keep the column-strided reads of the gathered rows in cache.
         for start, stop in chunked_ranges(rows.shape[0], _KEY_BLOCK_ROWS):
-            sub = sig[0][rows[start:stop]]
-            sub_empty = sig[1][rows[start:stop]]
+            sub = sig[rows[start:stop]]
+            sub_empty = _empty_slots(sketches, sub)
             for band in range(b):
                 lo = band * r
                 h = splitmix64(sub[:, lo], seed=_KEY_SEED + lo)
@@ -318,75 +346,26 @@ class LSHIndex:
                 valid[start:stop, band] = ~sub_empty[:, lo:lo + r].all(axis=1)
         return keys, valid
 
-    def _entries_for_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flat (keys, vertex IDs) bucket entries of the given vertices, unsorted."""
-        keys, valid = self.band_keys(rows)
-        flat = valid.ravel()
-        return keys.ravel()[flat], np.repeat(rows, self.num_bands)[flat]
-
-    @staticmethod
-    def _pack_entries(keys: np.ndarray, verts: np.ndarray) -> np.ndarray:
-        """memcmp-ordered 16-byte packs of ``(key, vert)`` entries.
-
-        Big-endian key bytes followed by big-endian vertex bytes, so byte-wise
-        void comparison equals the canonical ``lexsort((verts, keys))`` order
-        (keys are uint64, vertex IDs are non-negative).  Lets a sorted splice
-        use :func:`np.searchsorted` on compound entries.
-        """
-        packed = np.empty(keys.shape[0], dtype="V16")
-        view = packed.view(np.uint8).reshape(-1, 16)
-        view[:, :8] = keys.astype(">u8", copy=False).view(np.uint8).reshape(-1, 8)
-        view[:, 8:] = (
-            verts.astype(np.uint64).astype(">u8").view(np.uint8).reshape(-1, 8)
-        )
-        return packed
-
-    def _splice_sorted(
-        self, keep: np.ndarray, new_keys: np.ndarray, new_verts: np.ndarray
-    ) -> None:
-        """Merge new entries into the kept (already canonical) entries in O(n).
-
-        A patch re-keys a few thousand rows of a table holding millions of
-        entries; re-sorting everything made :meth:`rekey_rows` cost as much
-        as a rebuild.  The kept entries stay sorted after masking, so sorting
-        only the new entries and computing their splice positions with one
-        compound-key ``searchsorted`` reproduces :meth:`_rebuild`'s canonical
-        order bit-for-bit at linear cost.
-        """
-        _san.stamp_write(self._table_lock, "LSHIndex.tables")
-        new_keys, new_verts = _canonical_sort(new_keys, new_verts)
-        old_keys, old_verts = self._keys[keep], self._verts[keep]
-        pos = np.searchsorted(
-            self._pack_entries(old_keys, old_verts),
-            self._pack_entries(new_keys, new_verts),
-            side="left",
-        )
-        total = old_keys.shape[0] + new_keys.shape[0]
-        at_new = pos + np.arange(new_keys.shape[0], dtype=np.int64)
-        at_old = np.ones(total, dtype=bool)
-        at_old[at_new] = False
-        keys = np.empty(total, dtype=old_keys.dtype)
-        verts = np.empty(total, dtype=old_verts.dtype)
-        keys[at_new], keys[at_old] = new_keys, old_keys
-        verts[at_new], verts[at_old] = new_verts, old_verts
-        self._keys = keys
-        self._verts = verts
-
     def _rebuild(self) -> None:
         with self._table_lock:
             num_rows = self.source.num_vertices
-            entries = self._entries_for_rows(np.arange(num_rows, dtype=np.int64))
+            rows = np.arange(num_rows, dtype=np.int64)
+            keys, valid = self.band_keys(rows)
+            flat = valid.ravel()
             _san.stamp_write(self._table_lock, "LSHIndex.tables")
-            self._keys, self._verts = _canonical_sort(*entries)
+            self._keys, self._verts = _canonical_sort(
+                keys.ravel()[flat], np.repeat(rows, self.num_bands)[flat]
+            )
+            self._key_matrix = (keys, valid)
             self._num_rows = num_rows
 
     # ------------------------------------------------------------- persistence
     @staticmethod
     def _signature_crc(sketches: NeighborhoodSketches) -> int:
         """Checksum binding saved bucket tables to their signature matrix."""
-        sig = signature_matrix(sketches)
+        sig = _signature_view(sketches)
         assert sig is not None
-        return zlib.crc32(memoryview(np.ascontiguousarray(sig[0])).cast("B"))
+        return zlib.crc32(memoryview(np.ascontiguousarray(sig)).cast("B"))
 
     def save(self, path: str | os.PathLike[str]) -> None:
         """Persist the bucket tables as one ``kind="lsh"`` block file.
@@ -470,7 +449,7 @@ class LSHIndex:
                     f"{os.fspath(path)}: tables cover {num_rows} rows, source "
                     f"has {sketches.num_sets}"
                 )
-            sig = signature_matrix(sketches)
+            sig = _signature_view(sketches)
             if sig is None:
                 raise StoreFormatError(
                     f"{os.fspath(path)}: source family stores no signature "
@@ -487,10 +466,10 @@ class LSHIndex:
                 int(handle.meta["signature_slots"]),
                 float(handle.meta["target_threshold"]),
             )
-            if resolution.slots_used > sig[0].shape[1]:
+            if resolution.slots_used > sig.shape[1]:
                 raise StoreFormatError(
                     f"{os.fspath(path)}: band split uses {resolution.slots_used} "
-                    f"slots, signature has {sig[0].shape[1]}"
+                    f"slots, signature has {sig.shape[1]}"
                 )
         except Exception:
             handle.close()
@@ -501,6 +480,7 @@ class LSHIndex:
         index._handle = handle
         index._table_lock = _san.make_rlock("LSHIndex.tables")
         index._dirty = np.empty(0, dtype=np.int64)
+        index._key_matrix = None  # built at the first re-key
         index.resolution = resolution
         index._keys = handle.arrays["keys"]
         index._verts = handle.arrays["verts"]
@@ -577,13 +557,22 @@ class LSHIndex:
             return self.rekey_rows(dirty)
 
     def rekey_rows(self, rows: np.ndarray) -> int:
-        """Re-key the bucket entries of the given vertices in place.
+        """Re-key the bucket entries of the given vertices.
 
         ``rows`` are global vertex IDs whose sketch rows already hold their
         *new* state; any vertices the source gained since the last build or
-        re-key are included automatically.  Re-keying is idempotent and entry
-        order is canonical, so the tables end up bit-identical to a fresh
-        build over the current source.  Returns the number of re-keyed rows.
+        re-key are included automatically (their old cells count as invalid).
+        Only the ``(row, band)`` cells whose key or validity differs from the
+        stored key matrix move: their old entries are dropped, their new ones
+        inserted, and the tables are rebound to fresh arrays in one pass, so
+        the cost follows the changed cells, not the table size.  An index
+        attached by :meth:`open` has no key matrix yet; its first re-key
+        replaces every entry of ``rows`` (found with a vertex mask over the
+        table) and then builds the matrix from the patched signatures.
+
+        Re-keying is idempotent and entry order is canonical, so the tables
+        end up bit-identical to a fresh build over the current source.
+        Returns the number of re-keyed rows.
         """
         if not self.banded:
             return 0
@@ -595,10 +584,89 @@ class LSHIndex:
                 rows = np.union1d(rows, grown)
             if rows.size == 0:
                 return 0
-            keep = ~np.isin(self._verts, rows)
-            self._splice_sorted(keep, *self._entries_for_rows(rows))
+            owners = np.broadcast_to(rows[:, None], (rows.shape[0], self.num_bands))
+            if self._key_matrix is None:
+                # Attached by open(): the rows' old keys are unknown, so drop
+                # every entry they hold and keep the matrix from here on.
+                matrix, valid = self.band_keys(np.arange(num_rows, dtype=np.int64))
+                new_keys, add = matrix[rows], valid[rows]
+                marked = np.zeros(num_rows, dtype=bool)
+                marked[rows] = True
+                drop = np.flatnonzero(marked[self._verts])
+            else:
+                new_keys, new_valid = self.band_keys(rows)
+                matrix, valid = self._key_matrix
+                if num_rows > matrix.shape[0]:
+                    extra = (num_rows - matrix.shape[0], matrix.shape[1])
+                    matrix = np.concatenate([matrix, np.zeros(extra, dtype=np.uint64)])
+                    valid = np.concatenate([valid, np.zeros(extra, dtype=bool)])
+                old_keys, old_valid = matrix[rows], valid[rows]
+                moved = new_keys != old_keys
+                gone = old_valid & (moved | ~new_valid)
+                add = new_valid & (moved | ~old_valid)
+                drop = self._entry_positions(*_canonical_sort(old_keys[gone], owners[gone]))
+                matrix[rows], valid[rows] = new_keys, new_valid
+            _san.stamp_write(self._table_lock, "LSHIndex.tables")
+            if drop.size or add.any():
+                self._splice(drop, *_canonical_sort(new_keys[add], owners[add]))
+            self._key_matrix = (matrix, valid)
             self._num_rows = num_rows
             return int(rows.size)
+
+    def _entry_positions(self, keys: np.ndarray, verts: np.ndarray) -> np.ndarray:
+        """Table positions of canonically sorted entries that the tables hold.
+
+        Entries are a multiset (one row can hold one key in two bands), so
+        each repeat of an entry takes the slot after the previous one.
+        """
+        pos = self._insertion_points(keys, verts)
+        step = np.arange(pos.shape[0], dtype=np.int64)
+        pos = np.maximum.accumulate(pos - step) + step
+        assert np.array_equal(self._keys[pos], keys) and np.array_equal(
+            self._verts[pos], verts
+        ), "key matrix and bucket tables disagree"
+        return pos
+
+    def _insertion_points(self, keys: np.ndarray, verts: np.ndarray) -> np.ndarray:
+        """Leftmost canonical position of each ``(key, vert)`` in the tables.
+
+        ``searchsorted`` on the sorted keys bounds each key's run; a binary
+        search on the vertex IDs, which are sorted inside a run, then runs in
+        lockstep over every entry still open.
+        """
+        lo = np.searchsorted(self._keys, keys, side="left")
+        hi = np.searchsorted(self._keys, keys, side="right")
+        table_verts = self._verts
+        open_ = np.flatnonzero(lo < hi)
+        while open_.shape[0]:
+            left, right = lo[open_], hi[open_]
+            mid = (left + right) >> 1
+            after = table_verts[mid] < verts[open_]
+            lo[open_] = np.where(after, mid + 1, left)
+            hi[open_] = np.where(after, right, mid)
+            open_ = open_[lo[open_] < hi[open_]]
+        return lo
+
+    def _splice(self, drop: np.ndarray, keys: np.ndarray, verts: np.ndarray) -> None:
+        """Rebind the tables to their entries minus positions ``drop`` plus new ones.
+
+        ``drop`` is sorted; the new entries are canonically sorted.  Each new
+        entry goes before the first held entry not below it, shifted left by
+        the drops ahead of that point and right by the new entries before it,
+        so one assembly pass yields the canonical order.
+        """
+        at = self._insertion_points(keys, verts)
+        at += np.arange(at.shape[0], dtype=np.int64) - np.searchsorted(drop, at)
+        kept = np.ones(self._keys.shape[0], dtype=bool)
+        kept[drop] = False
+        total = self._keys.shape[0] - drop.shape[0] + keys.shape[0]
+        old = np.ones(total, dtype=bool)
+        old[at] = False
+        out_keys = np.empty(total, dtype=np.uint64)
+        out_verts = np.empty(total, dtype=np.int64)
+        out_keys[at], out_keys[old] = keys, self._keys[kept]
+        out_verts[at], out_verts[old] = verts, self._verts[kept]
+        self._keys, self._verts = out_keys, out_verts
 
     # ----------------------------------------------------------------- probes
     def probe(self, keys: np.ndarray, valid: np.ndarray) -> list[np.ndarray]:

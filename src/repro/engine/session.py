@@ -345,9 +345,9 @@ class PGSession:
         invalidated instead.  Families without signature matrices (Bloom /
         HLL) cache one full-scan-fallback index per sketch set.
         """
-        from .lsh import LSHIndex, _resolve_band_split, signature_matrix
+        from .lsh import LSHIndex, _resolve_band_split, _signature_view
 
-        sig = signature_matrix(pg.sketches)
+        sig = _signature_view(pg.sketches)
         if sig is None:
             if num_bands is not None or rows_per_band is not None:
                 raise ValueError(
@@ -356,7 +356,7 @@ class PGSession:
                 )
             split: tuple[int, int] = (0, 0)
         else:
-            resolution = _resolve_band_split(sig[0].shape[1], num_bands, rows_per_band, threshold)
+            resolution = _resolve_band_split(sig.shape[1], num_bands, rows_per_band, threshold)
             split = (resolution.num_bands, resolution.rows_per_band)
         key = (pg.cache_key(), split)
         with self._lock:

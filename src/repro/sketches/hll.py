@@ -116,6 +116,9 @@ def estimate_register_rows(registers: np.ndarray) -> np.ndarray:
     batch-container estimates share this one code path.  ``registers`` holds
     uint8 ranks; each ``2**-r`` term is read from a 256-entry table (the
     values ``np.power(2.0, -r)`` gives) and the terms are summed along the row.
+
+    A row whose raw estimate reaches ``2**64`` (e.g. 16 registers all at rank
+    61) has no large-range correction and raises :class:`ValueError`.
     """
     registers = np.asarray(registers)
     m = registers.shape[-1]
@@ -129,6 +132,12 @@ def estimate_register_rows(registers: np.ndarray) -> np.ndarray:
     two64 = float(2**64)
     large = raw > two64 / 30.0
     if np.any(large):
+        if np.any(raw[large] >= two64):
+            # The large-range correction is log(1 - raw/2**64): undefined here.
+            raise ValueError(
+                "HLL raw estimate reaches 2**64, past the range of the 64-bit "
+                "large-range correction; the registers have no estimate"
+            )
         out[large] = -two64 * np.log1p(-raw[large] / two64)
     return out
 

@@ -15,6 +15,7 @@ import pytest
 from repro.core import ProbGraph
 from repro.dynamic import DynamicGraph, EdgeBatch, EdgeStream, changed_rows
 from repro.engine import LSHIndex, PGSession, engine_stats, reset_engine_stats
+from repro.engine import lsh as lsh_module
 from repro.graph import CSRGraph, kronecker_graph
 from repro.sketches.bloom import BloomFamily
 from repro.sketches.kmv import KMVFamily
@@ -448,6 +449,29 @@ class TestSessionLSHDeltaPatching:
         # ... and a warm lookup on the patched session returns it: no rebuild.
         assert session.lsh_index(pg) is index
         assert session.stats.lsh_constructions == 1
+
+    @pytest.mark.parametrize("representation", ["khash", "1hash", "kmv"])
+    def test_repeated_band_keys_rekey_like_a_rebuild(self, stream_graph, monkeypatch, representation):
+        """With 4-bit band keys most rows hold one key in several bands, so
+        the tables are a multiset; a re-key must move each repeat once."""
+        real = lsh_module.splitmix64
+        monkeypatch.setattr(
+            lsh_module, "splitmix64", lambda x, seed=0: real(x, seed) & np.uint64(0xF)
+        )
+        params = EXPLICIT_PARAMS[representation]
+        edges = stream_graph.edge_array()
+        dyn = DynamicGraph(num_vertices=stream_graph.num_vertices)
+        dyn.apply_edges(insertions=edges[:300])
+        session = PGSession()
+        pg = session.probgraph(dyn.snapshot(), representation=representation, seed=4, **params)
+        index = session.lsh_index(pg)
+        keys, valid = index.band_keys(np.arange(pg.num_vertices))
+        repeats = [np.unique(row[ok]).shape[0] < np.count_nonzero(ok) for row, ok in zip(keys, valid)]
+        assert sum(repeats) > 10
+        for step in ({"insertions": edges[300:500]}, {"deletions": edges[:60]}):
+            session.apply_delta(dyn.apply_edges(**step))
+            fresh = LSHIndex(ProbGraph(dyn.snapshot(), representation=representation, seed=4, **params))
+            assert_lsh_bit_identical(index, fresh)
 
     def test_vertex_growing_delta_extends_tables(self, stream_graph):
         n = stream_graph.num_vertices

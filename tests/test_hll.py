@@ -119,18 +119,41 @@ class TestRegisterEstimate:
         m = 1 << precision
         rng = np.random.default_rng(precision)
         rows = np.empty((4, m), dtype=np.uint8)
-        # Rows of all-high ranks push the large-range correction past 2**64,
-        # where both formulas give NaN; they must agree there too.
-        with np.errstate(invalid="ignore"):
+        # Rows of all-high ranks push the raw estimate to 2**64 or past it,
+        # where the reference's large-range correction gives NaN (or inf) and
+        # the table-driven estimate raises instead.
+        with np.errstate(invalid="ignore", divide="ignore"):
             for rank in range(62):
                 rows[:] = rank
                 rows[1, ::2] = 0  # zero registers: the linear-counting branch
                 rows[2] = rng.integers(0, rank + 1, m)
                 rows[3, 1:] = 40  # one `rank` term among mid-range ones, no NaN
-                got, want = estimate_register_rows(rows), _power_estimate(rows)
-                assert np.array_equal(got, want, equal_nan=True), rank
+                want = _power_estimate(rows)
+                finite = np.isfinite(want)
+                assert np.array_equal(estimate_register_rows(rows[finite]), want[finite]), rank
+                for row in rows[~finite]:
+                    with pytest.raises(ValueError, match=r"2\*\*64"):
+                        estimate_register_rows(row)
         mixed = rng.integers(0, 62, (4, m)).astype(np.uint8)
         assert np.array_equal(estimate_register_rows(mixed), _power_estimate(mixed))
+
+    def test_raw_estimate_reaching_two_to_the_64_raises(self):
+        # 16 registers at rank 61: raw = 0.673 * 16 * 2**61, about 1.35 * 2**64.
+        over = np.full((2, 16), 61, dtype=np.uint8)
+        over[0] = 3  # a valid row beside it does not hide the bad one
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            estimate_register_rows(over)
+        bad = HyperLogLog(precision=4)
+        bad.registers[:] = 61  # the scalar sketch shares the estimate
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            bad.cardinality()
+        # Ten registers at rank 61 and six at 60: raw is about 0.979 * 2**64,
+        # still inside the large-range correction, which stays finite.
+        under = np.array([[61] * 10 + [60] * 6], dtype=np.uint8)
+        with np.errstate(all="raise"):
+            got = estimate_register_rows(under)
+        assert np.isfinite(got).all() and got[0] > float(2**64)
+        assert np.array_equal(got, _power_estimate(under))
 
 
 class TestHLLFamily:

@@ -5,7 +5,9 @@ incrementally maintained sketches are bit-identical to sketches rebuilt from
 scratch on the final graph — for every sketch family, oriented and unoriented,
 across hash seeds and arbitrary batch boundaries.  A second property extends
 the check to mixed insert/delete streams (where deletions go through the
-tombstone + row-resketch path).
+tombstone + row-resketch path) and to vertex growth; there, the LSH bucket
+tables of the families that band (k-hash, 1-hash, KMV) are re-keyed through
+every delta and must equal a fresh build's after each one.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core import ProbGraph
 from repro.dynamic import DynamicGraph, EdgeBatch, EdgeStream
+from repro.engine import LSHIndex
 from repro.graph import CSRGraph
 
 NUM_VERTICES = 48
@@ -41,6 +44,18 @@ edge_lists = st.lists(
     min_size=1,
     max_size=160,
 )
+
+#: Edges that reach past the initial vertex range, so a delta grows the graph.
+growth_edges = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=NUM_VERTICES + 7),
+        st.integers(min_value=NUM_VERTICES, max_value=NUM_VERTICES + 7),
+    ),
+    max_size=8,
+)
+
+#: Families whose containers hold a signature matrix, so LSH tables exist.
+BANDED = {"khash", "1hash", "kmv"}
 
 
 def _payload(pg: ProbGraph) -> np.ndarray:
@@ -99,23 +114,36 @@ def test_insert_only_stream_bit_identical(representation, oriented, edges, batch
 @given(
     edges=edge_lists,
     deletions=edge_lists,
+    growth=growth_edges,
     split=st.integers(min_value=1, max_value=4),
+    drop_every=st.integers(min_value=2, max_value=5),
     seed=st.sampled_from([0, 31]),
 )
 @settings(max_examples=8, deadline=None)
-def test_mixed_stream_bit_identical(representation, oriented, edges, deletions, split, seed):
-    ins = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+def test_mixed_stream_bit_identical(
+    representation, oriented, edges, deletions, growth, split, drop_every, seed
+):
+    ins = np.asarray(edges + growth, dtype=np.int64).reshape(-1, 2)
     dels = np.asarray(deletions, dtype=np.int64).reshape(-1, 2)
-    dyn = DynamicGraph(num_vertices=NUM_VERTICES)
-    pg = ProbGraph(
-        dyn.snapshot(),
-        representation=representation,
-        oriented=oriented,
-        seed=seed,
+    params = dict(
+        representation=representation, oriented=oriented, seed=seed,
         **EXPLICIT_PARAMS[representation],
     )
+    dyn = DynamicGraph(num_vertices=NUM_VERTICES)
+    pg = ProbGraph(dyn.snapshot(), **params)
+    index = LSHIndex(pg) if representation in BANDED else None
     ins_chunks = np.array_split(ins, split)
     del_chunks = np.array_split(dels, split)
+    inserted = np.empty((0, 2), dtype=np.int64)
     for chunk_ins, chunk_del in zip(ins_chunks, del_chunks):
-        pg.apply_delta(dyn.apply(EdgeBatch(insertions=chunk_ins, deletions=chunk_del)))
+        # Random pairs rarely hit an edge; also delete some that exist.
+        doomed = np.concatenate([chunk_del, inserted[::drop_every]])
+        delta = dyn.apply(EdgeBatch(insertions=chunk_ins, deletions=doomed))
+        pg.apply_delta(delta)
+        inserted = np.concatenate([inserted, chunk_ins])
+        if index is not None:
+            index.apply_delta(delta)
+            fresh = LSHIndex(ProbGraph(dyn.snapshot(), **params))
+            assert np.array_equal(index._keys, fresh._keys)
+            assert np.array_equal(index._verts, fresh._verts)
     _assert_maintained_equals_rebuilt(dyn, pg, representation, oriented, seed)

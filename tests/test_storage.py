@@ -727,6 +727,24 @@ class TestShardedPersistence:
             assert rebuilt._handle is None
             self._assert_same_tables(rebuilt, index)
 
+    @pytest.mark.parametrize("representation", ["khash", "1hash", "kmv"])
+    def test_mapped_tables_take_successive_deltas(self, tmp_path, graph, representation):
+        # The first delta replaces the rows' entries (a mapped index keeps no
+        # key matrix) and builds the matrix; the second splices changed cells.
+        root = self._saved(tmp_path / "eng", graph, representation)
+        saved_bytes = (root / "lsh.pgsk").read_bytes()
+        dyn = DynamicGraph(graph)
+        edges = graph.edge_array()
+        with ShardedEngine.open(root) as eng2:
+            index = eng2.lsh_index()
+            assert index._handle is not None and index._key_matrix is None
+            for step in ({"insertions": [(0, 9), (3, 40), (17, 80)]},
+                         {"deletions": edges[::11], "insertions": [(2, 90)]}):
+                eng2.apply_delta(dyn.apply_edges(**step))
+                self._assert_same_tables(index, LSHIndex(eng2.to_probgraph()))
+                assert index._key_matrix is not None
+                assert (root / "lsh.pgsk").read_bytes() == saved_bytes
+
     def test_directory_without_lsh_tables_builds_in_memory(self, tmp_path, graph):
         # A format-2 directory from before the tables were saved.
         root = self._saved(tmp_path / "eng", graph)
