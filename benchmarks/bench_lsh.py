@@ -12,18 +12,21 @@ candidate — recall of the servable pairs is exactly 1.0 by construction, and
 this script *measures* it instead of trusting the argument.
 
 Default workload: a Kronecker graph with ≥100k vertices, k-hash signatures at
-``k = 16``, and a sampled query batch answered twice — once by the streaming
-full scan (`topk_per_source`, the exact reference restricted to nothing) and
-once through the banding index.  The script asserts
+``k = 16``, and a sampled query batch answered by the streaming full scan
+(`topk_per_source`, the exact reference restricted to nothing) and through
+the banding index, each timed over 7 repeats.  The script asserts
 
+* every served row equals the full scan restricted to that source's
+  candidates (``topk_per_source`` over ``query_candidates``), bit for bit;
 * candidate recall ≥ 0.9 over the reference's nonzero-scoring top-k pairs
   (measured, at the default ``(b, r)``), and
-* ≥ 5× per-query speedup over the full scan,
+* ≥ 5× per-query speedup over the full scan, as a ratio of medians,
 
-then appends a timestamped run record to the ``BENCH_lsh.json`` trajectory
-(see ``benchmarks/_trajectory.py``).  ``--smoke`` caps the workload for CI and
-skips the wall-clock assertion (recall is still asserted — it is
-deterministic, not load-dependent).
+then appends a timestamped run record, with each path's median and
+interquartile range and the environment, to the ``BENCH_lsh.json``
+trajectory (see ``benchmarks/_trajectory.py``).  ``--smoke`` caps the
+workload for CI and skips the wall-clock assertion (the served rows and
+recall are still asserted — they are deterministic, not load-dependent).
 
 Run with:
     python benchmarks/bench_lsh.py            # full: >=100k vertices
@@ -35,17 +38,20 @@ from __future__ import annotations
 import argparse
 import time
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from _trajectory import append_run
 from repro.core import ProbGraph
-from repro.engine import LSHIndex, topk_per_source
+from repro.engine import LSHIndex, TopKResult, topk_per_source
 from repro.graph import kronecker_graph
 
 MIN_FULL_VERTICES = 100_000
 REQUIRED_SPEEDUP = 5.0
 REQUIRED_RECALL = 0.9
+#: Timed runs of each path; the record keeps their median and quartiles.
+REPEATS = 7
 
 
 def parse_args() -> argparse.Namespace:
@@ -62,6 +68,34 @@ def parse_args() -> argparse.Namespace:
         help="measurement JSON path (default: repo root BENCH_lsh.json)",
     )
     return parser.parse_args()
+
+
+def timed(fn: Callable[[], Any]) -> tuple[Any, dict[str, float]]:
+    """``fn()``'s result and its wall time over :data:`REPEATS` runs, in seconds."""
+    seconds = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = fn()
+        seconds.append(time.perf_counter() - start)
+    q1, median, q3 = np.percentile(seconds, [25, 50, 75])
+    return result, {"median": float(median), "q1": float(q1), "q3": float(q3), "iqr": float(q3 - q1)}
+
+
+def check_against_oracle(
+    pg: ProbGraph, index: LSHIndex, sources: np.ndarray, k: int, result: TopKResult
+) -> None:
+    """Each served row must equal the full scan over that source's candidates."""
+    width = min(k, pg.num_vertices)
+    for row, s in enumerate(sources):
+        candidates = index.query_candidates(int(s), exclude_self=False)
+        want = topk_per_source(pg, np.asarray([s]), k, candidates=candidates)
+        indices = np.full(width, -1, dtype=np.int64)
+        scores = np.zeros(width, dtype=np.float64)
+        indices[: want.indices.shape[1]] = want.indices[0]
+        scores[: want.scores.shape[1]] = want.scores[0]
+        assert np.array_equal(result.indices[row], indices) and np.array_equal(
+            result.scores[row], scores
+        ), f"served row of source {s} differs from the full scan over its candidates"
 
 
 def main() -> None:
@@ -89,13 +123,12 @@ def main() -> None:
     rng = np.random.default_rng(9)
     sources = rng.choice(graph.num_vertices, size=args.queries, replace=False).astype(np.int64)
 
-    start = time.perf_counter()
-    reference = topk_per_source(pg, sources, args.topk)
-    full_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    result = index.topk_similar_batch(sources, args.topk)
-    lsh_seconds = time.perf_counter() - start
+    reference, full = timed(lambda: topk_per_source(pg, sources, args.topk))
+    result, lsh = timed(lambda: index.topk_similar_batch(sources, args.topk))
+    full_seconds, lsh_seconds = full["median"], lsh["median"]
     speedup = full_seconds / lsh_seconds
+    check_against_oracle(pg, index, sources, args.topk, result)
+    print(f"served rows equal the full scan over each source's candidates ({args.queries} sources)")
 
     # --- recall of the servable pairs (reference rows with nonzero score) ----
     retrieved = hits = 0
@@ -107,13 +140,13 @@ def main() -> None:
     mean_candidates = index.stats.mean_candidates
     candidate_fraction = mean_candidates / graph.num_vertices
     print(
-        f"full scan: {full_seconds * 1e3:8.1f} ms for {args.queries} queries "
-        f"({graph.num_vertices:,} candidates each)"
+        f"full scan: {full_seconds * 1e3:8.1f} ms (IQR {full['iqr'] * 1e3:.1f}) for "
+        f"{args.queries} queries ({graph.num_vertices:,} candidates each)"
     )
     print(
-        f"LSH probe: {lsh_seconds * 1e3:8.1f} ms "
+        f"LSH probe: {lsh_seconds * 1e3:8.1f} ms (IQR {lsh['iqr'] * 1e3:.1f}) "
         f"({mean_candidates:,.0f} candidates each, {candidate_fraction:.1%} of n) "
-        f"->  {speedup:.1f}x"
+        f"->  {speedup:.1f}x (medians of {REPEATS})"
     )
     print(f"candidate recall over {hits} reference pairs: {recall:.4f}")
 
@@ -127,6 +160,7 @@ def main() -> None:
         "build_seconds": build_seconds,
         "full_scan_seconds": full_seconds,
         "lsh_seconds": lsh_seconds,
+        "timings": {"repeats": REPEATS, "full_scan": full, "lsh": lsh},
         "speedup": speedup,
         "recall": recall,
         "mean_candidates": mean_candidates,

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, check_vertex_ids
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports core)
     from ..dynamic.graph import GraphDelta
@@ -377,12 +377,17 @@ class ProbGraph:
         v: np.ndarray,
         estimator: EstimatorKind | str | None = None,
     ) -> np.ndarray:
-        """Estimate ``|N_u ∩ N_v|`` for arrays of vertex pairs — the PG inner kernel."""
+        """Estimate ``|N_u ∩ N_v|`` for arrays of vertex pairs — the PG inner kernel.
+
+        Raises ``ValueError`` for a vertex ID outside ``[0, n)``.
+        """
         kind = (
             check_estimator_kind(self.representation, estimator)
             if estimator is not None
             else self.estimator
         )
+        u = check_vertex_ids(u, self.num_vertices, "u")
+        v = check_vertex_ids(v, self.num_vertices, "v")
         if isinstance(self.sketches, BloomNeighborhoodSketches):
             return self.sketches.pair_intersections(u, v, estimator=kind)
         return self.sketches.pair_intersections(u, v)
@@ -398,14 +403,17 @@ class ProbGraph:
 
         Delegates to
         :meth:`repro.sketches.base.NeighborhoodSketches.pair_intersections_chunked`,
-        resolving the estimator kwarg exactly like :meth:`pair_intersections`.
-        The batch engine's sequential path runs through here.
+        resolving the estimator kwarg and checking vertex IDs exactly like
+        :meth:`pair_intersections`.  The batch engine's sequential path runs
+        through here.
         """
         kind = (
             check_estimator_kind(self.representation, estimator)
             if estimator is not None
             else self.estimator
         )
+        u = check_vertex_ids(u, self.num_vertices, "u")
+        v = check_vertex_ids(v, self.num_vertices, "v")
         if isinstance(self.sketches, BloomNeighborhoodSketches):
             return self.sketches.pair_intersections_chunked(u, v, max_chunk_pairs, estimator=kind)
         return self.sketches.pair_intersections_chunked(u, v, max_chunk_pairs)

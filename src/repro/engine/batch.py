@@ -20,13 +20,15 @@ instead:
   instead of aliasing another row or failing mid-chunk;
 * module-level :class:`EngineStats` counters record every query/chunk/pair so
   tests and benchmarks can assert that an algorithm actually executed through
-  the engine path.
+  the engine path; every update holds one module lock, so concurrent callers
+  lose no counts.
 
 See ``docs/architecture.md`` for the full caching/chunking contract.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -34,6 +36,7 @@ import numpy as np
 
 from ..core.estimators import EstimatorKind, intersection_to_jaccard
 from ..core.probgraph import ProbGraph
+from ..graph.csr import check_vertex_ids
 from ..parallel.executor import chunked_ranges
 from ..sketches.base import SketchContainer
 
@@ -113,13 +116,17 @@ class EngineStats:
 
     def snapshot(self) -> "EngineStats":
         """An independent copy (the module-level instance keeps mutating)."""
-        return EngineStats(
-            self.queries, self.chunks, self.pairs, self.patches, self.patched_rows,
-            self.topk_queries,
-        )
+        with _STATS_LOCK:
+            return EngineStats(
+                self.queries, self.chunks, self.pairs, self.patches, self.patched_rows,
+                self.topk_queries,
+            )
 
 
 _STATS = EngineStats()
+# Held by every read-modify-write of _STATS: the entry points that update it
+# are thread-safe, and an unlocked `+=` from two threads loses counts.
+_STATS_LOCK = threading.Lock()
 
 
 def engine_stats() -> EngineStats:
@@ -129,35 +136,39 @@ def engine_stats() -> EngineStats:
 
 def reset_engine_stats() -> None:
     """Zero the process-wide counters (test isolation helper)."""
-    _STATS.queries = 0
-    _STATS.chunks = 0
-    _STATS.pairs = 0
-    _STATS.patches = 0
-    _STATS.patched_rows = 0
-    _STATS.topk_queries = 0
+    with _STATS_LOCK:
+        _STATS.queries = 0
+        _STATS.chunks = 0
+        _STATS.pairs = 0
+        _STATS.patches = 0
+        _STATS.patched_rows = 0
+        _STATS.topk_queries = 0
 
 
 def record_patch(rows_touched: int) -> None:
     """Account one dynamic-delta application that patched ``rows_touched`` sketch rows."""
-    _STATS.patches += 1
-    _STATS.patched_rows += int(rows_touched)
+    with _STATS_LOCK:
+        _STATS.patches += 1
+        _STATS.patched_rows += int(rows_touched)
 
 
 def record_query(pairs: int, chunks: int) -> None:
-    """Account one batched query whose chunk loop lives outside this module.
+    """Account one batched query of ``pairs`` pairs streamed in ``chunks`` chunks.
 
-    The top-k per-source reduction streams candidate *windows* rather than
-    flat pair slices, so it reports its own pair/chunk totals here instead of
-    going through :func:`iter_pair_chunks`.
+    Every query counter update goes through here, including those of loops
+    outside this module: the top-k per-source reduction streams candidate
+    *windows* rather than flat pair slices, so it reports its own totals.
     """
-    _STATS.queries += 1
-    _STATS.pairs += int(pairs)
-    _STATS.chunks += int(chunks)
+    with _STATS_LOCK:
+        _STATS.queries += 1
+        _STATS.pairs += int(pairs)
+        _STATS.chunks += int(chunks)
 
 
 def record_topk() -> None:
     """Account one streaming top-k retrieval (see :mod:`repro.engine.topk`)."""
-    _STATS.topk_queries += 1
+    with _STATS_LOCK:
+        _STATS.topk_queries += 1
 
 
 def resolve_chunk_pairs(sketches: SketchContainer, config: EngineConfig | None = None) -> int:
@@ -172,22 +183,6 @@ def resolve_chunk_pairs(sketches: SketchContainer, config: EngineConfig | None =
         return config.max_chunk_pairs
     per_pair = max(int(getattr(sketches, "pair_scratch_bytes", 64)), 1)
     return max(config.memory_budget_bytes // per_pair, _MIN_AUTO_CHUNK_PAIRS)
-
-
-def check_vertex_ids(ids: np.ndarray, num_vertices: int, name: str = "vertex IDs") -> np.ndarray:
-    """``ids`` as a flat int64 array, rejecting any ID outside ``[0, num_vertices)``.
-
-    The one boundary check of caller-supplied vertex IDs: without it a
-    negative ID silently aliases the row NumPy's negative indexing picks, and
-    an ID past the end fails mid-chunk with a bare ``IndexError``.  Empty
-    inputs are valid.
-    """
-    ids = np.asarray(ids, dtype=np.int64).ravel()
-    # Viewed as uint64 a negative ID exceeds every valid one: one pass, one max.
-    if ids.size and ids.view(np.uint64).max() >= num_vertices:
-        bad = ids[(ids < 0) | (ids >= num_vertices)][0]
-        raise ValueError(f"{name} must lie in [0, {num_vertices}); got {bad}")
-    return ids
 
 
 def _as_pair_arrays(
@@ -211,12 +206,9 @@ def iter_pair_chunks(
     of scratch) still stream through engine-sized windows and show up in
     :func:`engine_stats`.
     """
-    chunk = resolve_chunk_pairs(sketches, config)
-    _STATS.queries += 1
-    _STATS.pairs += int(total)
-    for start, stop in chunked_ranges(int(total), chunk):
-        _STATS.chunks += 1
-        yield start, stop
+    windows = chunked_ranges(int(total), resolve_chunk_pairs(sketches, config))
+    record_query(total, len(windows))
+    yield from windows
 
 
 def batched_pair_intersections(
@@ -235,12 +227,10 @@ def batched_pair_intersections(
     config = config or EngineConfig()
     u, v = _as_pair_arrays(u, v, pg.num_vertices)
     total = u.shape[0]
-    _STATS.queries += 1
-    _STATS.pairs += total
+    chunk = resolve_chunk_pairs(pg.sketches, config)
+    record_query(total, len(chunked_ranges(total, chunk)))
     if total == 0:
         return np.empty(0, dtype=np.float64)
-    chunk = resolve_chunk_pairs(pg.sketches, config)
-    _STATS.chunks += len(chunked_ranges(total, chunk))
     return pg.pair_intersections_chunked(u, v, chunk, estimator=estimator)
 
 
@@ -260,7 +250,7 @@ def batched_pair_jaccard(
     u, v = _as_pair_arrays(u, v, pg.num_vertices)
     total = u.shape[0]
     if total == 0:
-        _STATS.queries += 1
+        record_query(0, 0)
         return np.empty(0, dtype=np.float64)
     inter = batched_pair_intersections(pg, u, v, estimator=estimator, config=config)
     degrees = pg.base_degrees.astype(np.float64)
@@ -283,15 +273,10 @@ def sum_pair_intersections(
     """
     config = config or EngineConfig()
     u, v = _as_pair_arrays(u, v, pg.num_vertices)
-    total = u.shape[0]
-    _STATS.queries += 1
-    _STATS.pairs += total
-    if total == 0:
-        return 0.0
-    chunk = resolve_chunk_pairs(pg.sketches, config)
+    windows = chunked_ranges(u.shape[0], resolve_chunk_pairs(pg.sketches, config))
+    record_query(u.shape[0], len(windows))
     acc = 0.0
-    for start, stop in chunked_ranges(total, chunk):
-        _STATS.chunks += 1
+    for start, stop in windows:
         acc += float(pg.pair_intersections(u[start:stop], v[start:stop], estimator=estimator).sum())
     return acc
 
@@ -316,12 +301,9 @@ def scatter_add_pair_intersections(
     index = np.asarray(index, dtype=np.int64).ravel()
     if index.shape != u.shape:
         raise ValueError("index must have the same shape as u and v")
-    total = u.shape[0]
-    _STATS.queries += 1
-    _STATS.pairs += total
-    chunk = resolve_chunk_pairs(pg.sketches, config)
-    for start, stop in chunked_ranges(total, chunk):
-        _STATS.chunks += 1
+    windows = chunked_ranges(u.shape[0], resolve_chunk_pairs(pg.sketches, config))
+    record_query(u.shape[0], len(windows))
+    for start, stop in windows:
         ests = pg.pair_intersections(u[start:stop], v[start:stop], estimator=estimator)
         np.add.at(out, index[start:stop], ests)
     return out

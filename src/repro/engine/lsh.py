@@ -29,8 +29,12 @@ The rows come from the ``sketches`` container of a
 :class:`~repro.engine.sharded.ShardedEngine`, both in global vertex order, so
 either fills **one** ``(key, vertex)`` table of global vertex IDs — an
 engine's table is bit-identical to ``engine.to_probgraph()``'s, and
-re-partitioning the engine needs no LSH work.  Candidates are scored through
-the source's own ``pair_intersections`` (counted in shipments for an engine).
+re-partitioning the engine needs no LSH work.  One probe returns every
+source's candidates with their hit counts.  On a k-hash index with one slot
+per band, a candidate's hits are its agreeing signature slots, so it is scored
+from them, and only the winners are re-scored through the source's own
+``pair_intersections`` (counted in shipments for an engine) to confirm the
+answer; other families and splits score every candidate that way.
 
 Bloom and HyperLogLog containers store no per-element values, so no banding
 index can be built over them: the index transparently **falls back to the
@@ -65,10 +69,10 @@ import numpy as np
 
 from ..analysis import runtime as _san
 from ..core.budget import DEFAULT_LSH_THRESHOLD, LSHResolution, resolve_lsh_params
-from ..core.estimators import EstimatorKind
-from ..core.probgraph import ProbGraph
+from ..core.estimators import EstimatorKind, intersection_to_jaccard
+from ..core.probgraph import ProbGraph, check_estimator_kind
 from ..parallel.executor import chunked_ranges
-from ..sketches.base import NeighborhoodSketches
+from ..sketches.base import NeighborhoodSketches, ragged_gather
 from ..sketches.hashing import splitmix64
 from ..sketches.kmv import KMVNeighborhoodSketches
 from ..sketches.minhash import BottomKNeighborhoodSketches, KHashNeighborhoodSketches
@@ -80,7 +84,13 @@ from .batch import (
     record_topk,
     resolve_chunk_pairs,
 )
-from .topk import TopKResult, _resolve_score_fn, materialized_topk, topk_per_source
+from .topk import (
+    ScoreFn,
+    TopKResult,
+    _chunk_topk_positions,
+    _resolve_score_fn,
+    topk_per_source,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dynamic.graph import GraphDelta
@@ -153,10 +163,13 @@ class LSHIndexStats:
     probed_sources: int = 0
     candidates_scored: int = 0
     full_scan_fallbacks: int = 0
+    #: Batches scored from band collision counts whose re-scored winners
+    #: differed, so the batch was scored again from the signatures.
+    count_mismatches: int = 0
 
     @property
     def mean_candidates(self) -> float:
-        """Average scored candidates per probed source — the sublinearity measure."""
+        """Average candidates found per probed source — the sublinearity measure."""
         if self.probed_sources == 0:
             return 0.0
         return self.candidates_scored / self.probed_sources
@@ -172,8 +185,9 @@ def select_topk_rows(
     """Canonical per-source selection over ragged candidate lists.
 
     ``candidate_lists[i]`` holds source ``i``'s sorted unique candidate IDs and
-    ``flat_scores`` their scores, concatenated in the same order.  Selection is
-    exactly :func:`repro.engine.topk.materialized_topk` per row — score
+    ``flat_scores`` their scores, concatenated in the same order.  Each row is
+    selected by the streaming top-k's partition-based selector, which equals
+    :func:`repro.engine.topk.materialized_topk` — score
     descending, candidate ID ascending on ties — padded with ``-1`` (score
     ``0.0``) to width ``k``, so a result row equals the full-scan
     :func:`~repro.engine.topk.topk_per_source` row whenever the candidate list
@@ -194,7 +208,8 @@ def select_topk_rows(
         offset += cand.shape[0]
         if exclude_self:
             scores = np.where(cand == sources[i], -np.inf, scores)
-        positions, values = materialized_topk(scores, min(k, cand.shape[0]))
+        positions = _chunk_topk_positions(scores, min(k, cand.shape[0]))
+        values = scores[positions]
         keep = np.isfinite(values)
         positions, values = positions[keep], values[keep]
         best_idx[i, : positions.shape[0]] = cand[positions]
@@ -323,11 +338,12 @@ class LSHIndex:
         keeps all-empty vertices from colliding with each other.
 
         Keys depend only on the family parameters and the band split, never
-        on which container holds the row.
+        on which container holds the row.  A row outside ``[0, n)`` raises
+        ``ValueError``.
         """
         assert self.resolution is not None
-        rows = np.asarray(rows, dtype=np.int64).ravel()
         sketches = self.source.sketches
+        rows = check_vertex_ids(rows, sketches.num_sets, "rows")
         sig = _signature_view(sketches)
         assert sig is not None
         b, r = self.resolution.num_bands, self.resolution.rows_per_band
@@ -669,6 +685,27 @@ class LSHIndex:
         self._keys, self._verts = out_keys, out_verts
 
     # ----------------------------------------------------------------- probes
+    def _probe_hits(
+        self, keys: np.ndarray, valid: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every ``(query row, vertex, hits)`` triple of a batch of band keys.
+
+        ``hits`` counts the bucket entries holding the vertex under any of the
+        row's valid keys.  One ``searchsorted`` pair bounds every span, one
+        gather reads them, and one ``np.unique`` over ``row · n + vertex``
+        deduplicates, so the triples come sorted by row, then vertex.
+        """
+        table_keys, table_verts = self._keys, self._verts
+        flat = keys.ravel()
+        left = np.searchsorted(table_keys, flat, side="left")
+        right = np.searchsorted(table_keys, flat, side="right")
+        lengths = np.where(valid.ravel(), right - left, 0)  # invalid bands match nothing
+        verts = table_verts[ragged_gather(left, lengths)]
+        bound = int(verts.max()) + 1 if verts.size else 1
+        rows = np.repeat(np.arange(keys.shape[0], dtype=np.int64), keys.shape[1])
+        found, hits = np.unique(np.repeat(rows * bound, lengths) + verts, return_counts=True)
+        return found // bound, found % bound, hits
+
     def probe(self, keys: np.ndarray, valid: np.ndarray) -> list[np.ndarray]:
         """Per query row: sorted unique vertex IDs sharing at least one band key.
 
@@ -678,21 +715,19 @@ class LSHIndex:
         Reads the tables as of the last flush (:meth:`query_candidates_batch`
         flushes first).
         """
-        left = np.searchsorted(self._keys, keys, side="left")
-        right = np.searchsorted(self._keys, keys, side="right")
-        right = np.where(valid, right, left)  # invalid bands match nothing
-        out: list[np.ndarray] = []
-        for i in range(keys.shape[0]):
-            spans = [
-                self._verts[lo:hi]
-                for lo, hi in zip(left[i], right[i])
-                if hi > lo
-            ]
-            if spans:
-                out.append(np.unique(np.concatenate(spans)))
-            else:
-                out.append(np.empty(0, dtype=np.int64))
-        return out
+        rows, verts, _ = self._probe_hits(keys, valid)
+        return _split_rows(verts, rows, keys.shape[0])
+
+    def _candidate_hits(
+        self, sources: np.ndarray, candidates: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flushed probe triples of checked ``sources``, kept to the ``candidates`` pool."""
+        self._flush()
+        rows, verts, hits = self._probe_hits(*self.band_keys(sources))
+        if candidates is not None:
+            keep = np.isin(verts, candidates)
+            rows, verts, hits = rows[keep], verts[keep], hits[keep]
+        return rows, verts, hits
 
     def query_candidates_batch(
         self,
@@ -720,17 +755,11 @@ class LSHIndex:
             return [
                 pool[pool != s] if exclude_self else pool.copy() for s in sources
             ]
-        self._flush()
-        keys, valid = self.band_keys(sources)
-        found = self.probe(keys, valid)
-        out = []
-        for s, cand in zip(sources, found):
-            if candidates is not None:
-                cand = np.intersect1d(cand, candidates, assume_unique=True)
-            if exclude_self:
-                cand = cand[cand != s]
-            out.append(cand)
-        return out
+        rows, verts, _ = self._candidate_hits(sources, candidates)
+        if exclude_self:
+            keep = verts != sources[rows]
+            rows, verts = rows[keep], verts[keep]
+        return _split_rows(verts, rows, sources.shape[0])
 
     def query_candidates(
         self,
@@ -766,6 +795,21 @@ class LSHIndex:
         S-curve recall contract.  With ``exact=True``, or on a Bloom/HLL
         container, the call routes to the source's full scan and is
         bit-identical to it.
+
+        One probe finds every source's candidates with their hit counts.  A
+        k-hash index with one slot per band over every slot scores a built-in
+        ``measure`` from those counts, with no signature gather: a pair's
+        hits are its agreeing slots, plus any cross-band key collision, which
+        only adds.  Scores never fall as matches rise, so a non-winner's true
+        score is at most its counted one.  The selected winners (at most
+        ``k`` per source) are then re-scored through the source's
+        ``pair_intersections`` and compared bit for bit; when all agree the
+        answer is exactly the gather path's, and otherwise the batch is
+        scored again from the signatures (:attr:`LSHIndexStats.count_mismatches`).
+        Other families, ``r > 1`` splits and callable measures score every
+        candidate from the signatures.  An engine source counts the pairs
+        scored from sketch rows in its ``comm``: the winners, or every
+        candidate.
         """
         if k < 0:
             raise ValueError("k must be non-negative")
@@ -783,6 +827,8 @@ class LSHIndex:
                 estimator=estimator, exclude_self=exclude_self,
             )
         score_fn = _resolve_score_fn(source, measure, estimator)
+        if estimator is not None:  # checked even when a batch scores no pair
+            check_estimator_kind(source.representation, estimator)
         sources = check_vertex_ids(sources, source.num_vertices, "sources")
         if candidates is not None:
             candidates = np.unique(check_vertex_ids(candidates, source.num_vertices, "candidates"))
@@ -795,23 +841,72 @@ class LSHIndex:
                 np.empty((sources.shape[0], k), dtype=np.int64),
                 np.empty((sources.shape[0], k), dtype=np.float64),
             )
-        cand_lists = self.query_candidates_batch(
-            sources, candidates=candidates, exclude_self=False
-        )
-        counts = np.asarray([c.shape[0] for c in cand_lists], dtype=np.int64)
-        total = int(counts.sum())
+        self._check_fresh()
+        rows, verts, hits = self._candidate_hits(sources, candidates)
         self.stats.probed_sources += sources.shape[0]
-        self.stats.candidates_scored += total
-        flat_scores = np.empty(total, dtype=np.float64)
-        u_flat = np.repeat(sources, counts)
-        v_flat = np.concatenate(cand_lists)
-        windows = chunked_ranges(total, resolve_chunk_pairs(source.sketches, config))
-        if isinstance(source, ProbGraph):
-            # An engine's pair_intersections records each window itself.
+        self.stats.candidates_scored += verts.shape[0]
+        cand_lists = _split_rows(verts, rows, sources.shape[0])
+        if not callable(measure) and self._hits_are_matches():
+            counted = self._count_scores(measure, sources[rows], verts, hits)
+            result = select_topk_rows(sources, cand_lists, counted, k, exclude_self)
+            won = result.indices >= 0
+            winners = np.broadcast_to(sources[:, None], won.shape)[won]
+            rescored = self._score_pairs(score_fn, winners, result.indices[won], config)
+            if np.array_equal(rescored, result.scores[won]):
+                return result
+            self.stats.count_mismatches += 1
+        scores = self._score_pairs(score_fn, sources[rows], verts, config)
+        return select_topk_rows(sources, cand_lists, scores, k, exclude_self)
+
+    def _hits_are_matches(self) -> bool:
+        """Whether a candidate's probe hits count its agreeing signature slots.
+
+        True for a k-hash index with one slot per band and every slot banded:
+        band ``j``'s key is then a bijection of slot ``j``, so each agreeing
+        non-empty slot is one hit, and a hit beyond those needs two different
+        bands' keys to collide (about 2⁻⁶⁴ per pair of slots).
+        """
+        sketches = self.source.sketches
+        return (
+            isinstance(sketches, KHashNeighborhoodSketches)
+            and self.rows_per_band == 1
+            and self.num_bands == sketches.k
+        )
+
+    def _count_scores(
+        self, measure: str, u: np.ndarray, v: np.ndarray, hits: np.ndarray
+    ) -> np.ndarray:
+        """Built-in ``measure`` scores with ``min(hits, k)`` as the slot matches.
+
+        The same Eq. 5 → :func:`~repro.core.estimators.intersection_to_jaccard`
+        steps the source's pair path runs, so a pair whose hits are its true
+        matches scores the same floats; extra hits can only raise a score.
+        """
+        sketches = self.source.sketches
+        assert isinstance(sketches, KHashNeighborhoodSketches)
+        inter = sketches.matches_to_intersections(np.minimum(hits, sketches.k), u, v)
+        if measure != "jaccard":
+            return inter
+        degrees = self.source.base_degrees
+        return intersection_to_jaccard(inter, degrees[u], degrees[v])
+
+    def _score_pairs(
+        self, score_fn: ScoreFn, u: np.ndarray, v: np.ndarray, config: EngineConfig | None
+    ) -> np.ndarray:
+        """Scores of the pairs ``(u, v)`` from their sketch rows, in engine-sized windows.
+
+        A ProbGraph's pairs are recorded in :func:`~repro.engine.batch.engine_stats`
+        here; an engine's ``pair_intersections`` records each window in its
+        ``comm`` itself.
+        """
+        total = u.shape[0]
+        scores = np.empty(total, dtype=np.float64)
+        windows = chunked_ranges(total, resolve_chunk_pairs(self.source.sketches, config))
+        if isinstance(self.source, ProbGraph):
             record_query(total, len(windows))
         for start, stop in windows:
-            flat_scores[start:stop] = score_fn(u_flat[start:stop], v_flat[start:stop])
-        return select_topk_rows(sources, cand_lists, flat_scores, k, exclude_self)
+            scores[start:stop] = score_fn(u[start:stop], v[start:stop])
+        return scores
 
     def topk_similar(
         self,
@@ -838,6 +933,13 @@ class LSHIndex:
             f"LSHIndex(rows={self.source.num_vertices}{shards}, b={self.num_bands}, "
             f"r={self.rows_per_band}, entries={self.num_entries})"
         )
+
+
+def _split_rows(values: np.ndarray, rows: np.ndarray, num_rows: int) -> list[np.ndarray]:
+    """``values`` split into one array per row, by their sorted row numbers."""
+    if num_rows == 0:
+        return []
+    return np.split(values, np.searchsorted(rows, np.arange(1, num_rows)))
 
 
 def _canonical_sort(

@@ -27,10 +27,26 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["CSRGraph", "WORD_BITS", "ragged_gather"]
+__all__ = ["CSRGraph", "WORD_BITS", "check_vertex_ids", "ragged_gather"]
 
 #: Machine word size ``W`` used in the storage and work-depth accounting (Table I).
 WORD_BITS = 64
+
+
+def check_vertex_ids(ids: np.ndarray, num_vertices: int, name: str = "vertex IDs") -> np.ndarray:
+    """``ids`` as a flat int64 array, rejecting any ID outside ``[0, num_vertices)``.
+
+    The one boundary check of caller-supplied vertex IDs: without it a
+    negative ID silently aliases the row NumPy's negative indexing picks, and
+    an ID past the end fails mid-chunk with a bare ``IndexError``.  Empty
+    inputs are valid.
+    """
+    ids = np.asarray(ids, dtype=np.int64).ravel()
+    # Viewed as uint64 a negative ID exceeds every valid one: one pass, one max.
+    if ids.size and ids.view(np.uint64).max() >= num_vertices:
+        bad = ids[(ids < 0) | (ids >= num_vertices)][0]
+        raise ValueError(f"{name} must lie in [0, {num_vertices}); got {bad}")
+    return ids
 
 
 def ragged_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -148,6 +164,8 @@ class CSRGraph:
     def degree(self, v: int) -> int:
         """Degree of a single vertex."""
         v = int(v)
+        if not 0 <= v < self.num_vertices:
+            raise IndexError(f"vertex {v} out of range [0, {self.num_vertices})")
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def has_edge(self, u: int, v: int) -> bool:

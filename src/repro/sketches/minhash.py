@@ -167,7 +167,16 @@ class KHashNeighborhoodSketches(NeighborhoodSketches):
 
     def pair_intersections(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``|N_u ∩ N_v|^{kH}`` for every (u, v) pair (Eq. 5, exact degrees)."""
-        matches = self.pair_matches(u, v)
+        return self.matches_to_intersections(self.pair_matches(u, v), u, v)
+
+    def matches_to_intersections(
+        self, matches: np.ndarray, u: np.ndarray, v: np.ndarray
+    ) -> np.ndarray:
+        """``|N_u ∩ N_v|^{kH}`` from per-pair agreeing-slot counts (Eq. 5, exact degrees).
+
+        The one matches → intersections step: :meth:`pair_intersections` runs
+        it on :meth:`pair_matches`, and the LSH index on band collision counts.
+        """
         su = self.exact_sizes[np.asarray(u, dtype=np.int64)]
         sv = self.exact_sizes[np.asarray(v, dtype=np.int64)]
         return np.asarray(minhash_intersection(matches, self.k, su, sv), dtype=np.float64)

@@ -177,6 +177,12 @@ class TestStructure:
         with pytest.raises(IndexError):
             triangle_graph.neighbors(17)
 
+    @pytest.mark.parametrize("vertex", [-1, 4])
+    def test_degree_out_of_range(self, triangle_graph, vertex):
+        # -1 used to read indptr[0] - indptr[-1], a negative degree.
+        with pytest.raises(IndexError, match="out of range"):
+            triangle_graph.degree(vertex)
+
     def test_has_edge(self, triangle_graph):
         assert triangle_graph.has_edge(0, 1)
         assert triangle_graph.has_edge(1, 0)

@@ -10,7 +10,8 @@ The acceptance bar for the engine is strict:
 * every PG-enhanced algorithm module must execute through the engine path
   (asserted through the process-wide engine counters);
 * a caller vertex ID outside ``[0, n)`` must raise ``ValueError`` at every
-  engine entry point instead of aliasing another vertex.
+  engine entry point, and at the ``ProbGraph`` pair methods, instead of
+  aliasing another vertex.
 """
 
 from __future__ import annotations
@@ -148,6 +149,11 @@ _ID_ENTRY_POINTS = {
     "sharded.top_k": lambda pg, eng, ids: eng.top_k_similar_batch(ids, 3),
     "lsh.sources": lambda pg, eng, ids: LSHIndex(pg).topk_similar_batch(ids, 3),
     "sharded_lsh.sources": lambda pg, eng, ids: eng.lsh_index().topk_similar_batch(ids, 3),
+    "lsh.band_keys": lambda pg, eng, ids: LSHIndex(pg).band_keys(ids),
+    "probgraph.pairs": lambda pg, eng, ids: pg.pair_intersections(ids, ids[::-1]),
+    "probgraph.pairs_chunked": lambda pg, eng, ids: pg.pair_intersections_chunked(ids, ids, 2),
+    "probgraph.int_card": lambda pg, eng, ids: [pg.int_card(int(i), 0) for i in ids],
+    "probgraph.jaccard": lambda pg, eng, ids: [pg.jaccard(0, int(i)) for i in ids],
 }
 
 
@@ -462,6 +468,39 @@ def test_mismatched_pair_shapes_raise(graph):
     pg = ProbGraph(graph, representation="bloom", seed=3)
     with pytest.raises(ValueError):
         batched_pair_intersections(pg, np.arange(3), np.arange(4))
+
+
+def test_engine_stats_lose_no_counts_under_threads():
+    """Engine entry points are thread-safe, so their shared counters must
+    be too: with unlocked `+=`, 4 threads × 200,000 `record_query(1, 1)`
+    calls left about half of the 800,000 pairs and chunks counted."""
+    import sys
+    import threading
+
+    from repro.engine.batch import record_query
+
+    num_threads, calls = 4, 50_000
+    barrier = threading.Barrier(num_threads)
+
+    def worker() -> None:
+        barrier.wait()
+        for _ in range(calls):
+            record_query(1, 1)
+
+    reset_engine_stats()
+    threads = [threading.Thread(target=worker) for _ in range(num_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    stats = engine_stats().snapshot()
+    assert stats.queries == stats.pairs == stats.chunks == num_threads * calls
 
 
 # ---------------------------------------------------------------------------

@@ -32,14 +32,18 @@ from repro.core import (
     lsh_collision_probability,
     resolve_lsh_params,
 )
+from repro.dynamic import DynamicGraph
 from repro.engine import (
     LSHIndex,
     PGSession,
     ShardedEngine,
+    engine_stats,
+    reset_engine_stats,
     select_topk_rows,
     signature_matrix,
     topk_per_source,
 )
+from repro.engine import lsh as lsh_module
 from repro.graph import CSRGraph, kronecker_graph
 
 BANDED = ["khash", "1hash", "kmv"]
@@ -395,6 +399,127 @@ class TestServing:
 
 
 # ---------------------------------------------------------------------------
+# count scoring: k-hash candidates scored from their band hits
+# ---------------------------------------------------------------------------
+#: Isolated (0, 8, 17), repeated (3) and well-connected sources of ``graph``.
+COUNT_SOURCES = np.asarray([0, 3, 17, 100, 200, 255, 3, 8, 41, 128], dtype=np.int64)
+
+
+def _oracle(source, index, sources, k, candidates=None, exclude_self=True, measure="jaccard"):
+    """Per source ``s``: the full scan over the candidates ``s`` collides with,
+    padded to the served width."""
+    pool = source.num_vertices if candidates is None else np.unique(candidates).shape[0]
+    width = min(k, pool)
+    indices = np.full((sources.shape[0], width), -1, dtype=np.int64)
+    scores = np.zeros((sources.shape[0], width), dtype=np.float64)
+    for row, s in enumerate(sources):
+        cand = index.query_candidates(int(s), candidates=candidates, exclude_self=False)
+        want = topk_per_source(
+            source, np.asarray([s]), k, candidates=cand, score=measure,
+            exclude_self=exclude_self,
+        )
+        indices[row, : want.indices.shape[1]] = want.indices[0]
+        scores[row, : want.scores.shape[1]] = want.scores[0]
+    return indices, scores
+
+
+def _assert_served_equals_oracle(source, index, sources, k, **kwargs):
+    got = index.topk_similar_batch(sources, k, **kwargs)
+    indices, scores = _oracle(source, index, sources, k, **kwargs)
+    assert np.array_equal(got.indices, indices)
+    assert np.array_equal(got.scores, scores)
+    return got
+
+
+class TestCountScoring:
+    @pytest.mark.parametrize("measure", ["jaccard", "common_neighbors"])
+    @pytest.mark.parametrize("oriented", [False, True])
+    @pytest.mark.parametrize("num_shards", [0, 1, 2, 4], ids=["probgraph", "1", "2", "4"])
+    def test_served_batches_equal_the_oracle(self, graph, measure, oriented, num_shards):
+        if num_shards == 0:
+            source = _pg(graph, "khash", oriented=oriented)
+            index = LSHIndex(source)
+        else:
+            source = ShardedEngine(
+                graph, num_shards, representation="khash", k=16, seed=5, oriented=oriented
+            )
+            index = source.lsh_index()
+        assert (index.num_bands, index.rows_per_band) == (16, 1)
+        got = _assert_served_equals_oracle(source, index, COUNT_SOURCES, 8, measure=measure)
+        assert index.stats.count_mismatches == 0
+        # Only the winners are scored from sketch rows (reset first: the
+        # oracle's scans above are counted too).
+        reset_engine_stats()
+        if num_shards:
+            source.comm.reset()
+        index.topk_similar_batch(COUNT_SOURCES, 8, measure=measure)
+        winners = np.count_nonzero(got.indices >= 0)
+        if num_shards:
+            assert source.comm.routed_pairs == winners
+        else:
+            assert engine_stats().pairs == winners
+
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    @pytest.mark.parametrize("pool", [None, np.arange(0, 256, 3)], ids=["all", "pool"])
+    def test_pools_self_matches_and_isolated_sources(self, graph, exclude_self, pool):
+        pg = _pg(graph, "khash")
+        index = LSHIndex(pg)
+        got = _assert_served_equals_oracle(
+            pg, index, COUNT_SOURCES, 6, candidates=pool, exclude_self=exclude_self
+        )
+        assert np.all(got.indices[0] == -1)  # vertex 0 is isolated
+        assert np.array_equal(got.indices[1], got.indices[6])  # source 3, twice
+        if not exclude_self and pool is None:
+            assert got.indices[3, 0] == 100  # a vertex agrees with itself on every slot
+
+    def test_mapped_index_after_open_and_after_a_delta(self, graph, tmp_path):
+        with ShardedEngine(graph, 2, representation="khash", k=16, seed=5) as built:
+            built.save(tmp_path / "eng")
+        dyn = DynamicGraph(graph)
+        with ShardedEngine.open(tmp_path / "eng") as engine:
+            index = engine.lsh_index()
+            assert index._handle is not None
+            _assert_served_equals_oracle(engine, index, COUNT_SOURCES, 8)
+            engine.apply_delta(dyn.apply_edges(insertions=[(0, 9), (3, 40), (17, 80)]))
+            _assert_served_equals_oracle(engine, index, COUNT_SOURCES, 8)
+            assert index.stats.count_mismatches == 0
+
+    def test_colliding_band_keys_fall_back_to_the_signatures(self, graph, monkeypatch):
+        """With 4-bit band keys nearly every pair collides across bands, so
+        counted scores overshoot; the winner re-check must catch it."""
+        real = lsh_module.splitmix64
+        monkeypatch.setattr(
+            lsh_module, "splitmix64", lambda x, seed=0: real(x, seed) & np.uint64(0xF)
+        )
+        pg = _pg(graph, "khash")
+        index = LSHIndex(pg)
+        _assert_served_equals_oracle(pg, index, COUNT_SOURCES, 8)
+        assert index.stats.count_mismatches == 1
+
+    @pytest.mark.parametrize(
+        "representation, split",
+        [("1hash", None), ("kmv", None), ("khash", (8, 2)), ("khash", (8, 1))],
+        ids=["1hash", "kmv", "khash-8x2", "khash-8x1"],
+    )
+    def test_other_families_and_splits_score_every_candidate(self, graph, representation, split):
+        engine = ShardedEngine(graph, 2, representation=representation, k=16, seed=5)
+        kwargs = {} if split is None else {"num_bands": split[0], "rows_per_band": split[1]}
+        index = engine.lsh_index(**kwargs)
+        _assert_served_equals_oracle(engine, index, COUNT_SOURCES, 8)
+        engine.comm.reset()
+        before = index.stats.candidates_scored
+        index.topk_similar_batch(COUNT_SOURCES, 8)
+        assert engine.comm.routed_pairs == index.stats.candidates_scored - before > 0
+
+    def test_invalid_estimator_raises_without_winners(self, graph):
+        index = LSHIndex(_pg(graph, "khash"))
+        isolated = np.asarray([0, 8], dtype=np.int64)
+        assert np.all(index.topk_similar_batch(isolated, 5).indices == -1)
+        with pytest.raises(ValueError, match="not supported"):
+            index.topk_similar_batch(isolated, 5, estimator="AND")
+
+
+# ---------------------------------------------------------------------------
 # session threading
 # ---------------------------------------------------------------------------
 class TestSessionLSH:
@@ -484,12 +609,23 @@ class TestShardedLSH:
             assert np.array_equal(got.scores, ref.scores)
 
     def test_probe_shipments_are_counted(self, graph):
+        """``comm`` counts the pairs scored from sketch rows: a k-hash (16, 1)
+        index scores candidates from band hits and re-scores only the
+        winners; a KMV index scores every candidate."""
         engine = ShardedEngine(graph, 2, representation="khash", k=16, seed=5)
         sharded = engine.lsh_index()
+        assert (sharded.num_bands, sharded.rows_per_band) == (16, 1)
         engine.comm.reset()
-        sharded.topk_similar_batch(np.asarray([0, 1, 2, 3]), 5)
+        result = sharded.topk_similar_batch(np.asarray([0, 1, 2, 3]), 5)
         assert engine.comm.queries >= 1
-        assert engine.comm.routed_pairs == sharded.stats.candidates_scored
+        assert engine.comm.routed_pairs == np.count_nonzero(result.indices >= 0)
+        assert engine.comm.routed_pairs < sharded.stats.candidates_scored
+        kmv_engine = ShardedEngine(graph, 2, representation="kmv", k=16, seed=5)
+        kmv = kmv_engine.lsh_index()
+        kmv_engine.comm.reset()
+        kmv.topk_similar_batch(np.asarray([0, 1, 2, 3]), 5)
+        assert kmv_engine.comm.queries >= 1
+        assert kmv_engine.comm.routed_pairs == kmv.stats.candidates_scored
 
     def test_sources_are_probgraphs_or_engines_and_both_save(self, graph, tmp_path):
         engine = ShardedEngine(graph, 2, representation="khash", k=16, seed=5)

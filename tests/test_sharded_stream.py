@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import platform
 import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -557,3 +559,11 @@ class TestTrajectoryHelper:
             append_run(path, "z", {"ok": True})
         assert path.read_bytes() == before
         assert not (tmp_path / "BENCH_z.json.tmp").exists()
+
+    def test_runs_carry_their_environment(self, tmp_path, append_run):
+        doc = append_run(tmp_path / "BENCH_env.json", "env", {"speedup": 1.0})
+        env = doc["runs"][0]["environment"]
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert isinstance(env["commit"], str) and env["commit"]
