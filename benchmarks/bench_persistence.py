@@ -3,7 +3,7 @@
 
 The storage layer's performance claim: attaching a saved sharded engine
 (``ShardedEngine.open``, zero-copy mmap) beats rebuilding it from the graph
-(process pool + O(b·m) hashing) by **≥10×** on the bench graph, because a
+(threaded O(b·m) hashing) by **≥10×** on the bench graph, because a
 cold start reads checksummed bytes at page-cache speed instead of redoing
 construction.  The correctness claim rides along and is asserted in every
 mode: for all five sketch families × 1/2/4 shards, an engine reopened from
@@ -82,7 +82,7 @@ def check_identity_matrix(graph, seed: int) -> int:
             try:
                 with ShardedEngine(
                     graph, num_shards, representation=representation,
-                    seed=seed, transport="pickle", **params,
+                    seed=seed, **params,
                 ) as engine:
                     engine.save(root)
                     reference = engine.pair_intersections(u, v)
@@ -94,7 +94,7 @@ def check_identity_matrix(graph, seed: int) -> int:
                 # bytes are the build, not merely a consistent snapshot).
                 with ShardedEngine(
                     graph, num_shards, representation=representation,
-                    seed=seed, transport="pickle", **params,
+                    seed=seed, **params,
                 ) as fresh:
                     assert np.array_equal(reference, fresh.pair_intersections(u, v))
                 cells += 1
@@ -108,8 +108,7 @@ def time_lsh_cold_start(graph, shards: int, seed: int) -> tuple[float, float]:
     root = tempfile.mkdtemp(prefix="pgbench_lsh_")
     try:
         with ShardedEngine(
-            graph, shards, representation="khash", seed=seed, transport="pickle",
-            **FAMILY_PARAMS["khash"],
+            graph, shards, representation="khash", seed=seed, **FAMILY_PARAMS["khash"],
         ) as engine:
             engine.save(root)
         mapped_s = built_s = float("inf")

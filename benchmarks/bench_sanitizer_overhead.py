@@ -21,7 +21,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 
-#: The concurrency-sensitive subset: sharded engine (locks + shared memory),
+#: The concurrency-sensitive subset: sharded engine (locks, thread-built rows),
 #: session cache (guarded state), LSH tables (stamped writes, including the
 #: session-path re-key splices of ``test_dynamic.py``), the store handles an
 #: opened engine acquires and releases, and the sanitizer's own fixture tests.

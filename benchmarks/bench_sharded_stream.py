@@ -3,19 +3,18 @@
 
 Before :meth:`repro.engine.ShardedEngine.apply_delta`, an evolving graph and a
 sharded engine did not compose: every :class:`~repro.dynamic.GraphDelta`
-forced a full multiprocess rebuild of all shard containers (and of any LSH
-index over them).  This benchmark replays a ~1M-edge Kronecker stream
-(20% pre-loaded, the rest applied in fixed-size batches with periodic
-deletions) against a live ``ShardedEngine`` and its ``lsh_index()`` and
-measures, per batch,
+forced a full rebuild of all shard containers (and of any LSH index over
+them).  This benchmark replays a ~1M-edge Kronecker stream (20% pre-loaded,
+the rest applied in fixed-size batches with periodic deletions) against a
+live ``ShardedEngine`` and its ``lsh_index()`` and measures, per batch,
 
 * **incremental**: ``engine.apply_delta(delta)`` — split the delta by shard
   owners, patch only the touched rows in place and mark them on the LSH
   index, which re-keys only those bucket entries on the next serve (that
   deferred splice is charged to the incremental side too);
-* **rebuild**: constructing a fresh ``ShardedEngine`` + LSH index on the new
-  snapshot (sampled at a few stream positions and extrapolated — both paths
-  share one warm process pool, which *favors* the rebuild baseline).
+* **rebuild**: constructing a fresh ``ShardedEngine`` (its rows hashed in
+  parallel threads) + LSH index on the new snapshot, sampled at a few stream
+  positions and extrapolated.
 
 Queries are served between batches (routed pair-Jaccard + LSH top-k) to
 exercise the serve-while-ingesting shape.  The script always asserts the
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -99,71 +97,70 @@ def main() -> None:
 
     dyn = DynamicGraph(num_vertices=graph.num_vertices)
     dyn.apply_edges(insertions=edges[:warmup])
-    with ProcessPoolExecutor(max_workers=args.shards) as pool:
-        start = time.perf_counter()
-        engine = ShardedEngine(dyn, args.shards, pool=pool, **params)
-        index = engine.lsh_index()
-        initial_build_seconds = time.perf_counter() - start
-        print(
-            f"initial build: {initial_build_seconds * 1e3:8.1f} ms "
-            f"({warmup:,} warmup edges, {index.num_entries:,} bucket entries)"
-        )
+    start = time.perf_counter()
+    engine = ShardedEngine(dyn, args.shards, **params)
+    index = engine.lsh_index()
+    initial_build_seconds = time.perf_counter() - start
+    print(
+        f"initial build: {initial_build_seconds * 1e3:8.1f} ms "
+        f"({warmup:,} warmup edges, {index.num_entries:,} bucket entries)"
+    )
 
-        incremental_seconds = 0.0
-        rebuild_times: list[float] = []
-        patched_rows = edges_streamed = edges_deleted = queries_served = 0
-        for bi, batch_start in enumerate(starts):
-            ins = edges[batch_start: batch_start + args.batch_edges]
-            dels = None
-            if bi % DELETIONS_EVERY == 0:
-                current = dyn.snapshot().edge_array()
-                dels = current[
-                    rng.choice(
-                        current.shape[0],
-                        size=min(DELETIONS_PER_BATCH, current.shape[0]),
-                        replace=False,
-                    )
-                ]
-                edges_deleted += dels.shape[0]
-            delta = dyn.apply(EdgeBatch(insertions=ins, deletions=dels))
-            t0 = time.perf_counter()
-            patched_rows += engine.apply_delta(delta)
-            incremental_seconds += time.perf_counter() - t0
-            edges_streamed += ins.shape[0]
-            if bi % SERVE_EVERY == 0:
-                # Serve-while-ingesting: routed pair queries + LSH top-k stay
-                # available between batches (the staleness guard would raise
-                # had the delta not been routed above).  The first probe after
-                # a burst of deltas flushes the index's deferred re-keys, so
-                # serve time is charged to the incremental side.
-                sample = edges[batch_start: batch_start + 256]
-                t0 = time.perf_counter()
-                engine.pair_jaccard(sample[:, 0], sample[:, 1])
-                index.topk_similar_batch(sample[:8, 0], 10)
-                incremental_seconds += time.perf_counter() - t0
-                queries_served += 2
-            if bi in sample_at:
-                t0 = time.perf_counter()
-                with ShardedEngine(dyn.snapshot(), args.shards, pool=pool, **params) as fresh:
-                    fresh.lsh_index()
-                    rebuild_times.append(time.perf_counter() - t0)
-
-        # Flush the tail window's deferred LSH re-keys on the clock, so the
-        # incremental side pays for every entry the rebuild side has.
+    incremental_seconds = 0.0
+    rebuild_times: list[float] = []
+    patched_rows = edges_streamed = edges_deleted = queries_served = 0
+    for bi, batch_start in enumerate(starts):
+        ins = edges[batch_start: batch_start + args.batch_edges]
+        dels = None
+        if bi % DELETIONS_EVERY == 0:
+            current = dyn.snapshot().edge_array()
+            dels = current[
+                rng.choice(
+                    current.shape[0],
+                    size=min(DELETIONS_PER_BATCH, current.shape[0]),
+                    replace=False,
+                )
+            ]
+            edges_deleted += dels.shape[0]
+        delta = dyn.apply(EdgeBatch(insertions=ins, deletions=dels))
         t0 = time.perf_counter()
-        bucket_entries = index.num_entries
+        patched_rows += engine.apply_delta(delta)
         incremental_seconds += time.perf_counter() - t0
+        edges_streamed += ins.shape[0]
+        if bi % SERVE_EVERY == 0:
+            # Serve-while-ingesting: routed pair queries + LSH top-k stay
+            # available between batches (the staleness guard would raise
+            # had the delta not been routed above).  The first probe after
+            # a burst of deltas flushes the index's deferred re-keys, so
+            # serve time is charged to the incremental side.
+            sample = edges[batch_start: batch_start + 256]
+            t0 = time.perf_counter()
+            engine.pair_jaccard(sample[:, 0], sample[:, 1])
+            index.topk_similar_batch(sample[:8, 0], 10)
+            incremental_seconds += time.perf_counter() - t0
+            queries_served += 2
+        if bi in sample_at:
+            t0 = time.perf_counter()
+            with ShardedEngine(dyn.snapshot(), args.shards, **params) as fresh:
+                fresh.lsh_index()
+                rebuild_times.append(time.perf_counter() - t0)
 
-        # --- correctness: patched shards == fresh sharded rebuild -----------
-        with ShardedEngine(dyn.snapshot(), args.shards, pool=pool, **params) as fresh:
-            patched_pg, fresh_pg = engine.to_probgraph(), fresh.to_probgraph()
-        for name, arr in _sketch_payload(patched_pg).items():
-            assert np.array_equal(arr, _sketch_payload(fresh_pg)[name]), name
-        print(
-            f"bit-identity: patched shards == fresh sharded rebuild on the final "
-            f"graph ({dyn.num_edges:,} edges) across {len(patched_pg.sketches.storage_arrays())} row arrays"
-        )
-        engine.close()
+    # Flush the tail window's deferred LSH re-keys on the clock, so the
+    # incremental side pays for every entry the rebuild side has.
+    t0 = time.perf_counter()
+    bucket_entries = index.num_entries
+    incremental_seconds += time.perf_counter() - t0
+
+    # --- correctness: patched shards == fresh sharded rebuild -----------
+    with ShardedEngine(dyn.snapshot(), args.shards, **params) as fresh:
+        patched_pg, fresh_pg = engine.to_probgraph(), fresh.to_probgraph()
+    for name, arr in _sketch_payload(patched_pg).items():
+        assert np.array_equal(arr, _sketch_payload(fresh_pg)[name]), name
+    print(
+        f"bit-identity: patched shards == fresh sharded rebuild on the final "
+        f"graph ({dyn.num_edges:,} edges) across {len(patched_pg.sketches.storage_arrays())} row arrays"
+    )
+    engine.close()
 
     rebuild_per_batch = float(np.mean(rebuild_times))
     rebuild_total = rebuild_per_batch * num_batches

@@ -1,12 +1,13 @@
 #!/usr/bin/env python
-"""Sharded serving end to end: partition, multiprocess build, counted queries.
+"""Sharded serving end to end: partition, threaded build, counted queries.
 
-The §VIII-F story on one machine: vertices are partitioned into shards, each
-shard's neighborhood sketches are built in its own worker process, and the
-engine serves every query from the assembled rows while counting what a
-distributed run would ship — one fixed-size sketch per cut pair (validated
-against the paper's communication model), never a CSR neighborhood.  Results
-are bit-identical to the single-process `PGSession` path throughout.
+The §VIII-F story on one machine: vertices are partitioned into shards, the
+neighborhood sketches are built as contiguous row ranges in parallel threads
+(one per shard, up to the CPUs available), and the engine serves every query
+from the concatenated rows while counting what a distributed run would ship
+— one fixed-size sketch per cut pair (validated against the paper's
+communication model), never a CSR neighborhood.  Results are bit-identical
+to the single-process `PGSession` path throughout.
 
 Run with:  python examples/sharded_serving.py
 """
@@ -24,7 +25,7 @@ def main() -> None:
     graph = kronecker_graph(scale=11, edge_factor=8, seed=1)
     print(f"graph: n={graph.num_vertices}, m={graph.num_edges}, max degree={graph.max_degree}")
 
-    # --- multiprocess sharded build -----------------------------------------
+    # --- threaded sharded build ---------------------------------------------
     with ShardedEngine(
         graph, NUM_SHARDS, representation="bloom", storage_budget=0.25, seed=7,
         partition="locality",

@@ -10,7 +10,7 @@ Two halves of one hygiene gate:
   and their payloads, and resource-lifecycle reachability.
 * **reprosan** (dynamic, :mod:`repro.analysis.sanitizer`) observes real
   executions: lock-order inversions, guarded-state writes without the owning
-  lock, SharedMemory segment leaks/double-unlinks, and seed-stream
+  lock, store-handle (mmap) leaks and double releases, and seed-stream
   divergence.  Opt in with ``REPRO_SAN=1`` or ``with reprosan.enabled():``.
 
 Usage::

@@ -19,10 +19,10 @@ findings ledger, and the three primitive layers the ``reprosan`` detectors
   sharded engine's sketch rows) bumps a per-label write epoch on every mutation and
   verifies the owning lock is held by the mutating thread (``SAN402``) —
   one predicate per *mutation site*, never per bytecode.
-* **SharedMemory ledger** — :func:`create_segment` / :func:`track_segment` /
-  :func:`release_segment`: every tracked :mod:`multiprocessing.shared_memory`
-  segment remembers its allocation site; unreleased segments are reported at
-  region exit or owner close (``SAN601``), double unlinks at call time
+* **Resource ledger** — :func:`track_mmap` / :func:`release_mmap`: every
+  tracked store-opened memory mapping remembers its acquisition site;
+  unreleased handles are reported at region exit or owner close
+  (:func:`check_owner_segments`, ``SAN601``), double releases at call time
   (``SAN602``).
 
 Everything is a near-no-op when the sanitizer is inactive: the factories
@@ -41,10 +41,7 @@ import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from multiprocessing.shared_memory import SharedMemory
+from typing import Any, Iterator
 
 __all__ = [
     "SAN_CATEGORIES",
@@ -54,19 +51,15 @@ __all__ = [
     "active",
     "allow",
     "check_owner_segments",
-    "close_segment",
-    "create_segment",
     "enabled",
     "findings",
     "guard_mapping",
     "make_rlock",
     "release_mmap",
-    "release_segment",
     "report",
     "reset",
     "stamp_write",
     "track_mmap",
-    "track_segment",
     "write_epoch",
 ]
 
@@ -108,19 +101,13 @@ class SanitizerError(RuntimeError):
 
 @dataclass
 class _SegmentRecord:
+    """One tracked store-opened memory mapping, keyed by its ledger token."""
+
     name: str
     site: str
     owner_id: int | None
     purpose: str
     released: bool = False
-    #: Resource flavor: ``"shm"`` for SharedMemory segments, ``"mmap"`` for
-    #: store-opened memory mappings.  Both share one ledger so owner audits
-    #: (``ShardedEngine.close()``) and region-exit sweeps cover them together.
-    kind: str = "shm"
-
-    @property
-    def noun(self) -> str:
-        return "shared-memory segment" if self.kind == "shm" else "mmap-backed store handle"
 
 
 class _ThreadState(threading.local):
@@ -219,7 +206,7 @@ def findings() -> list[SanFinding]:
 
 
 def reset() -> None:
-    """Drop all findings, lock-order edges, segment records, and write epochs."""
+    """Drop all findings, lock-order edges, ledger records, and write epochs."""
     with _STATE.mutex:
         _STATE.findings.clear()
         _STATE.lock_edges.clear()
@@ -269,7 +256,7 @@ class SanitizerRegion:
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         try:
-            # Region end is the lifecycle boundary: every tracked segment must
+            # Region end is the lifecycle boundary: every tracked handle must
             # be released by now (raises here in strict mode).
             if exc_type is None:
                 check_owner_segments(None)
@@ -516,10 +503,10 @@ def guard_mapping(mapping: Any, lock: Any, label: str) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# shared-memory lifecycle ledger (SAN601 / SAN602)
+# mmap lifecycle ledger (SAN601 / SAN602)
 # ---------------------------------------------------------------------------
 def _finalize_segment(name: str) -> None:
-    """GC hook: a tracked segment was collected — warn if it was never unlinked."""
+    """GC hook: a tracked handle was collected — warn if it was never released."""
     with _STATE.mutex:
         record = _STATE.segments.pop(name, None)
     if record is None or record.released or not active():
@@ -528,7 +515,7 @@ def _finalize_segment(name: str) -> None:
         _STATE.findings.append(
             SanFinding(
                 "SAN601",
-                f"{record.noun} {name!r} ({record.purpose}) was "
+                f"mmap-backed store handle {name!r} ({record.purpose}) was "
                 "garbage-collected without being released; the OS object leaks "
                 f"until process exit (acquired at {record.site})",
                 record.site,
@@ -536,94 +523,16 @@ def _finalize_segment(name: str) -> None:
         )
     # Never raise inside a GC callback, whatever the mode.
     warnings.warn(
-        f"reprosan: leaked {record.noun} {name!r} (acquired at {record.site})",
+        f"reprosan: leaked mmap-backed store handle {name!r} (acquired at {record.site})",
         RuntimeWarning,
     )
 
 
-def track_segment(
-    shm: "SharedMemory",
-    owner: Any = None,
-    purpose: str = "",
-    site: str | None = None,
-) -> None:
-    """Register an owned shared-memory segment with its allocation site.
-
-    No-op when the sanitizer is inactive.  ``owner`` scopes the segment to an
-    object (``ShardedEngine``) so :func:`check_owner_segments` at its
-    ``close()`` reports exactly its leaks; unscoped segments are checked at
-    region exit.
-    """
-    if not active():
-        return
-    if site is None:
-        site = call_site(1)
-    record = _SegmentRecord(
-        name=shm.name,
-        site=site,
-        owner_id=id(owner) if owner is not None else None,
-        purpose=purpose or "shared-memory segment",
-    )
-    with _STATE.mutex:
-        _STATE.segments[shm.name] = record
-    weakref.finalize(shm, _finalize_segment, shm.name)
-
-
-def create_segment(
-    size: int, owner: Any = None, purpose: str = ""
-) -> "SharedMemory":
-    """Create *and track* a shared-memory segment (the sanitized allocator)."""
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(create=True, size=max(int(size), 1))
-    track_segment(shm, owner=owner, purpose=purpose, site=call_site(1))
-    return shm
-
-
-def close_segment(shm: "SharedMemory") -> None:
-    """Close an *attached* (non-owning) view; never unlinks."""
-    shm.close()
-
-
-def release_segment(shm: "SharedMemory") -> None:
-    """Close **and unlink** an owned segment, updating the lifecycle ledger.
-
-    A second release of the same segment is the double-unlink bug class:
-    under the sanitizer it reports ``SAN602`` (with the allocation site) and
-    skips the OS call instead of raising :class:`FileNotFoundError`.
-    """
-    with _STATE.mutex:
-        record = _STATE.segments.get(shm.name)
-    if record is not None and record.released:
-        report(
-            "SAN602",
-            f"shared-memory segment {shm.name!r} ({record.purpose}) unlinked "
-            f"twice (allocated at {record.site})",
-            site=call_site(1),
-        )
-        return
-    shm.close()
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        # Unlinked behind our back (untracked double-release).
-        report(
-            "SAN602",
-            f"shared-memory segment {shm.name!r} was already unlinked "
-            "(double release through an untracked handle)",
-            site=call_site(1),
-        )
-        return
-    if record is not None:
-        with _STATE.mutex:
-            record.released = True
-
-
 def check_owner_segments(owner: Any) -> list[SanFinding]:
-    """Report every still-unreleased segment scoped to ``owner`` (SAN601).
+    """Report every still-unreleased handle scoped to ``owner`` (SAN601).
 
-    ``owner=None`` checks *all* tracked segments — the region-exit sweep.
-    Reported segments are dropped from the ledger so nested/outer regions do
+    ``owner=None`` checks *all* tracked handles — the region-exit sweep.
+    Reported handles are dropped from the ledger so nested/outer regions do
     not re-report them.  Returns the findings (empty when clean or inactive).
     """
     if not active():
@@ -642,7 +551,7 @@ def check_owner_segments(owner: Any) -> list[SanFinding]:
     for record in leaked:
         finding = report(
             "SAN601",
-            f"{record.noun} {record.name!r} ({record.purpose}) was "
+            f"mmap-backed store handle {record.name!r} ({record.purpose}) was "
             f"never released; acquired at {record.site}",
             site=record.site,
         )
@@ -651,9 +560,6 @@ def check_owner_segments(owner: Any) -> list[SanFinding]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# mmap lifecycle ledger (same SAN601/SAN602 audit, ``kind="mmap"`` records)
-# ---------------------------------------------------------------------------
 def track_mmap(
     handle: Any,
     path: str,
@@ -663,12 +569,12 @@ def track_mmap(
 ) -> str:
     """Register a store-opened mmap handle; returns its ledger token.
 
-    The token names the record in the shared segment/mmap ledger, so a leaked
-    handle is attributed to the ``open()`` call-site that acquired it by the
-    same audits that cover SharedMemory: :func:`check_owner_segments` on the
-    owner's ``close()`` and the region-exit sweep.  A GC'd but never-closed
-    handle warns via ``weakref.finalize`` exactly like a leaked segment.
-    No-op (empty token) when the sanitizer is inactive.
+    The token names the record in the ledger, so a leaked handle is
+    attributed to the ``open()`` call-site that acquired it by two audits:
+    :func:`check_owner_segments` on the owner's ``close()`` and the
+    region-exit sweep.  A GC'd but never-closed handle warns via
+    ``weakref.finalize``.  No-op (empty token) when the sanitizer is
+    inactive.
     """
     if not active():
         return ""
@@ -680,7 +586,6 @@ def track_mmap(
         site=site,
         owner_id=id(owner) if owner is not None else None,
         purpose=purpose or "sketch-store mmap",
-        kind="mmap",
     )
     with _STATE.mutex:
         _STATE.segments[token] = record
@@ -705,7 +610,7 @@ def release_mmap(token: str) -> None:
     if record.released:
         report(
             "SAN602",
-            f"{record.noun} {token!r} ({record.purpose}) released twice "
+            f"mmap-backed store handle {token!r} ({record.purpose}) released twice "
             f"(acquired at {record.site})",
             site=call_site(1),
         )

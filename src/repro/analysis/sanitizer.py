@@ -16,13 +16,13 @@ Three detectors, all near-zero-cost when the sanitizer is off:
 * **Lock/race** (``SAN401``/``SAN402``) — instrumented RLocks in
   ``PGSession``, ``ShardedEngine``, and ``LSHIndex`` feed a per-thread
   lock-acquisition graph that flags lock-order inversions, and registered
-  guarded state (session caches, LSH bucket tables, shard row arrays) is
-  write-epoch stamped so a mutation without the owning lock is attributed to
-  its call site.
-* **SharedMemory lifecycle** (``SAN601``/``SAN602``) — every segment the
-  sharded engine allocates is registered with its creating site; segments
-  still live at ``ShardedEngine.close()`` or region exit, and double
-  unlinks, become findings instead of silent OS-object leaks.
+  guarded state (session caches, LSH bucket tables, the engine's sketch
+  rows) is write-epoch stamped so a mutation without the owning lock is
+  attributed to its call site.
+* **Mmap lifecycle** (``SAN601``/``SAN602``) — every store-opened memory
+  mapping is registered with its opening site; handles still live at their
+  owner's ``close()`` (``ShardedEngine``, ``PGSession``) or at region exit,
+  and double releases, become findings instead of silent leaks.
 * **Determinism** (``SAN101``) — :func:`trace_determinism` hooks the kernel
   seed-derivation root (``splitmix64``) and ``np.random.default_rng`` and
   records a digest of ``(seed, call-site)`` events; :func:`compare_traces`
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -54,17 +55,13 @@ from .runtime import (
     allow,
     call_site,
     check_owner_segments,
-    close_segment,
-    create_segment,
     enabled,
     findings,
     guard_mapping,
     make_rlock,
-    release_segment,
     report,
     reset,
     stamp_write,
-    track_segment,
     write_epoch,
 )
 
@@ -78,19 +75,15 @@ __all__ = [
     "active",
     "allow",
     "check_owner_segments",
-    "close_segment",
     "compare_traces",
-    "create_segment",
     "enabled",
     "findings",
     "guard_mapping",
     "make_rlock",
-    "release_segment",
     "report",
     "reset",
     "stamp_write",
     "trace_determinism",
-    "track_segment",
     "write_epoch",
 ]
 
@@ -157,20 +150,29 @@ def trace_determinism() -> Iterator[DeterminismTrace]:
     appends ``(seed, caller file:line)`` to the yielded
     :class:`DeterminismTrace`.  Two traces of the same logical build must be
     identical — diff them with :func:`compare_traces`.
+
+    Only calls from the thread that opened the trace are recorded: calls from
+    other threads arrive in no fixed order, so a ``ShardedEngine`` build
+    (whose row ranges hash in their own threads) records its partition RNG
+    but not its kernels.  Trace a :class:`~repro.core.ProbGraph` build, which
+    hashes in the calling thread, to cover the kernels.
     """
     trace = DeterminismTrace()
+    tracing_thread = threading.get_ident()
 
     hashing = importlib.import_module("repro.sketches.hashing")
     real_splitmix64: Callable[..., Any] = hashing.splitmix64
 
     def traced_splitmix64(x: Any, seed: int = 0) -> Any:
-        trace.record(_seed_repr(seed), call_site(1))
+        if threading.get_ident() == tracing_thread:
+            trace.record(_seed_repr(seed), call_site(1))
         return real_splitmix64(x, seed)
 
     real_default_rng = np.random.default_rng
 
     def traced_default_rng(seed: Any = None) -> Any:
-        trace.record(f"default_rng({_seed_repr(seed)})", call_site(1))
+        if threading.get_ident() == tracing_thread:
+            trace.record(f"default_rng({_seed_repr(seed)})", call_site(1))
         return real_default_rng(seed)
 
     patched: list[tuple[Any, str, Any]] = []

@@ -285,9 +285,9 @@ class ProbGraph:
         """Wrap an already-built sketch container into a :class:`ProbGraph`.
 
         The entry point of the sharded build path
-        (:mod:`repro.engine.sharded`): per-shard containers built in worker
-        processes are merged row-wise and handed over here, skipping the
-        in-process construction pass.  The caller guarantees that ``sketches``
+        (:mod:`repro.engine.sharded`): row ranges built in parallel threads
+        are concatenated in order and handed over here, skipping the
+        one-thread construction pass.  The caller guarantees that ``sketches``
         is exactly what ``params.make_family(seed).sketch_neighborhoods`` would
         produce on ``base`` (the oriented graph when ``oriented``); every query
         path then behaves bit-identically to a directly-constructed ProbGraph.

@@ -49,7 +49,6 @@ from ..graph.csr import CSRGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import os
-    from concurrent.futures import ProcessPoolExecutor
 
     from ..dynamic.graph import GraphDelta
     from ..storage import SketchStore, StoreHandle
@@ -94,16 +93,12 @@ class PGSession:
         budget that is roughly a quarter of the CSR size per entry.
     config:
         Default :class:`~repro.engine.EngineConfig` applied to queries issued
-        through this session (chunk sizing, memory budget, thread fan-out).
+        through this session (chunk sizing, memory budget).
     shards:
         When > 1, cache misses build their sketch set through the sharded
-        multiprocess pass (:func:`repro.engine.sharded.build_probgraph_sharded`)
-        instead of in-process — bit-identical results, construction split over
-        worker processes.
-    pool:
-        Optional :class:`~concurrent.futures.ProcessPoolExecutor` reused by
-        the sharded builds (kept alive by the caller); when ``None`` and
-        ``shards`` is set, each build uses a transient pool.
+        pass (:func:`repro.engine.sharded.build_probgraph_sharded`) instead
+        of in one thread — bit-identical results, construction split over up
+        to ``shards`` threads (no more than the calling thread's CPUs).
     store:
         Optional :class:`~repro.storage.SketchStore` (or a directory path) of
         persisted sketch sets.  A cache miss whose key has a store entry is
@@ -143,7 +138,6 @@ class PGSession:
         max_entries: int = 8,
         config: EngineConfig | None = None,
         shards: int | None = None,
-        pool: "ProcessPoolExecutor | None" = None,
         store: "SketchStore | str | os.PathLike[str] | None" = None,
         store_mode: str = "mmap",
     ) -> None:
@@ -156,7 +150,6 @@ class PGSession:
         self.max_entries = int(max_entries)
         self.config = config or EngineConfig()
         self.shards = int(shards) if shards is not None else None
-        self.pool = pool
         if store is not None and not hasattr(store, "load"):
             from ..storage import SketchStore as _SketchStore
 
@@ -275,7 +268,6 @@ class PGSession:
                     oriented=oriented,
                     seed=seed,
                     estimator=estimator,
-                    pool=self.pool,
                 )
             else:
                 pg = ProbGraph(
@@ -392,7 +384,7 @@ class PGSession:
         rows change; results stay bit-identical to a fresh build on the new
         graph) and re-keyed under the new fingerprint, preserving LRU order.
         Callers holding references to the cached objects see them advance too.
-        Entries built through the sharded multiprocess pass (``shards=``) are
+        Entries built through the sharded pass (``shards=``) are
         ordinary :class:`~repro.core.ProbGraph` objects once cached, so they
         advance identically — a sharded build is patched, not rebuilt (a
         long-lived :class:`~repro.engine.sharded.ShardedEngine` is patched

@@ -1,27 +1,27 @@
-"""Sharded multiprocess engine — process-parallel builds, one served container (§VIII-F).
+"""Sharded engine — thread-parallel builds, one served container (§VIII-F).
 
 :mod:`repro.parallel.distributed` *models* the paper's distributed claim
 (shipping fixed-size sketches instead of CSR neighborhoods cuts communication
-~4×).  This module runs its construction half on one machine's cores:
-vertices are partitioned into shards (:mod:`repro.graph.partition`), each
-shard's neighborhood sketches are built in a separate **process** of a
-:class:`concurrent.futures.ProcessPoolExecutor`, and the row blocks are
-assembled once, in global vertex order, into one
+~4×).  This module runs its construction half on one machine's cores, the
+way the paper's per-vertex loop runs on shared-memory threads: the rows of
+the sketched graph are cut into contiguous ranges of about equal adjacency,
+each range is hashed in its own thread (NumPy's hashing kernels release the
+GIL), and the ranges are concatenated in order into one
 :class:`~repro.core.ProbGraph`.  That container serves every query and delta
 through the single-process code (:mod:`repro.engine.batch`,
-:mod:`repro.engine.topk`, :meth:`repro.core.ProbGraph.apply_delta`); the
+:mod:`repro.engine.topk`, :meth:`repro.core.ProbGraph.apply_delta`).
+Vertices are partitioned into shards (:mod:`repro.graph.partition`), and the
 partition only prices the queries in shipments.
 
 These contracts make this safe to use everywhere the single-process engine is:
 
 * **Bit-identity.**  A sketch row is a pure function of the neighborhood
   elements and the family seed — it does not depend on the row's position or
-  on any other row.  Every shard therefore builds with the *session* seed
-  (no per-shard salt is needed for reproducibility: the row hashes already
-  are deterministic), over horizontal row blocks of the full adjacency (never
-  induced subgraphs), so the assembled container is bit-identical to a
-  whole-graph build and every query returns exactly the floats the
-  single-process :class:`~repro.engine.PGSession` path returns.
+  on any other row.  Every range therefore builds with the *session* seed
+  over complete neighborhoods, so the assembled container is bit-identical
+  to a whole-graph build whatever the ranges or the partition, and every
+  query returns exactly the floats the single-process
+  :class:`~repro.engine.PGSession` path returns.
 * **Shipment accounting.**  Ownership alone decides which sketch rows a query
   would move between shards, so :class:`ShardCommStats` counts them without
   copying any row.  A pair query follows
@@ -29,11 +29,6 @@ These contracts make this safe to use everywhere the single-process engine is:
   :func:`~repro.parallel.distributed.communication_volume` models, so the
   counted and the modeled shipments cannot drift apart.  A top-k query ships
   each source once to every other shard that owns a candidate.
-* **Worker transport.**  Workers receive the CSR arrays either through
-  pickled row-block views (``transport="pickle"``) or zero-copy through
-  :mod:`multiprocessing.shared_memory` (``transport="shm"``, the default when
-  available): the parent publishes the full ``(indptr, indices)`` arrays once
-  and each worker slices out its own rows.
 * **Deltas.**  :meth:`ShardedEngine.apply_delta` patches the container with
   :meth:`~repro.core.ProbGraph.apply_delta` and assigns new vertices to the
   smallest shards; :meth:`ShardedEngine.repartition` swaps the ownership and
@@ -54,13 +49,11 @@ from __future__ import annotations
 import json
 import os
 import time
+import warnings
 import weakref
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from multiprocessing.shared_memory import SharedMemory
+from typing import Any, Callable
 
 import numpy as np
 
@@ -75,7 +68,7 @@ from ..core.probgraph import (
 )
 from ..dynamic.graph import DynamicGraph, GraphDelta
 from ..graph.csr import CSRGraph
-from ..graph.partition import ShardPartition, partition_graph, slice_row_block
+from ..graph.partition import ShardPartition, partition_graph
 from ..parallel.distributed import CommunicationVolume, communication_volume, pair_shipments
 from ..sketches.base import NeighborhoodSketches, concat_sketch_rows
 from ..storage import (
@@ -204,150 +197,50 @@ class ShardSkewStats:
         return self.max_imbalance > float(threshold)
 
 
-# ---------------------------------------------------------------------------
-# worker side
-# ---------------------------------------------------------------------------
-def _attach_shared_memory(name: str) -> "SharedMemory":
-    """Attach an existing shared-memory block; the parent owns and unlinks it.
-
-    Fork-started workers (the Linux default this engine targets) share the
-    parent's resource-tracker process, and registrations are per-name, so the
-    parent's single ``unlink()`` after the build cleans the segment up exactly
-    once — no per-child tracker bookkeeping is needed.
-    """
-    from multiprocessing import shared_memory
-
-    return shared_memory.SharedMemory(name=name)
-
-
-def _build_shard_sketches(spec: tuple) -> NeighborhoodSketches:
-    """Worker entry point: build one shard's sketch rows from its CSR row block.
-
-    ``spec`` is ``(params, seed, payload)`` where ``payload`` is either
-    ``("arrays", local_indptr, local_indices)`` (pickled row-block views) or
-    ``("shm", indptr_name, indptr_len, indices_name, indices_len, owned)``
-    (attach the full CSR via shared memory and slice the owned rows here).
-    The returned container's row ``i`` is bit-identical to row ``owned[i]`` of
-    a whole-graph build with the same family parameters and seed.
-    """
-    params, seed, payload = spec
-    family = params.make_family(int(seed))
-    if payload[0] == "arrays":
-        _, local_indptr, local_indices = payload
-        return family.sketch_neighborhoods(local_indptr, local_indices)
-    _, indptr_name, indptr_len, indices_name, indices_len, owned = payload
-    shm_indptr = _attach_shared_memory(indptr_name)
-    try:
-        shm_indices = _attach_shared_memory(indices_name)
-    except BaseException:
-        # A failed second attach (segment vanished, fd limit) must not leak
-        # the first segment's mapping for the worker's lifetime.
-        shm_indptr.close()
-        raise
-    try:
-        indptr = np.ndarray((indptr_len,), dtype=np.int64, buffer=shm_indptr.buf)
-        indices = np.ndarray((indices_len,), dtype=np.int64, buffer=shm_indices.buf)
-        local_indptr, local_indices = slice_row_block(indptr, indices, owned)
-        return family.sketch_neighborhoods(local_indptr, local_indices)
-    finally:
-        shm_indptr.close()
-        shm_indices.close()
-
-
-def _shard_specs(
-    base: CSRGraph,
-    partition: ShardPartition,
-    params: SketchParams,
-    seed: int,
-    transport: str,
-    owner: object,
-) -> tuple[list[tuple], tuple | None]:
-    """The per-shard worker specs, plus the shared-memory segments they read."""
-    if transport == "pickle":
-        specs = [
-            (params, seed, ("arrays", *partition.row_block(base.indptr, base.indices, s)))
-            for s in range(partition.num_shards)
-        ]
-        return specs, None
-    arrays = {
-        "indptr": np.ascontiguousarray(base.indptr, dtype=np.int64),
-        "indices": np.ascontiguousarray(base.indices, dtype=np.int64),
-    }
-    # Segments go through the sanitizer's tracked allocator: under
-    # reprosan each carries its allocation site and must be released by
-    # engine close/build teardown; in production this is a plain
-    # SharedMemory(create=True).
-    segments: list = []
-    try:
-        for name, arr in arrays.items():
-            segments.append(
-                _san.create_segment(arr.nbytes, owner=owner, purpose=f"CSR {name} transport")
-            )
-            np.ndarray(arr.shape, dtype=np.int64, buffer=segments[-1].buf)[:] = arr
-    except BaseException:
-        for shm in segments:
-            _san.release_segment(shm)
-        raise
-    shm_indptr, shm_indices = segments
-    payload = ("shm", shm_indptr.name, arrays["indptr"].shape[0],
-               shm_indices.name, arrays["indices"].shape[0])
-    specs = [
-        (params, seed, (*payload, partition.shard_vertices[s]))
-        for s in range(partition.num_shards)
-    ]
-    return specs, (shm_indptr, shm_indices)
-
-
 def _build_rows(
-    base: CSRGraph,
-    partition: ShardPartition,
-    params: SketchParams,
-    seed: int,
-    pool: ProcessPoolExecutor | None,
-    max_workers: int | None,
-    transport: str,
-    owner: object,
+    params: SketchParams, seed: int, base: CSRGraph, blocks: int
 ) -> NeighborhoodSketches:
-    """Build every shard's row block in the pool; assemble them in global order."""
-    if partition.num_shards == 1:
-        # Nothing to fan out: the one row block is the whole adjacency.
-        return params.make_family(seed).sketch_neighborhoods(base.indptr, base.indices)
-    if transport == "auto":
-        try:
-            specs, handles = _shard_specs(base, partition, params, seed, "shm", owner)
-        except (OSError, ImportError):
-            # Shared memory unavailable (no /dev/shm, size limits, or no
-            # _posixshmem) — pickled row blocks are always possible.
-            specs, handles = _shard_specs(base, partition, params, seed, "pickle", owner)
-    else:
-        specs, handles = _shard_specs(base, partition, params, seed, transport, owner)
-    try:
-        if pool is not None:
-            blocks = list(pool.map(_build_shard_sketches, specs))
-        else:
-            with ProcessPoolExecutor(max_workers=max_workers or partition.num_shards) as owned:
-                blocks = list(owned.map(_build_shard_sketches, specs))
-    finally:
-        if handles is not None:
-            for shm in handles:
-                _san.release_segment(shm)
-    order = np.concatenate(partition.shard_vertices)
-    inverse = np.empty(order.shape[0], dtype=np.int64)
-    inverse[order] = np.arange(order.shape[0], dtype=np.int64)
-    return concat_sketch_rows(blocks).take_rows(inverse)
+    """Build ``base``'s sketch rows as ``blocks`` contiguous row ranges, one thread each.
+
+    A row depends only on its neighborhood and the seed, so the ranges,
+    concatenated in order, are exactly the rows of one whole-graph build.
+    The cuts balance adjacency slots; empty ranges are dropped, and a single
+    range builds in the calling thread.  NumPy's hashing kernels release the
+    GIL, so the block threads hash in parallel.
+    """
+    indptr, indices = base.indptr, base.indices
+    targets = np.arange(1, blocks) * (indices.shape[0] / blocks)
+    bounds = np.unique(np.concatenate(([0], np.searchsorted(indptr, targets), [base.num_vertices])))
+    if bounds.shape[0] <= 2:
+        return params.make_family(seed).sketch_neighborhoods(indptr, indices)
+    with ThreadPoolExecutor(bounds.shape[0] - 1) as executor:
+        futures = [
+            executor.submit(_build_range, params, seed, indptr, indices, lo, hi)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+    return concat_sketch_rows([future.result() for future in futures])
 
 
-# ---------------------------------------------------------------------------
-# parent side
-# ---------------------------------------------------------------------------
+def _build_range(
+    params: SketchParams, seed: int, indptr: np.ndarray, indices: np.ndarray, lo: int, hi: int
+) -> NeighborhoodSketches:
+    """The sketch rows of rows ``[lo, hi)``, built from a view of their adjacency."""
+    first, last = indptr[lo], indptr[hi]
+    return params.make_family(seed).sketch_neighborhoods(
+        indptr[lo:hi + 1] - first, indices[first:last]
+    )
+
+
 class ShardedEngine:
-    """Sketch rows built per shard in a process pool, served from one container.
+    """Sketch rows built in parallel threads, served from one container.
 
     Parameters mirror :class:`~repro.core.ProbGraph` (representation, budget,
     explicit sizes, ``oriented``, ``seed``, default ``estimator``), plus:
 
     num_shards:
-        Number of vertex shards (= row blocks built in parallel).
+        Number of vertex shards the queries are priced over.  The build hashes
+        ``min(num_shards, CPUs the calling thread may run on)`` contiguous row
+        ranges in as many threads; one range builds in the calling thread.
     partition:
         ``"hash"`` (random balanced, default) or ``"locality"`` (BFS chunks) —
         see :func:`repro.graph.partition.partition_graph`.
@@ -356,15 +249,11 @@ class ShardedEngine:
         *ownership* of rows depends on it — never the sketch contents, which
         are built with the session ``seed`` so that results stay bit-identical
         to the single-process path for any partitioning.
-    pool:
-        An existing :class:`~concurrent.futures.ProcessPoolExecutor` to reuse
-        across builds (it is not shut down); when ``None``, a private pool of
-        ``max_workers`` (default ``num_shards``) processes is created for the
-        construction pass and torn down afterwards.
-    transport:
-        ``"shm"`` ships the full CSR through shared memory and lets each
-        worker slice its rows, ``"pickle"`` sends per-shard row-block arrays,
-        ``"auto"`` (default) tries shared memory and falls back to pickling.
+    pool, transport:
+        Deprecated and ignored: passing either emits a
+        :class:`DeprecationWarning`.  They chose the process pool and the row
+        transport of an earlier, multiprocess build.  Both go once the
+        repository benchmark (``perfbench``) stops passing them.
 
     Queries are safe to issue from concurrent threads: the container is only
     read, and the :attr:`comm` counters are updated under a lock.
@@ -392,14 +281,16 @@ class ShardedEngine:
         estimator: EstimatorKind | str | None = None,
         partition: str = "hash",
         partition_seed: int | None = None,
-        pool: ProcessPoolExecutor | None = None,
-        max_workers: int | None = None,
-        transport: str = "auto",
+        pool: object = None,
+        transport: str | None = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
-        if transport not in ("auto", "shm", "pickle"):
-            raise ValueError(f"unknown transport {transport!r}; expected 'auto', 'shm', or 'pickle'")
+        if pool is not None or transport is not None:
+            warnings.warn(
+                "ShardedEngine ignores pool= and transport=; its rows build in threads",
+                DeprecationWarning, stacklevel=2,
+            )
         if isinstance(graph, DynamicGraph):
             self._source: DynamicGraph | None = graph
             self._source_version = graph.version
@@ -410,7 +301,7 @@ class ShardedEngine:
         params = resolve_sketch_params(
             graph, representation, storage_budget, num_hashes, num_bits, k, precision
         )
-        if estimator is not None:  # fail before the pool spins up
+        if estimator is not None:  # fail before the build
             check_estimator_kind(params.representation, estimator)
         base = graph.oriented() if oriented else graph
         shards = partition_graph(
@@ -421,7 +312,8 @@ class ShardedEngine:
         self._handles: list[StoreHandle] = []
         # reprolint: allow[determinism] -- wall-clock timing stat only; never feeds hash/seed/sketch state
         start = time.perf_counter()
-        rows = _build_rows(base, shards, params, int(seed), pool, max_workers, transport, self)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        rows = _build_rows(params, int(seed), base, min(num_shards, cpus or 1))
         pg = ProbGraph.from_sketches(
             graph, rows, params, oriented=oriented, seed=seed, estimator=estimator,
             storage_budget=storage_budget, base=base,
@@ -456,14 +348,12 @@ class ShardedEngine:
     def close(self) -> None:
         """Release the engine: the well-defined end of its resource lifetime.
 
-        Idempotent.  Shared-memory transport segments are already released by
-        the build's ``finally`` teardown, and store handles attached by
-        :meth:`open` are closed here; ``close()`` is then where the reprosan
-        lifecycle tracker audits that nothing owned by this engine is still
-        live — a transport segment leaked by an error path or a store-opened
-        mmap handle left unreleased becomes a ``SAN601`` finding here, with
-        its acquisition site.  After close, query and patch entry points
-        raise :class:`RuntimeError`.
+        Idempotent.  Store handles attached by :meth:`open` (and by
+        :meth:`lsh_index`) are closed here; ``close()`` is then where the
+        reprosan lifecycle tracker audits that nothing owned by this engine
+        is still live — a store-opened mmap handle left unreleased becomes a
+        ``SAN601`` finding here, with its acquisition site.  After close,
+        query and patch entry points raise :class:`RuntimeError`.
         """
         if self._closed:
             return
@@ -548,16 +438,15 @@ class ShardedEngine:
     ) -> "ShardedEngine":
         """Attach an engine to a directory written by :meth:`save`.
 
-        The cold-start counterpart of building: no process pool, no hashing —
-        the CSR adjacency and the sketch rows come straight from the saved
-        block files, zero-copy in ``"mmap"`` mode (``"eager"`` reads them
-        into process memory).  The opened engine answers every query
+        The cold-start counterpart of building: no hashing — the CSR
+        adjacency and the sketch rows come straight from the saved block
+        files, zero-copy in ``"mmap"`` mode (``"eager"`` reads them into
+        process memory).  The opened engine answers every query
         bit-identically to the engine that saved it; delta patches promote
         the mmap rows to writable copies lazily.  ``open`` only notes whether
         the directory holds ``lsh.pgsk``; :meth:`lsh_index` maps it later, in
         the same ``mode``.  All store handles are owned by the engine and
-        released by :meth:`close`, where the reprosan ledger audits them like
-        shared-memory segments.
+        released by :meth:`close`, where the reprosan ledger audits them.
 
         ``estimator`` overrides the saved default estimator; everything else
         (representation, resolved sketch parameters, orientation, seed,
@@ -1013,17 +902,14 @@ def build_probgraph_sharded(
     seed: int = 0,
     estimator: EstimatorKind | str | None = None,
     partition: str = "hash",
-    pool: ProcessPoolExecutor | None = None,
-    max_workers: int | None = None,
-    transport: str = "auto",
 ) -> ProbGraph:
-    """Build a :class:`~repro.core.ProbGraph` with a multiprocess sharded pass.
+    """Build a :class:`~repro.core.ProbGraph` with a sharded, thread-parallel pass.
 
-    Construction cost is split over ``num_shards`` worker processes; the
-    result — the engine's own container, handed over without a copy — is
-    bit-identical to the in-process constructor.  This is what
-    :meth:`repro.engine.PGSession.probgraph` uses when the session is created
-    with ``shards=``.
+    Construction is split over up to ``num_shards`` threads (no more than
+    the calling thread's CPUs); the result — the engine's own container,
+    handed over without a copy — is bit-identical to the in-process
+    constructor.  This is what :meth:`repro.engine.PGSession.probgraph` uses
+    when the session is created with ``shards=``.
     """
     engine = ShardedEngine(
         graph,
@@ -1038,8 +924,5 @@ def build_probgraph_sharded(
         seed=seed,
         estimator=estimator,
         partition=partition,
-        pool=pool,
-        max_workers=max_workers,
-        transport=transport,
     )
     return engine._pg

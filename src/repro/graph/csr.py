@@ -68,7 +68,7 @@ def ragged_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class CSRGraph:
     """An undirected simple graph in CSR format with sorted neighborhoods."""
 
-    __slots__ = ("num_vertices", "indptr", "indices", "_adj_cache", "_fingerprint")
+    __slots__ = ("num_vertices", "indptr", "indices", "_adj_cache", "_fingerprint", "_degrees")
 
     def __init__(self, num_vertices: int, indptr: np.ndarray, indices: np.ndarray) -> None:
         self.num_vertices = int(num_vertices)
@@ -80,6 +80,7 @@ class CSRGraph:
             raise ValueError("indptr must start at 0 and end at len(indices)")
         self._adj_cache: sp.csr_matrix | None = None
         self._fingerprint: str | None = None
+        self._degrees: np.ndarray | None = None
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -141,8 +142,12 @@ class CSRGraph:
 
     @property
     def degrees(self) -> np.ndarray:
-        """Degree ``d_v`` of every vertex."""
-        return np.diff(self.indptr)
+        """Degree ``d_v`` of every vertex (computed once; a read-only array)."""
+        if self._degrees is None:
+            degrees = np.diff(self.indptr)
+            degrees.flags.writeable = False
+            self._degrees = degrees
+        return self._degrees
 
     @property
     def max_degree(self) -> int:

@@ -14,7 +14,7 @@ partitioners the sharded engine and the communication model share:
 
 Both return an ``owners`` array; :func:`partition_graph` wraps one of them
 into a :class:`ShardPartition` carrying the per-shard vertex lists the
-sharded engine builds and prices queries with.
+sharded engine prices queries with.
 """
 
 from __future__ import annotations
@@ -32,28 +32,7 @@ __all__ = [
     "partition_from_owners",
     "partition_vertices",
     "partition_vertices_locality",
-    "slice_row_block",
 ]
-
-
-def slice_row_block(
-    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR row block of ``rows``, in the given order.
-
-    Returns ``(local_indptr, local_indices)`` where local row ``i`` holds the
-    complete neighborhood of global vertex ``rows[i]`` — a horizontal slice of
-    the adjacency, shared by :meth:`ShardPartition.row_block` and the sharded
-    engine's shared-memory workers.
-    """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    rows = np.asarray(rows, dtype=np.int64)
-    counts = indptr[rows + 1] - indptr[rows]
-    local_indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
-    np.cumsum(counts, out=local_indptr[1:])
-    local_indices = indices[ragged_gather(indptr[rows], counts)]
-    return local_indptr, local_indices
 
 
 def partition_vertices(graph: CSRGraph, num_partitions: int, seed: int = 0) -> np.ndarray:
@@ -115,8 +94,7 @@ class ShardPartition:
     """A vertex partitioning: who owns each vertex, and each shard's vertices.
 
     ``owners[v]`` is the shard owning vertex ``v``; ``shard_vertices[s]`` lists
-    shard ``s``'s vertices in ascending global order (the rows a build worker
-    sketches).
+    shard ``s``'s vertices in ascending global order.
     """
 
     owners: np.ndarray
@@ -183,18 +161,6 @@ class ShardPartition:
         return ShardPartition(
             np.concatenate([self.owners, new_owners]), self.num_shards, shard_vertices
         )
-
-    def row_block(self, indptr: np.ndarray, indices: np.ndarray, shard: int) -> tuple[np.ndarray, np.ndarray]:
-        """The CSR row block of one shard's owned vertices, in local row order.
-
-        Returns ``(local_indptr, local_indices)`` where row ``i`` holds the
-        *complete* neighborhood (global IDs) of ``shard_vertices[shard][i]`` —
-        a horizontal slice of the full adjacency, **not** an induced subgraph.
-        Sketch rows are pure functions of the neighborhood elements and the
-        family seed, so rows built from this block are bit-identical to the
-        corresponding rows of a whole-graph build.
-        """
-        return slice_row_block(indptr, indices, self.shard_vertices[int(shard)])
 
 
 def partition_graph(

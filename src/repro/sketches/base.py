@@ -579,8 +579,8 @@ def concat_sketch_rows(parts: Sequence[NeighborhoodSketches]) -> NeighborhoodSke
     All ``parts`` must be the same container type with identical family
     parameters (:meth:`NeighborhoodSketches.family_key`); the result holds
     their rows concatenated in order and is bit-identical, row for row, to the
-    inputs.  This is how the sharded engine assembles its per-shard builds
-    into one full sketch set.
+    inputs.  This is how the sharded engine joins the row ranges its threads
+    build into one full sketch set.
     """
     parts = list(parts)
     if not parts:

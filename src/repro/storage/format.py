@@ -28,7 +28,7 @@ checksum verified) or **mmap** (each block exposed as a read-only
 verified up front, block checksums on demand via :meth:`StoreHandle.verify`).
 Mmap handles are registered with the ``reprosan`` lifecycle ledger so a
 handle that is never closed is attributed to the ``open_blocks`` call-site
-that acquired it, exactly like a leaked SharedMemory segment.
+that acquired it.
 
 Version policy: the major format version in the preamble is bumped on any
 layout change a v1 reader cannot parse; readers reject any version other

@@ -170,6 +170,14 @@ class TestStructure:
         assert triangle_graph.degree(2) == 3
         assert triangle_graph.max_degree == 3
 
+    def test_degrees_are_cached_read_only(self, triangle_graph):
+        first = triangle_graph.degrees
+        assert triangle_graph.degrees is first
+        assert np.array_equal(first, np.diff(triangle_graph.indptr))
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 7
+
     def test_average_degree(self, k6):
         assert k6.average_degree == pytest.approx(5.0)
 

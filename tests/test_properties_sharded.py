@@ -12,29 +12,12 @@ isolated vertices, tiny components).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import PGSession, ShardedEngine
 from repro.graph import CSRGraph
-
-_POOL: ProcessPoolExecutor | None = None
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _shared_pool():
-    """One fork-server pool for every hypothesis example (forking per example
-    would dominate the runtime)."""
-    global _POOL
-    with ProcessPoolExecutor(max_workers=2) as executor:
-        _POOL = executor
-        yield
-    _POOL = None
-
 
 @st.composite
 def random_graph(draw):
@@ -71,7 +54,6 @@ def test_sharded_queries_bit_identical(
         oriented=oriented,
         seed=seed,
         partition=partition,
-        pool=_POOL,
     )
     rng = np.random.default_rng(seed + 1)
     u = rng.integers(0, graph.num_vertices, size=64).astype(np.int64)

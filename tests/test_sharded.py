@@ -1,4 +1,4 @@
-"""Tests for the sharded multiprocess engine and the vertex partitioners.
+"""Tests for the sharded engine, its threaded build, and the vertex partitioners.
 
 The acceptance bar mirrors the single-process engine's:
 
@@ -16,6 +16,10 @@ The acceptance bar mirrors the single-process engine's:
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -24,6 +28,7 @@ import pytest
 from repro.algorithms import knn_graph, knn_graph_sharded, triangle_count, triangle_count_sharded
 from repro.core import ProbGraph
 from repro.engine import PGSession, ShardedEngine, build_probgraph_sharded
+from repro.engine.sharded import _build_rows
 from repro.graph import (
     CSRGraph,
     complete_graph,
@@ -43,13 +48,6 @@ SHARD_COUNTS = [1, 2, 4]
 @pytest.fixture(scope="module")
 def graph() -> CSRGraph:
     return kronecker_graph(scale=7, edge_factor=5, seed=21)
-
-
-@pytest.fixture(scope="module")
-def pool():
-    """One worker pool shared by every engine build in this module (fork once)."""
-    with ProcessPoolExecutor(max_workers=2) as executor:
-        yield executor
 
 
 @pytest.fixture(scope="module")
@@ -99,13 +97,6 @@ class TestPartitioners:
             assert np.all(np.diff(ids) > 0)  # ascending global order
         assert int(part.shard_sizes().sum()) == graph.num_vertices
 
-    def test_row_block_holds_full_neighborhoods(self, graph):
-        part = partition_graph(graph, 4, seed=2)
-        indptr, indices = part.row_block(graph.indptr, graph.indices, 1)
-        for i, vertex in enumerate(part.shard_vertices[1]):
-            row = indices[indptr[i]:indptr[i + 1]]
-            assert np.array_equal(row, graph.neighbors(int(vertex)))
-
     def test_invalid_inputs(self, graph):
         with pytest.raises(ValueError):
             partition_vertices(graph, 0)
@@ -122,14 +113,14 @@ class TestShardedBitIdentity:
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     @pytest.mark.parametrize("oriented", [False, True])
     def test_pair_queries_match_single_process(
-        self, graph, pairs, pool, representation, num_shards, oriented
+        self, graph, pairs, representation, num_shards, oriented
     ):
         u, v = pairs
         session = PGSession()
         pg = session.probgraph(graph, representation=representation, oriented=oriented, seed=13)
         engine = ShardedEngine(
             graph, num_shards, representation=representation, oriented=oriented,
-            seed=13, pool=pool,
+            seed=13,
         )
         assert np.array_equal(
             engine.pair_intersections(u, v), session.pair_intersections(pg, u, v)
@@ -137,29 +128,20 @@ class TestShardedBitIdentity:
         assert np.array_equal(engine.pair_jaccard(u, v), session.pair_jaccard(pg, u, v))
 
     @pytest.mark.parametrize("estimator", ["AND", "L", "OR"])
-    def test_bloom_estimator_override(self, graph, pairs, pool, estimator):
+    def test_bloom_estimator_override(self, graph, pairs, estimator):
         u, v = pairs
         pg = ProbGraph(graph, representation="bloom", seed=4)
-        engine = ShardedEngine(graph, 3, representation="bloom", seed=4, pool=pool)
+        engine = ShardedEngine(graph, 3, representation="bloom", seed=4)
         assert np.array_equal(
             engine.pair_intersections(u, v, estimator=estimator),
             pg.pair_intersections(u, v, estimator=estimator),
         )
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_transports_equivalent(self, graph, pairs, pool, transport):
-        u, v = pairs
-        pg = ProbGraph(graph, representation="khash", seed=6)
-        engine = ShardedEngine(
-            graph, 2, representation="khash", seed=6, pool=pool, transport=transport
-        )
-        assert np.array_equal(engine.pair_intersections(u, v), pg.pair_intersections(u, v))
-
-    def test_locality_partition_same_results(self, graph, pairs, pool):
+    def test_locality_partition_same_results(self, graph, pairs):
         u, v = pairs
         pg = ProbGraph(graph, representation="kmv", seed=8)
         engine = ShardedEngine(
-            graph, 4, representation="kmv", seed=8, partition="locality", pool=pool
+            graph, 4, representation="kmv", seed=8, partition="locality"
         )
         assert np.array_equal(engine.pair_intersections(u, v), pg.pair_intersections(u, v))
 
@@ -167,27 +149,27 @@ class TestShardedBitIdentity:
     @pytest.mark.parametrize("num_shards", [2, 4])
     @pytest.mark.parametrize("measure", ["jaccard", "intersection"])
     def test_topk_batch_matches_single_process(
-        self, graph, pool, representation, num_shards, measure
+        self, graph, representation, num_shards, measure
     ):
         rng = np.random.default_rng(55)
         sources = rng.integers(0, graph.num_vertices, size=12).astype(np.int64)
         session = PGSession()
         pg = session.probgraph(graph, representation=representation, seed=2)
         engine = ShardedEngine(
-            graph, num_shards, representation=representation, seed=2, pool=pool
+            graph, num_shards, representation=representation, seed=2
         )
         ref = session.top_k_similar_batch(pg, sources, 9, measure=measure)
         got = engine.top_k_similar_batch(sources, 9, measure=measure)
         assert np.array_equal(ref.indices, got.indices)
         assert np.array_equal(ref.scores, got.scores)
 
-    def test_topk_candidate_subset_and_small_k(self, graph, pool):
+    def test_topk_candidate_subset_and_small_k(self, graph):
         rng = np.random.default_rng(66)
         sources = rng.integers(0, graph.num_vertices, size=5).astype(np.int64)
         candidates = rng.integers(0, graph.num_vertices, size=17).astype(np.int64)
         session = PGSession()
         pg = session.probgraph(graph, representation="bloom", seed=9)
-        engine = ShardedEngine(graph, 3, representation="bloom", seed=9, pool=pool)
+        engine = ShardedEngine(graph, 3, representation="bloom", seed=9)
         ref = session.top_k_similar_batch(pg, sources, 50, candidates=candidates)
         got = engine.top_k_similar_batch(sources, 50, candidates=candidates)
         assert np.array_equal(ref.indices, got.indices)
@@ -197,13 +179,13 @@ class TestShardedBitIdentity:
         assert np.array_equal(single_ids, ref_ids)
         assert np.array_equal(single_scores, ref_scores)
 
-    def test_concurrent_queries_stay_bit_identical(self, graph, pairs, pool):
+    def test_concurrent_queries_stay_bit_identical(self, graph, pairs):
         # Regression: evaluation state must be per-call — a shared global→local
         # lookup would let concurrent queries read each other's row mappings.
         import threading
 
         u, v = pairs
-        engine = ShardedEngine(graph, 4, representation="bloom", seed=31, pool=pool)
+        engine = ShardedEngine(graph, 4, representation="bloom", seed=31)
         expected = ProbGraph(graph, representation="bloom", seed=31).pair_intersections(u, v)
         barrier = threading.Barrier(6)
         errors: list[BaseException] = []
@@ -225,12 +207,10 @@ class TestShardedBitIdentity:
         assert engine.comm.queries == 30
         assert engine.comm.routed_pairs == 30 * u.shape[0]
 
-    def test_invalid_arguments(self, graph, pool):
+    def test_invalid_arguments(self, graph):
         with pytest.raises(ValueError):
             ShardedEngine(graph, 0)
-        with pytest.raises(ValueError):
-            ShardedEngine(graph, 2, transport="carrier-pigeon")
-        engine = ShardedEngine(graph, 2, seed=1, pool=pool)
+        engine = ShardedEngine(graph, 2, seed=1)
         with pytest.raises(ValueError):
             engine.top_k_similar_batch(np.asarray([0]), -1)
         with pytest.raises(ValueError):
@@ -241,9 +221,9 @@ class TestShardedBitIdentity:
 
 class TestCommunicationAccounting:
     @pytest.mark.parametrize("method", ["hash", "locality"])
-    def test_engine_shipments_match_model(self, graph, pool, method):
+    def test_engine_shipments_match_model(self, graph, method):
         engine = ShardedEngine(
-            graph, 4, representation="1hash", seed=3, partition=method, pool=pool
+            graph, 4, representation="1hash", seed=3, partition=method
         )
         edges = graph.edge_array()
         engine.comm.reset()
@@ -261,9 +241,9 @@ class TestCommunicationAccounting:
         ids=["1-shard", "2-shards", "4-shards-repartitioned"],
     )
     def test_engine_shipments_match_model_per_shard_count(
-        self, graph, pool, num_shards, repartition
+        self, graph, num_shards, repartition
     ):
-        engine = ShardedEngine(graph, num_shards, representation="1hash", seed=3, pool=pool)
+        engine = ShardedEngine(graph, num_shards, representation="1hash", seed=3)
         if repartition:
             built = engine.partition.owners
             engine.repartition(seed=29)
@@ -283,8 +263,8 @@ class TestCommunicationAccounting:
 
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     @pytest.mark.parametrize("case", ["all-candidates", "subset-17", "k-0", "no-sources"])
-    def test_topk_shipments_match_brute_force(self, graph, pool, num_shards, case):
-        engine = ShardedEngine(graph, num_shards, representation="khash", seed=3, pool=pool)
+    def test_topk_shipments_match_brute_force(self, graph, num_shards, case):
+        engine = ShardedEngine(graph, num_shards, representation="khash", seed=3)
         rng = np.random.default_rng(12)
         n = graph.num_vertices
         sources = rng.integers(0, n, size=9).astype(np.int64)
@@ -311,15 +291,15 @@ class TestCommunicationAccounting:
         if num_shards > 1 and case in ("all-candidates", "subset-17"):
             assert expected > 0
 
-    def test_same_shard_pairs_ship_nothing(self, graph, pool):
-        engine = ShardedEngine(graph, 2, seed=5, pool=pool)
+    def test_same_shard_pairs_ship_nothing(self, graph):
+        engine = ShardedEngine(graph, 2, seed=5)
         owned = engine.partition.shard_vertices[0]
         engine.comm.reset()
         engine.pair_intersections(owned[:10], owned[10:20])
         assert engine.comm.shipments == 0
         assert engine.comm.sketch_bytes == 0.0
 
-    def test_single_shard_never_ships(self, graph, pairs, pool):
+    def test_single_shard_never_ships(self, graph, pairs):
         u, v = pairs
         engine = ShardedEngine(graph, 1, seed=5)
         engine.comm.reset()
@@ -329,8 +309,8 @@ class TestCommunicationAccounting:
 
 class TestGatherAndSession:
     @pytest.mark.parametrize("representation", REPRESENTATIONS)
-    def test_to_probgraph_container_bit_identical(self, graph, pool, representation):
-        engine = ShardedEngine(graph, 3, representation=representation, seed=7, pool=pool)
+    def test_to_probgraph_container_bit_identical(self, graph, representation):
+        engine = ShardedEngine(graph, 3, representation=representation, seed=7)
         merged = engine.to_probgraph()
         direct = ProbGraph(graph, representation=representation, seed=7)
         for name in direct.sketches.storage_arrays():
@@ -338,9 +318,9 @@ class TestGatherAndSession:
                 getattr(merged.sketches, name), getattr(direct.sketches, name)
             ), name
 
-    def test_session_shards_build_bit_identical_and_cached(self, graph, pairs, pool):
+    def test_session_shards_build_bit_identical_and_cached(self, graph, pairs):
         u, v = pairs
-        sharded_session = PGSession(shards=2, pool=pool)
+        sharded_session = PGSession(shards=2)
         plain_session = PGSession()
         pg_sharded = sharded_session.probgraph(graph, representation="bloom", seed=11)
         pg_plain = plain_session.probgraph(graph, representation="bloom", seed=11)
@@ -370,10 +350,10 @@ class TestGatherAndSession:
 
 class TestShardedAlgorithms:
     @pytest.mark.parametrize("oriented", [False, True])
-    def test_triangle_count_sharded_matches_pg(self, graph, pool, oriented):
+    def test_triangle_count_sharded_matches_pg(self, graph, oriented):
         pg = ProbGraph(graph, representation="bloom", oriented=oriented, seed=17)
         engine = ShardedEngine(
-            graph, 3, representation="bloom", oriented=oriented, seed=17, pool=pool
+            graph, 3, representation="bloom", oriented=oriented, seed=17
         )
         assert float(triangle_count_sharded(engine)) == pytest.approx(
             float(triangle_count(pg)), rel=1e-12
@@ -381,18 +361,18 @@ class TestShardedAlgorithms:
         assert "sharded" in triangle_count_sharded(engine).method
 
     @pytest.mark.parametrize("measure", ["jaccard", "common_neighbors"])
-    def test_knn_graph_sharded_matches_single_process(self, graph, pool, measure):
+    def test_knn_graph_sharded_matches_single_process(self, graph, measure):
         sources = np.arange(24, dtype=np.int64)
         pg = ProbGraph(graph, representation="khash", seed=19)
-        engine = ShardedEngine(graph, 2, representation="khash", seed=19, pool=pool)
+        engine = ShardedEngine(graph, 2, representation="khash", seed=19)
         ref = knn_graph(pg, k=6, measure=measure, sources=sources)
         got = knn_graph_sharded(engine, k=6, measure=measure, sources=sources)
         assert np.array_equal(ref.neighbors, got.neighbors)
         assert np.array_equal(ref.scores, got.scores)
         assert got.to_csr(graph.num_vertices) == ref.to_csr(graph.num_vertices)
 
-    def test_knn_graph_sharded_rejects_exact_only_measures(self, graph, pool):
-        engine = ShardedEngine(graph, 2, seed=1, pool=pool)
+    def test_knn_graph_sharded_rejects_exact_only_measures(self, graph):
+        engine = ShardedEngine(graph, 2, seed=1)
         with pytest.raises(ValueError):
             knn_graph_sharded(engine, k=3, measure="adamic_adar")
 
@@ -402,3 +382,66 @@ class TestShardedAlgorithms:
         direct = ProbGraph(graph, representation="hll", seed=23)
         assert np.array_equal(pg.pair_intersections(u, v), direct.pair_intersections(u, v))
         assert pg.precision == direct.precision
+
+
+def _assert_rows_equal(got, expected) -> None:
+    for name, arr in expected.storage_arrays().items():
+        assert np.array_equal(getattr(got, name), arr), name
+
+
+class TestThreadedBuild:
+    """The row-range builder behind :class:`ShardedEngine`, checked bit for bit."""
+
+    @pytest.mark.parametrize("representation", REPRESENTATIONS)
+    @pytest.mark.parametrize("oriented", [False, True])
+    @pytest.mark.parametrize("shape", ["kronecker", "fewer-rows-than-blocks", "empty"])
+    def test_blocks_match_probgraph(self, graph, representation, oriented, shape):
+        if shape == "fewer-rows-than-blocks":
+            graph = CSRGraph.from_edges(np.asarray([[0, 1], [1, 2]]), num_vertices=4)
+        elif shape == "empty":
+            graph = CSRGraph.from_edges(np.empty((0, 2), dtype=np.int64), num_vertices=0)
+        sizes = {"num_bits": 64, "k": 8, "precision": 6}
+        key = {"bloom": "num_bits", "hll": "precision"}.get(representation, "k")
+        pg = ProbGraph(
+            graph, representation=representation, oriented=oriented, seed=3,
+            **{key: sizes[key]},
+        )
+        for blocks in range(1, 8):
+            rows = _build_rows(pg.sketch_params, 3, pg.base, blocks)
+            assert rows.num_sets == graph.num_vertices
+            _assert_rows_equal(rows, pg.sketches)
+
+    def test_failed_block_raises_and_joins_its_threads(self, graph, monkeypatch):
+        from repro.sketches.minhash import KHashFamily
+
+        real = KHashFamily.sketch_neighborhoods
+        calls: list[int] = []
+        lock = threading.Lock()
+
+        def second_call_fails(self, indptr, indices):
+            with lock:
+                calls.append(indptr.shape[0] - 1)
+                if len(calls) == 2:
+                    raise RuntimeError("block failed")
+            return real(self, indptr, indices)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(KHashFamily, "sketch_neighborhoods", second_call_fails)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="block failed"):
+            ShardedEngine(graph, 4, representation="khash", k=8, seed=2)
+        assert len(calls) == 4  # one call per row range
+        assert set(threading.enumerate()) <= before  # every build thread has ended
+
+    def test_deprecated_pool_and_transport_are_ignored(self, graph):
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if "fork" in methods else None)
+        with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
+            with pytest.warns(DeprecationWarning, match="pool= and transport="):
+                engine = ShardedEngine(
+                    graph, 2, representation="khash", seed=6, pool=pool, transport="pickle",
+                )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            reference = ShardedEngine(graph, 2, representation="khash", seed=6)
+        _assert_rows_equal(engine.sketches, reference.sketches)

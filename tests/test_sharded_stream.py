@@ -25,7 +25,6 @@ import os
 import platform
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -58,13 +57,6 @@ EXPLICIT_PARAMS = {
 @pytest.fixture(scope="module")
 def graph() -> CSRGraph:
     return kronecker_graph(scale=7, edge_factor=5, seed=21)
-
-
-@pytest.fixture(scope="module")
-def pool():
-    """One worker pool shared by every engine build in this module (fork once)."""
-    with ProcessPoolExecutor(max_workers=2) as executor:
-        yield executor
 
 
 def _payload(pg: ProbGraph) -> dict[str, np.ndarray]:
@@ -100,7 +92,7 @@ def _stream(dyn, consumers, stream_edges, rng, batch_size=100, deletions=5):
 class TestApplyDeltaBitIdentity:
     @pytest.mark.parametrize("representation", REPRESENTATIONS)
     def test_full_matrix_patched_equals_rebuild_and_single_process(
-        self, graph, pool, representation
+        self, graph, representation
     ):
         """5 families × 1/2/4 shards × orientations: patched ≡ fresh ≡ single."""
         params = EXPLICIT_PARAMS[representation]
@@ -113,7 +105,7 @@ class TestApplyDeltaBitIdentity:
                 dyn.apply_edges(insertions=edges[:half])
                 engine = ShardedEngine(
                     dyn, shards, representation=representation,
-                    oriented=oriented, seed=3, pool=pool, **params,
+                    oriented=oriented, seed=3, **params,
                 )
                 single = ProbGraph(
                     dyn.snapshot(), representation=representation,
@@ -122,19 +114,19 @@ class TestApplyDeltaBitIdentity:
                 final = _stream(dyn, [engine, single], edges[half:], rng)
                 fresh = ShardedEngine(
                     final, shards, representation=representation,
-                    oriented=oriented, seed=3, pool=pool, **params,
+                    oriented=oriented, seed=3, **params,
                 )
                 patched = engine.to_probgraph()
                 assert_pg_equal(patched, fresh.to_probgraph())
                 assert_pg_equal(patched, single)
 
-    def test_routed_queries_match_single_process_after_patching(self, graph, pool):
+    def test_routed_queries_match_single_process_after_patching(self, graph):
         edges = graph.edge_array()
         half = edges.shape[0] // 2
         rng = np.random.default_rng(4)
         dyn = DynamicGraph(num_vertices=graph.num_vertices)
         dyn.apply_edges(insertions=edges[:half])
-        engine = ShardedEngine(dyn, 3, representation="khash", k=8, seed=3, pool=pool)
+        engine = ShardedEngine(dyn, 3, representation="khash", k=8, seed=3)
         single = ProbGraph(dyn.snapshot(), representation="khash", k=8, seed=3)
         _stream(dyn, [engine, single], edges[half:], rng)
         u = rng.integers(0, dyn.num_vertices, size=200).astype(np.int64)
@@ -144,9 +136,9 @@ class TestApplyDeltaBitIdentity:
         expected = [single.jaccard(int(a), int(b)) for a, b in zip(u[:20], v[:20])]
         assert np.array_equal(routed, np.asarray(expected))
 
-    def test_cut_edge_deletion_resketches_both_owning_shards(self, graph, pool):
+    def test_cut_edge_deletion_resketches_both_owning_shards(self, graph):
         dyn = DynamicGraph(graph)
-        engine = ShardedEngine(dyn, 2, representation="kmv", k=8, seed=3, pool=pool)
+        engine = ShardedEngine(dyn, 2, representation="kmv", k=8, seed=3)
         owners = engine.partition.owners
         edges = graph.edge_array()
         cut = edges[owners[edges[:, 0]] != owners[edges[:, 1]]]
@@ -161,15 +153,15 @@ class TestApplyDeltaBitIdentity:
         # A cut edge's tombstones dirty rows on *both* owning shards.
         assert np.all(diff > 0)
         assert diff.sum() == delta.dirty_vertices.shape[0]
-        fresh = ShardedEngine(dyn.snapshot(), 2, representation="kmv", k=8, seed=3, pool=pool)
+        fresh = ShardedEngine(dyn.snapshot(), 2, representation="kmv", k=8, seed=3)
         assert_pg_equal(engine.to_probgraph(), fresh.to_probgraph())
 
     @pytest.mark.parametrize("oriented", [False, True])
-    def test_vertex_growth_lands_on_different_shards(self, graph, pool, oriented):
+    def test_vertex_growth_lands_on_different_shards(self, graph, oriented):
         n0 = graph.num_vertices
         dyn = DynamicGraph(graph)
         engine = ShardedEngine(
-            dyn, 3, representation="khash", k=8, oriented=oriented, seed=3, pool=pool
+            dyn, 3, representation="khash", k=8, oriented=oriented, seed=3
         )
         single = ProbGraph(graph, representation="khash", k=8, oriented=oriented, seed=3)
         new_edges = np.asarray(
@@ -186,30 +178,30 @@ class TestApplyDeltaBitIdentity:
             owned = engine.partition.shard_vertices[s]
             assert np.all(np.diff(owned) > 0)
         fresh = ShardedEngine(
-            dyn.snapshot(), 3, representation="khash", k=8, oriented=oriented, seed=3, pool=pool
+            dyn.snapshot(), 3, representation="khash", k=8, oriented=oriented, seed=3
         )
         patched = engine.to_probgraph()
         assert_pg_equal(patched, fresh.to_probgraph())
         assert_pg_equal(patched, single)
 
-    def test_delta_must_start_at_engine_graph(self, graph, pool):
+    def test_delta_must_start_at_engine_graph(self, graph):
         dyn = DynamicGraph(graph)
-        engine = ShardedEngine(dyn, 2, representation="bloom", num_bits=256, seed=3, pool=pool)
+        engine = ShardedEngine(dyn, 2, representation="bloom", num_bits=256, seed=3)
         d1 = dyn.apply_edges(deletions=graph.edge_array()[:2])
         engine.apply_delta(d1)
         with pytest.raises(ValueError, match="does not start"):
             engine.apply_delta(d1)
 
-    def test_empty_shards_patch_and_grow(self, pool):
+    def test_empty_shards_patch_and_grow(self):
         base = complete_graph(5)
         dyn = DynamicGraph(base)
-        engine = ShardedEngine(dyn, 7, representation="khash", k=8, seed=3, pool=pool)
+        engine = ShardedEngine(dyn, 7, representation="khash", k=8, seed=3)
         assert np.any(engine.partition.shard_sizes() == 0)
         # Growth is balanced, so the two new vertices land on empty shards.
         delta = dyn.apply_edges(insertions=[[5, 0], [6, 1]], deletions=[[0, 1]])
         engine.apply_delta(delta)
         assert np.unique(engine.partition.owners[5:]).shape[0] == 2
-        fresh = ShardedEngine(dyn.snapshot(), 7, representation="khash", k=8, seed=3, pool=pool)
+        fresh = ShardedEngine(dyn.snapshot(), 7, representation="khash", k=8, seed=3)
         assert_pg_equal(engine.to_probgraph(), fresh.to_probgraph())
         u = np.asarray([0, 5, 6], dtype=np.int64)
         v = np.asarray([6, 1, 2], dtype=np.int64)
@@ -219,14 +211,14 @@ class TestApplyDeltaBitIdentity:
 
 
 class TestStaleness:
-    def _engine(self, graph, pool, **kwargs):
+    def _engine(self, graph, **kwargs):
         dyn = DynamicGraph(graph)
         kwargs.setdefault("representation", "khash")
         kwargs.setdefault("k", 8)
-        return dyn, ShardedEngine(dyn, 2, seed=3, pool=pool, **kwargs)
+        return dyn, ShardedEngine(dyn, 2, seed=3, **kwargs)
 
-    def test_out_of_band_mutation_raises_on_every_entry_point(self, graph, pool):
-        dyn, engine = self._engine(graph, pool)
+    def test_out_of_band_mutation_raises_on_every_entry_point(self, graph):
+        dyn, engine = self._engine(graph)
         index = engine.lsh_index()
         u = np.asarray([0, 1], dtype=np.int64)
         engine.pair_intersections(u, u)  # fresh: serves fine
@@ -244,8 +236,8 @@ class TestStaleness:
         with pytest.raises(StaleShardError):
             engine.to_probgraph()
 
-    def test_routed_delta_keeps_serving(self, graph, pool):
-        dyn, engine = self._engine(graph, pool)
+    def test_routed_delta_keeps_serving(self, graph):
+        dyn, engine = self._engine(graph)
         u = np.asarray([0, 1], dtype=np.int64)
         delta = dyn.apply_edges(deletions=graph.edge_array()[:3])
         engine.apply_delta(delta)
@@ -254,8 +246,8 @@ class TestStaleness:
             engine.pair_intersections(u, u), expected.pair_intersections(u, u)
         )
 
-    def test_noop_batch_resyncs_instead_of_raising(self, graph, pool):
-        dyn, engine = self._engine(graph, pool)
+    def test_noop_batch_resyncs_instead_of_raising(self, graph):
+        dyn, engine = self._engine(graph)
         version = dyn.version
         dyn.apply_edges(insertions=graph.edge_array()[:5])  # all present: no-op
         assert dyn.version == version
@@ -263,8 +255,8 @@ class TestStaleness:
             np.asarray([0], dtype=np.int64), np.asarray([1], dtype=np.int64)
         )
 
-    def test_csr_built_engine_never_checks(self, graph, pool):
-        engine = ShardedEngine(graph, 2, representation="khash", k=8, seed=3, pool=pool)
+    def test_csr_built_engine_never_checks(self, graph):
+        engine = ShardedEngine(graph, 2, representation="khash", k=8, seed=3)
         assert engine._source is None
         engine.pair_intersections(
             np.asarray([0], dtype=np.int64), np.asarray([1], dtype=np.int64)
@@ -272,9 +264,9 @@ class TestStaleness:
 
 
 class TestSkewAndRepartition:
-    def test_skew_stats_accounting(self, graph, pool):
+    def test_skew_stats_accounting(self, graph):
         dyn = DynamicGraph(graph)
-        engine = ShardedEngine(dyn, 4, representation="bloom", num_bits=256, seed=3, pool=pool)
+        engine = ShardedEngine(dyn, 4, representation="bloom", num_bits=256, seed=3)
         stats = engine.skew_stats()
         assert stats.num_shards == 4
         assert int(stats.vertices.sum()) == graph.num_vertices
@@ -304,9 +296,9 @@ class TestSkewAndRepartition:
         )
         assert empty.max_imbalance == pytest.approx(1.0)
 
-    def test_repartition_is_a_pure_row_shuffle(self, graph, pool):
+    def test_repartition_is_a_pure_row_shuffle(self, graph):
         dyn = DynamicGraph(graph)
-        engine = ShardedEngine(dyn, 3, representation="kmv", k=8, seed=3, pool=pool)
+        engine = ShardedEngine(dyn, 3, representation="kmv", k=8, seed=3)
         index = engine.lsh_index()
         rng = np.random.default_rng(8)
         delta = dyn.apply_edges(deletions=graph.edge_array()[:5])
@@ -323,13 +315,13 @@ class TestSkewAndRepartition:
         after_cands = index.query_candidates_batch(u[:10])
         for a, b in zip(before_cands, after_cands):
             assert np.array_equal(a, b)
-        fresh = ShardedEngine(dyn.snapshot(), 3, representation="kmv", k=8, seed=3, pool=pool)
+        fresh = ShardedEngine(dyn.snapshot(), 3, representation="kmv", k=8, seed=3)
         assert_pg_equal(engine.to_probgraph(), fresh.to_probgraph())
 
 
 class TestShardedLSHPatching:
     @pytest.mark.parametrize("representation", ["khash", "kmv", "1hash"])
-    def test_patched_tables_equal_fresh_index(self, graph, pool, representation):
+    def test_patched_tables_equal_fresh_index(self, graph, representation):
         params = EXPLICIT_PARAMS[representation]
         edges = graph.edge_array()
         half = edges.shape[0] // 2
@@ -338,7 +330,7 @@ class TestShardedLSHPatching:
             dyn = DynamicGraph(num_vertices=graph.num_vertices)
             dyn.apply_edges(insertions=edges[:half])
             engine = ShardedEngine(
-                dyn, shards, representation=representation, seed=3, pool=pool, **params
+                dyn, shards, representation=representation, seed=3, **params
             )
             index = engine.lsh_index()
             n0 = dyn.num_vertices
@@ -346,7 +338,7 @@ class TestShardedLSHPatching:
             final_edges = np.vstack([edges[half:], growth])
             _stream(dyn, [engine], final_edges, rng)
             fresh = ShardedEngine(
-                dyn.snapshot(), shards, representation=representation, seed=3, pool=pool,
+                dyn.snapshot(), shards, representation=representation, seed=3,
                 **params,
             )
             fresh_index = fresh.lsh_index()
@@ -372,9 +364,9 @@ class TestShardedLSHPatching:
             assert np.array_equal(moved.indices, want.indices)
             assert np.array_equal(moved.scores, want.scores)
 
-    def test_explicit_apply_delta_is_idempotent(self, graph, pool):
+    def test_explicit_apply_delta_is_idempotent(self, graph):
         dyn = DynamicGraph(graph)
-        engine = ShardedEngine(dyn, 2, representation="khash", k=8, seed=3, pool=pool)
+        engine = ShardedEngine(dyn, 2, representation="khash", k=8, seed=3)
         index = engine.lsh_index()
         stale = LSHIndex(engine.to_probgraph())
         delta = dyn.apply_edges(deletions=graph.edge_array()[:4])
@@ -388,11 +380,11 @@ class TestShardedLSHPatching:
         assert index.apply_delta(delta) == rekeyed  # idempotent re-key
         assert_table_equal(index, fresh)
 
-    def test_concurrent_reads_flush_marked_rows_once(self, pool):
+    def test_concurrent_reads_flush_marked_rows_once(self):
         """Readers racing to flush the same marked rows all see the patched table."""
         big = kronecker_graph(scale=11, edge_factor=8, seed=21)
         dyn = DynamicGraph(big)
-        engine = ShardedEngine(dyn, 2, representation="khash", k=8, seed=3, pool=pool)
+        engine = ShardedEngine(dyn, 2, representation="khash", k=8, seed=3)
         index = engine.lsh_index()
         engine.apply_delta(dyn.apply_edges(deletions=big.edge_array()[::40]))
         fresh = LSHIndex(engine.to_probgraph())
@@ -425,10 +417,10 @@ class TestShardedLSHPatching:
                 assert np.array_equal(a, b)
         assert_table_equal(index, fresh)
 
-    def test_delta_racing_the_build_marks_the_new_index(self, graph, pool, monkeypatch):
+    def test_delta_racing_the_build_marks_the_new_index(self, graph, monkeypatch):
         """A delta applied while an engine index builds is seen by its next read."""
         dyn = DynamicGraph(graph)
-        engine = ShardedEngine(dyn, 2, representation="khash", k=8, seed=3, pool=pool)
+        engine = ShardedEngine(dyn, 2, representation="khash", k=8, seed=3)
         delta = dyn.apply_edges(deletions=graph.edge_array()[:6])
         patcher = threading.Thread(target=engine.apply_delta, args=(delta,))
         rebuild = LSHIndex._rebuild
@@ -446,33 +438,33 @@ class TestShardedLSHPatching:
         assert index.num_entries > 0  # a read re-keys the marked rows
         assert_table_equal(index, LSHIndex(engine.to_probgraph()))
 
-    def test_apply_delta_requires_patched_engine(self, graph, pool):
+    def test_apply_delta_requires_patched_engine(self, graph):
         dyn = DynamicGraph(graph)
-        stale_engine = ShardedEngine(graph, 2, representation="khash", k=8, seed=3, pool=pool)
+        stale_engine = ShardedEngine(graph, 2, representation="khash", k=8, seed=3)
         stale_index = stale_engine.lsh_index()
         delta = dyn.apply_edges(deletions=graph.edge_array()[:2])
         with pytest.raises(ValueError, match="patch the engine first"):
             stale_index.apply_delta(delta)
 
-    def test_bloom_fallback_index_survives_patching(self, graph, pool):
+    def test_bloom_fallback_index_survives_patching(self, graph):
         dyn = DynamicGraph(graph)
-        engine = ShardedEngine(dyn, 2, representation="bloom", num_bits=256, seed=3, pool=pool)
+        engine = ShardedEngine(dyn, 2, representation="bloom", num_bits=256, seed=3)
         index = engine.lsh_index()
         assert not index.banded
         delta = dyn.apply_edges(deletions=graph.edge_array()[:3])
         engine.apply_delta(delta)
         assert index.apply_delta(delta) == 0
         result = index.topk_similar_batch(np.asarray([0, 1], dtype=np.int64), 3)
-        fresh = ShardedEngine(dyn.snapshot(), 2, representation="bloom", num_bits=256, seed=3, pool=pool)
+        fresh = ShardedEngine(dyn.snapshot(), 2, representation="bloom", num_bits=256, seed=3)
         want = fresh.lsh_index().topk_similar_batch(np.asarray([0, 1], dtype=np.int64), 3)
         assert np.array_equal(result.indices, want.indices)
 
 
 class TestSessionShardedEntries:
     @pytest.mark.parametrize("oriented", [False, True])
-    def test_apply_delta_advances_sharded_built_entries(self, graph, pool, oriented):
+    def test_apply_delta_advances_sharded_built_entries(self, graph, oriented):
         """The tentpole session contract: sharded-built cache entries patch in place."""
-        session = PGSession(shards=2, pool=pool)
+        session = PGSession(shards=2)
         dyn = DynamicGraph(graph)
         pg = session.probgraph(
             dyn.snapshot(), representation="khash", k=8, oriented=oriented, seed=3

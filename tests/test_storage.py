@@ -592,7 +592,7 @@ class TestShardedPersistence:
     def test_cold_start_bit_identical(self, tmp_path, graph, representation, num_shards):
         with ShardedEngine(
             graph, num_shards=num_shards, representation=representation,
-            seed=6, transport="pickle", **EXPLICIT_PARAMS[representation],
+            seed=6, **EXPLICIT_PARAMS[representation],
         ) as eng:
             eng.save(tmp_path / "eng")
             u, v = _query_pairs(graph)
@@ -604,8 +604,7 @@ class TestShardedPersistence:
 
     def test_open_then_delta_matches_fresh_build(self, tmp_path, graph):
         with ShardedEngine(
-            graph, num_shards=2, representation="bloom", seed=6,
-            transport="pickle", num_bits=128,
+            graph, num_shards=2, representation="bloom", seed=6, num_bits=128,
         ) as eng:
             eng.save(tmp_path / "eng")
         dyn = DynamicGraph(graph)
@@ -615,15 +614,13 @@ class TestShardedPersistence:
             u, v = _query_pairs(graph)
             got = eng2.pair_intersections(u, v)
         with ShardedEngine(
-            dyn.snapshot(), num_shards=2, representation="bloom", seed=6,
-            transport="pickle", num_bits=128,
+            dyn.snapshot(), num_shards=2, representation="bloom", seed=6, num_bits=128,
         ) as fresh:
             assert np.array_equal(fresh.pair_intersections(u, v), got)
 
     def test_manifest_mismatch_rejected(self, tmp_path, graph):
         with ShardedEngine(
-            graph, num_shards=2, representation="bloom", seed=6,
-            transport="pickle", num_bits=128,
+            graph, num_shards=2, representation="bloom", seed=6, num_bits=128,
         ) as eng:
             eng.save(tmp_path / "eng")
         manifest_path = tmp_path / "eng" / "manifest.json"
@@ -639,10 +636,10 @@ class TestShardedPersistence:
     )
     def test_foreign_same_graph_sketch_file_rejected(self, tmp_path, graph, change):
         params = dict(representation="khash", k=8, seed=6, oriented=False)
-        with ShardedEngine(graph, num_shards=2, transport="pickle", **params) as eng:
+        with ShardedEngine(graph, num_shards=2, **params) as eng:
             eng.save(tmp_path / "eng")
         with ShardedEngine(
-            graph, num_shards=2, transport="pickle", **{**params, **change}
+            graph, num_shards=2, **{**params, **change}
         ) as other:
             other.save(tmp_path / "other")
         shutil.copyfile(tmp_path / "other" / "sketches.pgsk", tmp_path / "eng" / "sketches.pgsk")
@@ -659,8 +656,7 @@ class TestShardedPersistence:
 
     def test_closed_open_engine_rejects_queries(self, tmp_path, graph):
         with ShardedEngine(
-            graph, num_shards=2, representation="bloom", seed=6,
-            transport="pickle", num_bits=128,
+            graph, num_shards=2, representation="bloom", seed=6, num_bits=128,
         ) as eng:
             eng.save(tmp_path / "eng")
         eng2 = ShardedEngine.open(tmp_path / "eng")
@@ -674,8 +670,7 @@ class TestShardedPersistence:
     def _saved(root, graph, representation="khash", num_shards=2, **change):
         params = {"seed": 6, **EXPLICIT_PARAMS[representation], **change}
         with ShardedEngine(
-            graph, num_shards=num_shards, representation=representation,
-            transport="pickle", **params,
+            graph, num_shards=num_shards, representation=representation, **params,
         ) as eng:
             eng.save(root)
         return root
@@ -892,15 +887,36 @@ class TestMmapLedger:
             handle.close()  # handle.close() is idempotent → no SAN602
         assert region.findings == []
 
+    def test_owner_scoped_leak_reported_at_owner_check(self, tmp_path, graph):
+        class Owner:
+            pass
+
+        owner = Owner()
+        save_graph(tmp_path / "g.pgsk", graph)
+        with reprosan.enabled(strict=False) as region:
+            handle = open_blocks(tmp_path / "g.pgsk", mode="mmap", owner=owner)
+            found = runtime.check_owner_segments(owner)
+            assert [f.code for f in found] == ["SAN601"]
+        # Already reported at the owner check; region exit must not repeat it.
+        assert [f.code for f in region.findings] == ["SAN601"]
+        handle.close()
+
+    def test_second_release_of_a_token_is_flagged(self, tmp_path, graph):
+        save_graph(tmp_path / "g.pgsk", graph)
+        with reprosan.enabled(strict=False) as region:
+            handle = open_blocks(tmp_path / "g.pgsk", mode="mmap")
+            handle.close()  # the first release of its ledger token
+            runtime.release_mmap(handle._san_token)
+        assert [f.code for f in region.findings] == ["SAN602"]
+        assert "mmap-backed store handle" in region.findings[0].message
+
     def test_engine_close_releases_owned_handles(self, tmp_path, graph):
         with ShardedEngine(
-            graph, num_shards=2, representation="bloom", seed=6,
-            transport="pickle", num_bits=128,
+            graph, num_shards=2, representation="bloom", seed=6, num_bits=128,
         ) as eng:
             eng.save(tmp_path / "eng")
         with ShardedEngine(
-            graph, num_shards=2, representation="khash", seed=6,
-            transport="pickle", k=8,
+            graph, num_shards=2, representation="khash", seed=6, k=8,
         ) as eng:
             eng.save(tmp_path / "khash")
         with reprosan.enabled(strict=False) as region:
