@@ -199,26 +199,27 @@ class ShardSkewStats:
 
 def _build_rows(
     params: SketchParams, seed: int, base: CSRGraph, blocks: int
-) -> NeighborhoodSketches:
+) -> tuple[NeighborhoodSketches, int]:
     """Build ``base``'s sketch rows as ``blocks`` contiguous row ranges, one thread each.
 
     A row depends only on its neighborhood and the seed, so the ranges,
     concatenated in order, are exactly the rows of one whole-graph build.
     The cuts balance adjacency slots; empty ranges are dropped, and a single
     range builds in the calling thread.  NumPy's hashing kernels release the
-    GIL, so the block threads hash in parallel.
+    GIL, so the block threads hash in parallel.  Returns the rows and the
+    number of ranges hashed.
     """
     indptr, indices = base.indptr, base.indices
     targets = np.arange(1, blocks) * (indices.shape[0] / blocks)
     bounds = np.unique(np.concatenate(([0], np.searchsorted(indptr, targets), [base.num_vertices])))
     if bounds.shape[0] <= 2:
-        return params.make_family(seed).sketch_neighborhoods(indptr, indices)
+        return params.make_family(seed).sketch_neighborhoods(indptr, indices), 1
     with ThreadPoolExecutor(bounds.shape[0] - 1) as executor:
         futures = [
             executor.submit(_build_range, params, seed, indptr, indices, lo, hi)
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
-    return concat_sketch_rows([future.result() for future in futures])
+    return concat_sketch_rows([future.result() for future in futures]), len(futures)
 
 
 def _build_range(
@@ -231,6 +232,45 @@ def _build_range(
     )
 
 
+def _build_probgraph(
+    graph: CSRGraph,
+    num_shards: int,
+    representation: Representation | str,
+    storage_budget: float,
+    num_hashes: int,
+    num_bits: int | None,
+    k: int | None,
+    precision: int | None,
+    oriented: bool,
+    seed: int,
+    estimator: EstimatorKind | str | None,
+) -> tuple[ProbGraph, int]:
+    """The container of a ``num_shards``-shard build and the threads that hashed it.
+
+    The rows are hashed in ``min(num_shards, CPUs the calling thread may run
+    on)`` contiguous ranges (:func:`_build_rows`), so no build starts more
+    threads than there are CPUs.
+    """
+    if num_shards < 1:
+        raise ValueError("num_shards must be at least 1")
+    params = resolve_sketch_params(
+        graph, representation, storage_budget, num_hashes, num_bits, k, precision
+    )
+    if estimator is not None:  # fail before the build
+        check_estimator_kind(params.representation, estimator)
+    base = graph.oriented() if oriented else graph
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    # reprolint: allow[determinism] -- wall-clock timing stat only; never feeds hash/seed/sketch state
+    start = time.perf_counter()
+    rows, threads = _build_rows(params, int(seed), base, min(num_shards, cpus or 1))
+    pg = ProbGraph.from_sketches(
+        graph, rows, params, oriented=oriented, seed=seed, estimator=estimator,
+        storage_budget=storage_budget, base=base,
+        construction_seconds=time.perf_counter() - start,  # reprolint: allow[determinism] -- timing stat only
+    )
+    return pg, threads
+
+
 class ShardedEngine:
     """Sketch rows built in parallel threads, served from one container.
 
@@ -241,6 +281,8 @@ class ShardedEngine:
         Number of vertex shards the queries are priced over.  The build hashes
         ``min(num_shards, CPUs the calling thread may run on)`` contiguous row
         ranges in as many threads; one range builds in the calling thread.
+        :attr:`build_threads` records how many ranges were hashed (0 for an
+        engine from :meth:`open`, which builds no rows).
     partition:
         ``"hash"`` (random balanced, default) or ``"locality"`` (BFS chunks) —
         see :func:`repro.graph.partition.partition_graph`.
@@ -284,8 +326,6 @@ class ShardedEngine:
         pool: object = None,
         transport: str | None = None,
     ) -> None:
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
         if pool is not None or transport is not None:
             warnings.warn(
                 "ShardedEngine ignores pool= and transport=; its rows build in threads",
@@ -298,33 +338,23 @@ class ShardedEngine:
         else:
             self._source = None
             self._source_version = -1
-        params = resolve_sketch_params(
-            graph, representation, storage_budget, num_hashes, num_bits, k, precision
-        )
-        if estimator is not None:  # fail before the build
-            check_estimator_kind(params.representation, estimator)
-        base = graph.oriented() if oriented else graph
         shards = partition_graph(
             graph, num_shards, method=partition,
             seed=int(seed) if partition_seed is None else int(partition_seed),
         )
+        pg, threads = _build_probgraph(
+            graph, num_shards, representation, storage_budget, num_hashes, num_bits, k,
+            precision, oriented, seed, estimator,
+        )
         self._closed = False
         self._handles: list[StoreHandle] = []
-        # reprolint: allow[determinism] -- wall-clock timing stat only; never feeds hash/seed/sketch state
-        start = time.perf_counter()
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        rows = _build_rows(params, int(seed), base, min(num_shards, cpus or 1))
-        pg = ProbGraph.from_sketches(
-            graph, rows, params, oriented=oriented, seed=seed, estimator=estimator,
-            storage_budget=storage_budget, base=base,
-            construction_seconds=time.perf_counter() - start,  # reprolint: allow[determinism] -- timing stat only
-        )
-        self._serve(pg, shards)
+        self._serve(pg, shards, build_threads=threads)
 
-    def _serve(self, pg: ProbGraph, partition: ShardPartition) -> None:
+    def _serve(self, pg: ProbGraph, partition: ShardPartition, build_threads: int = 0) -> None:
         """Install the served container and the ownership its queries are priced by."""
         self._pg = pg
         self.partition = partition
+        self.build_threads = build_threads
         self.params: SketchParams = pg.sketch_params
         self.estimator = pg.estimator
         self.storage_budget = pg.storage_budget
@@ -901,28 +931,15 @@ def build_probgraph_sharded(
     oriented: bool = False,
     seed: int = 0,
     estimator: EstimatorKind | str | None = None,
-    partition: str = "hash",
 ) -> ProbGraph:
-    """Build a :class:`~repro.core.ProbGraph` with a sharded, thread-parallel pass.
+    """Build a :class:`~repro.core.ProbGraph` with a thread-parallel pass.
 
     Construction is split over up to ``num_shards`` threads (no more than
-    the calling thread's CPUs); the result — the engine's own container,
-    handed over without a copy — is bit-identical to the in-process
+    the calling thread's CPUs); the result is bit-identical to the in-process
     constructor.  This is what :meth:`repro.engine.PGSession.probgraph` uses
     when the session is created with ``shards=``.
     """
-    engine = ShardedEngine(
-        graph,
-        num_shards,
-        representation=representation,
-        storage_budget=storage_budget,
-        num_hashes=num_hashes,
-        num_bits=num_bits,
-        k=k,
-        precision=precision,
-        oriented=oriented,
-        seed=seed,
-        estimator=estimator,
-        partition=partition,
-    )
-    return engine._pg
+    return _build_probgraph(
+        graph, num_shards, representation, storage_budget, num_hashes, num_bits, k,
+        precision, oriented, seed, estimator,
+    )[0]

@@ -13,14 +13,13 @@ partitioners the sharded engine and the communication model share:
   breadth-first-grown region of the graph and far fewer edges cross shards.
 
 Both return an ``owners`` array; :func:`partition_graph` wraps one of them
-into a :class:`ShardPartition` carrying the per-shard vertex lists the
-sharded engine prices queries with.
+into the :class:`ShardPartition` the sharded engine prices queries with.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,15 +90,10 @@ def partition_vertices_locality(graph: CSRGraph, num_partitions: int, seed: int 
 
 @dataclass(frozen=True)
 class ShardPartition:
-    """A vertex partitioning: who owns each vertex, and each shard's vertices.
-
-    ``owners[v]`` is the shard owning vertex ``v``; ``shard_vertices[s]`` lists
-    shard ``s``'s vertices in ascending global order.
-    """
+    """A vertex partitioning: ``owners[v]`` is the shard owning vertex ``v``."""
 
     owners: np.ndarray
     num_shards: int
-    shard_vertices: tuple[np.ndarray, ...] = field(repr=False)
 
     @property
     def num_vertices(self) -> int:
@@ -112,7 +106,7 @@ class ShardPartition:
 
     def shard_sizes(self) -> np.ndarray:
         """Number of vertices owned by each shard."""
-        return np.asarray([ids.shape[0] for ids in self.shard_vertices], dtype=np.int64)
+        return np.bincount(self.owners, minlength=self.num_shards).astype(np.int64)
 
     def cut_fraction(self, graph: CSRGraph) -> float:
         """Fraction of ``graph``'s edges whose endpoints live on different shards."""
@@ -143,24 +137,15 @@ class ShardPartition:
     def extend(self, new_owners: np.ndarray) -> "ShardPartition":
         """A partition over ``num_vertices + len(new_owners)`` vertices.
 
-        The new vertices carry IDs above every existing one, so each appends
-        to the *end* of its shard's (ascending) vertex list, and every
-        existing vertex keeps its owner and its position in that list.
+        The new vertices carry IDs above every existing one; every existing
+        vertex keeps its owner.
         """
         new_owners = np.asarray(new_owners, dtype=np.int64).ravel()
         if new_owners.size == 0:
             return self
         if new_owners.min() < 0 or new_owners.max() >= self.num_shards:
             raise ValueError("new owners must lie in [0, num_shards)")
-        n = self.num_vertices
-        new_ids = n + np.arange(new_owners.shape[0], dtype=np.int64)
-        shard_vertices = tuple(
-            np.concatenate([self.shard_vertices[s], new_ids[new_owners == s]])
-            for s in range(self.num_shards)
-        )
-        return ShardPartition(
-            np.concatenate([self.owners, new_owners]), self.num_shards, shard_vertices
-        )
+        return ShardPartition(np.concatenate([self.owners, new_owners]), self.num_shards)
 
 
 def partition_graph(
@@ -169,7 +154,7 @@ def partition_graph(
     method: str = "hash",
     seed: int = 0,
 ) -> ShardPartition:
-    """Partition ``graph``'s vertices into ``num_shards`` shards with ID maps.
+    """Partition ``graph``'s vertices into ``num_shards`` shards.
 
     ``method`` selects :func:`partition_vertices` (``"hash"``, the default) or
     :func:`partition_vertices_locality` (``"locality"`` / ``"bfs"``).  Every
@@ -188,13 +173,10 @@ def partition_graph(
 
 
 def partition_from_owners(owners: np.ndarray, num_shards: int | None = None) -> ShardPartition:
-    """Build a :class:`ShardPartition` (with ID maps) from an ``owners`` array."""
+    """Build a :class:`ShardPartition` from an ``owners`` array."""
     owners = np.asarray(owners, dtype=np.int64)
     if num_shards is None:
         num_shards = int(owners.max()) + 1 if owners.size else 1
     if owners.size and (owners.min() < 0 or owners.max() >= num_shards):
         raise ValueError("owners must lie in [0, num_shards)")
-    shard_vertices = tuple(
-        np.flatnonzero(owners == s).astype(np.int64) for s in range(int(num_shards))
-    )
-    return ShardPartition(owners, int(num_shards), shard_vertices)
+    return ShardPartition(owners, int(num_shards))

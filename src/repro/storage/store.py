@@ -146,7 +146,7 @@ def load_graph(
 
 
 def save_partition(path: str | os.PathLike[str], partition: ShardPartition) -> None:
-    """Persist a shard partition as its ``owners`` array (ID maps are derived)."""
+    """Persist a shard partition as its ``owners`` array."""
     write_blocks(
         path,
         "partition",
@@ -158,8 +158,7 @@ def save_partition(path: str | os.PathLike[str], partition: ShardPartition) -> N
 def load_partition(path: str | os.PathLike[str]) -> ShardPartition:
     """Rebuild a shard partition saved by :func:`save_partition`.
 
-    Owners are read eagerly (the ID maps are rebuilt in memory anyway, so a
-    mapping would pin the file for no benefit).
+    Owners are read eagerly, so the partition does not pin the file.
     """
     with open_blocks(path, mode="eager") as handle:
         if handle.kind != "partition":

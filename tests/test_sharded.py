@@ -90,12 +90,12 @@ class TestPartitioners:
         assert local.cut_fraction(g) == 0.0
         assert hashed.cut_fraction(g) > 0.0
 
-    def test_partition_graph_id_maps(self, graph):
+    def test_partition_graph_shard_sizes(self, graph):
         part = partition_graph(graph, 3, method="locality", seed=5)
-        for s, ids in enumerate(part.shard_vertices):
-            assert np.all(part.owners[ids] == s)
-            assert np.all(np.diff(ids) > 0)  # ascending global order
-        assert int(part.shard_sizes().sum()) == graph.num_vertices
+        sizes = part.shard_sizes()
+        for s in range(3):
+            assert sizes[s] == np.count_nonzero(part.owners == s)
+        assert int(sizes.sum()) == graph.num_vertices
 
     def test_invalid_inputs(self, graph):
         with pytest.raises(ValueError):
@@ -293,7 +293,7 @@ class TestCommunicationAccounting:
 
     def test_same_shard_pairs_ship_nothing(self, graph):
         engine = ShardedEngine(graph, 2, seed=5)
-        owned = engine.partition.shard_vertices[0]
+        owned = np.flatnonzero(engine.partition.owners == 0)
         engine.comm.reset()
         engine.pair_intersections(owned[:10], owned[10:20])
         assert engine.comm.shipments == 0
@@ -407,9 +407,27 @@ class TestThreadedBuild:
             **{key: sizes[key]},
         )
         for blocks in range(1, 8):
-            rows = _build_rows(pg.sketch_params, 3, pg.base, blocks)
+            rows, threads = _build_rows(pg.sketch_params, 3, pg.base, blocks)
+            assert 1 <= threads <= max(1, min(blocks, graph.num_vertices))
             assert rows.num_sets == graph.num_vertices
             _assert_rows_equal(rows, pg.sketches)
+
+    @pytest.mark.parametrize("cpus, num_shards, expected", [(4, 4, 4), (2, 4, 2), (4, 2, 2), (1, 4, 1)])
+    def test_build_threads_capped_by_cpus(self, graph, monkeypatch, cpus, num_shards, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        engine = ShardedEngine(graph, num_shards, representation="khash", k=8, seed=2)
+        assert engine.build_threads == expected
+        assert engine.num_shards == num_shards
+
+    def test_opened_engine_built_no_rows(self, graph, tmp_path):
+        with ShardedEngine(graph, 2, representation="khash", k=8, seed=2) as engine:
+            engine.save(tmp_path / "eng")
+        with ShardedEngine.open(tmp_path / "eng") as opened:
+            assert opened.build_threads == 0
+
+    def test_helper_rejects_zero_shards(self, graph):
+        with pytest.raises(ValueError):
+            build_probgraph_sharded(graph, 0)
 
     def test_failed_block_raises_and_joins_its_threads(self, graph, monkeypatch):
         from repro.sketches.minhash import KHashFamily
