@@ -122,8 +122,8 @@ def test_incremental_beats_rebuild_per_batch(stream_workload, benchmark):
     assert np.array_equal(patched_ests, fresh_ests)
 
 
-def test_tombstone_deletions_amortize(stream_workload, benchmark):
-    """Deletion batches tombstone in place; compaction only runs past the bound."""
+def test_deletion_batch_timing(stream_workload, benchmark):
+    """Deletion batches on the fully loaded graph: graph side and row patches, per batch."""
     num_vertices, edges, warmup, params = stream_workload
     dyn = _bootstrap(num_vertices, edges, edges.shape[0])  # fully loaded
     session = PGSession()
@@ -134,13 +134,20 @@ def test_tombstone_deletions_amortize(stream_workload, benchmark):
     ]
 
     def delete_stream():
+        graph_side = maintenance = 0.0
         for batch in batches:
-            session.apply_delta(dyn.apply_edges(deletions=batch))
-        return dyn
+            start = time.perf_counter()
+            delta = dyn.apply_edges(deletions=batch)
+            mid = time.perf_counter()
+            session.apply_delta(delta)
+            graph_side += mid - start
+            maintenance += time.perf_counter() - mid
+        return graph_side, maintenance
 
-    result = benchmark.pedantic(delete_stream, rounds=1, iterations=1)
+    graph_seconds, maintenance_seconds = benchmark.pedantic(delete_stream, rounds=1, iterations=1)
     print()
     print(
-        f"8 deletion batches: m={result.num_edges}, "
-        f"tombstones={result.num_tombstones}, compactions={result.stats.compactions}"
+        f"{len(batches)} deletion batches of 500 edges: {dyn.num_edges} edges left; "
+        f"graph side {graph_seconds / len(batches) * 1e3:.2f} ms/batch, "
+        f"row patches {maintenance_seconds / len(batches) * 1e3:.2f} ms/batch"
     )

@@ -687,8 +687,12 @@ def _nested_function_names(tree: ast.Module) -> tuple[set[str], set[str]]:
 
 
 def check_picklability(ctx: ModuleContext) -> list[Finding]:
-    """Callables submitted to a ProcessPoolExecutor must be module-level."""
-    if not ctx.references("concurrent.futures"):
+    """Callables submitted to a ProcessPoolExecutor must be module-level.
+
+    Only modules that reference ``ProcessPoolExecutor`` are checked: a thread
+    pool pickles nothing, so a nested function handed to it is fine.
+    """
+    if not ctx.references("concurrent.futures.ProcessPoolExecutor"):
         return []
     module_level, nested = _nested_function_names(ctx.tree)
     lambda_names = {

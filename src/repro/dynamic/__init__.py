@@ -3,10 +3,12 @@
 The layer between the immutable CSR substrate and the engine for
 streaming/evolving-graph workloads:
 
-* :class:`DynamicGraph` applies batched edge insertions (sorted merge) and
-  deletions (tombstones + bounded compaction) and emits a :class:`GraphDelta`
+* :class:`DynamicGraph` keeps a compact, row-sorted CSR, applies batched
+  edge deletions (one ``np.delete``) and insertions (one ``np.insert``) at
+  slots found by a per-row binary search, and emits a :class:`GraphDelta`
   per batch;
-* :class:`GraphDelta` carries the new :class:`~repro.graph.CSRGraph` snapshot,
+* :class:`GraphDelta` carries the new :class:`~repro.graph.CSRGraph` snapshot
+  (the graph's read-only arrays, shared without a copy),
   the per-vertex inserted neighbors, and the deletion-touched vertices;
 * :meth:`repro.core.ProbGraph.apply_delta` and
   :meth:`repro.engine.PGSession.apply_delta` consume deltas to patch sketch

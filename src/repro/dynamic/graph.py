@@ -12,12 +12,13 @@ This module maintains a mutable adjacency with batch semantics:
 
 * :class:`EdgeStream` / :class:`EdgeBatch` describe a sequence of batched edge
   insertions and deletions;
-* :class:`DynamicGraph` applies a batch to its internal adjacency —
-  insertions by sorted merge, deletions by **tombstoning** the affected slots
-  (the arrays are only compacted when the dead fraction crosses a bound);
+* :class:`DynamicGraph` keeps a compact, row-sorted CSR, finds a batch's slots
+  by a binary search inside each touched row, and applies the batch with one
+  ``np.delete`` (deletions) and one ``np.insert`` (insertions);
 * every :meth:`DynamicGraph.apply` returns a :class:`GraphDelta`: the new
-  :class:`~repro.graph.csr.CSRGraph` snapshot plus the per-vertex neighborhood
-  additions and the deletion-touched ("dirty") vertices.
+  :class:`~repro.graph.csr.CSRGraph` snapshot (sharing the read-only arrays,
+  no copy) plus the per-vertex neighborhood additions and the
+  deletion-touched ("dirty") vertices.
 
 The delta is what the sketch layer consumes:
 :meth:`repro.core.ProbGraph.apply_delta` patches only the touched sketch rows
@@ -61,16 +62,19 @@ def _as_edge_array(edges: np.ndarray | Iterable[Iterable[int]] | None) -> np.nda
 
 
 def _canonical_edges(edges: np.ndarray) -> np.ndarray:
-    """Canonical undirected edge list: self-loops dropped, ``u < v``, unique rows."""
+    """Canonical undirected edge list: self-loops dropped, ``u < v``, unique sorted rows."""
     arr = _as_edge_array(edges)
-    if arr.shape[0] == 0:
-        return _EMPTY_EDGES
     arr = arr[arr[:, 0] != arr[:, 1]]
     if arr.shape[0] == 0:
         return _EMPTY_EDGES
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
-    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+    base = int(hi.max()) + 1
+    if base > 1 << 31:  # packed keys lo * base + hi would overflow int64
+        return np.unique(np.stack([lo, hi], axis=1), axis=0)
+    # One 1-D sort over packed keys; they order exactly like the (lo, hi) rows.
+    lo, hi = np.divmod(np.unique(lo * base + hi), base)
+    return np.stack([lo, hi], axis=1)
 
 
 def changed_rows(old: CSRGraph, new: CSRGraph) -> np.ndarray:
@@ -229,45 +233,47 @@ class DynamicStats:
     batches: int = 0
     edges_inserted: int = 0
     edges_deleted: int = 0
-    compactions: int = 0
+
+
+def _directed(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, dst)`` of both directed slots of each edge: every ``u → v``, then every ``v → u``."""
+    return np.concatenate([edges[:, 0], edges[:, 1]]), np.concatenate([edges[:, 1], edges[:, 0]])
+
+
+def _row_shift(rows: np.ndarray, n: int) -> np.ndarray:
+    """How far each ``indptr`` entry moves when one slot per element of ``rows`` comes or goes."""
+    shift = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=shift[1:])
+    return shift
 
 
 class DynamicGraph:
     """A mutable undirected graph supporting batched edge insertions and deletions.
 
-    The adjacency is stored CSR-style (``indptr`` / ``indices``) with an
-    ``alive`` mask over the index slots.  Insertions merge new slots into the
-    sorted rows; deletions flip slots dead (tombstones) in ``O(batch · log d)``
-    lookup work.  When the dead fraction exceeds ``max_tombstone_fraction``
-    the arrays are compacted in one ``O(m)`` pass — the *bounded rebuild*.
+    The adjacency is a compact CSR (``indptr`` / ``indices``) whose rows are
+    sorted.  A batch finds its slots by a lockstep binary search inside each
+    touched row (``O(batch · log d)``), then removes slots with one
+    ``np.delete`` and adds them with one ``np.insert``.  Every edit builds new
+    arrays and never writes into the current ones.
 
-    :meth:`snapshot` materializes the current graph as an immutable
-    :class:`~repro.graph.csr.CSRGraph` (cached between mutations), and
+    That is what lets :meth:`snapshot` hand out the current arrays themselves,
+    marked read-only, as an immutable :class:`~repro.graph.csr.CSRGraph`: no
+    copy, and an earlier snapshot keeps its own arrays as later batches land.
     :meth:`apply` returns the :class:`GraphDelta` the sketch/engine layers
     consume.
     """
 
-    def __init__(
-        self,
-        graph: CSRGraph | None = None,
-        num_vertices: int | None = None,
-        max_tombstone_fraction: float = 0.25,
-    ) -> None:
-        if not 0.0 < max_tombstone_fraction <= 1.0:
-            raise ValueError("max_tombstone_fraction must lie in (0, 1]")
+    def __init__(self, graph: CSRGraph | None = None, num_vertices: int | None = None) -> None:
         if graph is None:
             n = int(num_vertices or 0)
             graph = CSRGraph(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
         elif num_vertices is not None and num_vertices != graph.num_vertices:
             raise ValueError("num_vertices conflicts with the provided graph")
         self._n = graph.num_vertices
+        # Copied once, so the read-only flags snapshot() sets land on arrays we own.
         self._indptr = graph.indptr.copy()
         self._indices = graph.indices.copy()
-        self._alive = np.ones(self._indices.shape[0], dtype=bool)
-        self._dead = 0
-        self.max_tombstone_fraction = float(max_tombstone_fraction)
         self._snapshot: CSRGraph | None = graph
-        self._slot_keys: np.ndarray | None = None
         self._version = 0
         self.stats = DynamicStats()
 
@@ -279,13 +285,8 @@ class DynamicGraph:
 
     @property
     def num_edges(self) -> int:
-        """Current number of *alive* undirected edges."""
-        return (self._indices.shape[0] - self._dead) // 2
-
-    @property
-    def num_tombstones(self) -> int:
-        """Dead directed slots awaiting compaction."""
-        return self._dead
+        """Current number of undirected edges."""
+        return self._indices.shape[0] // 2
 
     @property
     def version(self) -> int:
@@ -300,23 +301,23 @@ class DynamicGraph:
         return self._version
 
     def snapshot(self) -> CSRGraph:
-        """The current graph as an immutable CSR (cached until the next mutation)."""
+        """The current graph as an immutable CSR over the current, read-only arrays.
+
+        Zero-copy: the arrays are shared, never written after they are built,
+        so the snapshot stays valid while later batches replace them.
+        """
         if self._snapshot is None:
-            if self._dead == 0:
-                # Tombstone-free fast path: plain copies, no mask compaction.
-                self._snapshot = CSRGraph(self._n, self._indptr.copy(), self._indices.copy())
-            else:
-                cum = np.concatenate([[0], np.cumsum(self._alive)]).astype(np.int64)
-                self._snapshot = CSRGraph(self._n, cum[self._indptr], self._indices[self._alive])
+            self._indptr.flags.writeable = False
+            self._indices.flags.writeable = False
+            self._snapshot = CSRGraph(self._n, self._indptr, self._indices)
         return self._snapshot
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Whether the undirected edge ``{u, v}`` is currently alive."""
+        """Whether the undirected edge ``{u, v}`` is present."""
         u, v = int(u), int(v)
         if not (0 <= u < self._n and 0 <= v < self._n) or u == v:
             return False
-        pos, found = self._locate(np.asarray([u]), np.asarray([v]))
-        return bool(found[0] and self._alive[pos[0]])
+        return bool(self._locate(np.asarray([u]), np.asarray([v]))[1][0])
 
     # -------------------------------------------------------------- mutation
     def apply(self, batch: EdgeBatch) -> GraphDelta:
@@ -325,7 +326,6 @@ class DynamicGraph:
         old_fingerprint = old.fingerprint()
         deleted = self._delete(_canonical_edges(batch.deletions))
         inserted = self._insert(_canonical_edges(batch.insertions))
-        self._maybe_compact()
         new = self.snapshot()
         ins_vertices, ins_indptr, ins_indices = self._delta_csr(inserted)
         dirty = np.unique(deleted.ravel()) if deleted.size else np.empty(0, dtype=np.int64)
@@ -357,109 +357,70 @@ class DynamicGraph:
 
     # -------------------------------------------------------------- internals
     def _locate(self, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Slot positions of directed entries ``src → dst`` among the stored slots.
+        """Slot positions of directed entries ``src → dst``.
 
         Returns ``(pos, found)``: when ``found[i]``, slot ``pos[i]`` holds the
-        entry (alive or tombstoned); otherwise ``pos[i]`` is the insertion
-        point that keeps the row sorted.
+        entry; otherwise ``pos[i]`` is the insertion point that keeps row
+        ``src[i]`` sorted.  One lower-bound binary search per entry, run in
+        lockstep over the whole batch inside each row's
+        ``[indptr[u], indptr[u + 1])`` span.
         """
-        if src.size == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-        if self._indices.size == 0:
-            return self._indptr[src], np.zeros(src.shape[0], dtype=bool)
-        # Composite slot keys (owner * n + neighbor) are strictly increasing in
-        # CSR order, so one vectorized searchsorted answers the whole batch.
-        # The key array is cached: tombstone flips do not change it, only slot
-        # insertion, compaction, or vertex growth invalidate it.
-        if self._slot_keys is None:
-            owners = np.repeat(np.arange(self._n, dtype=np.int64), np.diff(self._indptr))
-            self._slot_keys = owners * np.int64(self._n) + self._indices
-        slot_keys = self._slot_keys
-        query_keys = src * np.int64(self._n) + dst
-        pos = np.searchsorted(slot_keys, query_keys)
-        found = np.zeros(src.shape[0], dtype=bool)
-        in_range = pos < slot_keys.size
-        found[in_range] = slot_keys[pos[in_range]] == query_keys[in_range]
+        indices = self._indices
+        pos = self._indptr[src]
+        end = self._indptr[src + 1]
+        if indices.size == 0:
+            return pos, np.zeros(src.shape[0], dtype=bool)
+        last = indices.size - 1
+        count = end - pos
+        for _ in range(int(count.max(initial=0)).bit_length()):
+            half = count >> 1
+            probe = pos + half
+            # An exhausted search (count 0) stays put; its probe may lie past the end.
+            right = (count > 0) & (indices[np.minimum(probe, last)] < dst)
+            pos = np.where(right, probe + 1, pos)
+            count = np.where(right, count - half - 1, half)
+        found = (pos < end) & (indices[np.minimum(pos, last)] == dst)
         return pos, found
 
     def _grow(self, new_n: int) -> None:
-        extra = new_n - self._n
-        if extra <= 0:
-            return
-        tail = np.full(extra, self._indptr[-1], dtype=np.int64)
+        tail = np.full(new_n - self._n, self._indptr[-1], dtype=np.int64)
         self._indptr = np.concatenate([self._indptr, tail])
         self._n = new_n
         self._snapshot = None
-        self._slot_keys = None  # keys are based on the old vertex count
 
     def _delete(self, canon: np.ndarray) -> np.ndarray:
-        """Tombstone the present edges of ``canon``; returns the edges actually removed."""
+        """Remove the present edges of ``canon``; returns the edges actually removed."""
+        canon = canon[canon[:, 1] < self._n]  # u < v, so v in range suffices
         if canon.shape[0] == 0:
             return _EMPTY_EDGES
-        in_range = (canon[:, 0] < self._n) & (canon[:, 1] < self._n)
-        canon = canon[in_range]
-        if canon.shape[0] == 0:
+        src, dst = _directed(canon)
+        pos, found = self._locate(src, dst)
+        if not np.any(found):
             return _EMPTY_EDGES
-        pos_uv, found_uv = self._locate(canon[:, 0], canon[:, 1])
-        present = np.zeros(canon.shape[0], dtype=bool)
-        present[found_uv] = self._alive[pos_uv[found_uv]]
-        if not np.any(present):
-            return _EMPTY_EDGES
-        removed = canon[present]
-        pos_vu, _ = self._locate(removed[:, 1], removed[:, 0])
-        self._alive[pos_uv[present]] = False
-        self._alive[pos_vu] = False
-        self._dead += 2 * removed.shape[0]
+        self._indices = np.delete(self._indices, pos[found])
+        self._indptr = self._indptr - _row_shift(src[found], self._n)
         self._snapshot = None
-        return removed
+        return canon[found[: canon.shape[0]]]
 
     def _insert(self, canon: np.ndarray) -> np.ndarray:
         """Merge the absent edges of ``canon`` into the rows; returns the edges added."""
         if canon.shape[0] == 0:
             return _EMPTY_EDGES
-        max_id = int(canon.max())
+        max_id = int(canon[:, 1].max())
         if max_id >= self._n:
             self._grow(max_id + 1)
-        pos_uv, found_uv = self._locate(canon[:, 0], canon[:, 1])
-        already_alive = np.zeros(canon.shape[0], dtype=bool)
-        already_alive[found_uv] = self._alive[pos_uv[found_uv]]
-        added = canon[~already_alive]
-        if added.shape[0] == 0:
+        src, dst = _directed(canon)
+        pos, found = self._locate(src, dst)
+        if np.all(found):
             return _EMPTY_EDGES
-        # Resurrect tombstoned slots in place (both directions share the fate).
-        resurrect = found_uv & ~already_alive
-        if np.any(resurrect):
-            res = canon[resurrect]
-            pos_vu, _ = self._locate(res[:, 1], res[:, 0])
-            self._alive[pos_uv[resurrect]] = True
-            self._alive[pos_vu] = True
-            self._dead -= 2 * res.shape[0]
-        # Fresh edges need new slots in both directions, inserted in CSR order.
-        fresh = canon[~found_uv]
-        if fresh.shape[0]:
-            src = np.concatenate([fresh[:, 0], fresh[:, 1]])
-            dst = np.concatenate([fresh[:, 1], fresh[:, 0]])
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
-            pos, _ = self._locate(src, dst)
-            self._indices = np.insert(self._indices, pos, dst)
-            self._alive = np.insert(self._alive, pos, True)
-            shift = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=self._n))])
-            self._indptr = self._indptr + shift.astype(np.int64)
-            self._slot_keys = None
+        src, dst, pos = src[~found], dst[~found], pos[~found]
+        # Slots sharing an insertion point (one gap of a row, or the end of a
+        # row and the start of the next) must go in in CSR order.
+        order = np.lexsort((dst, src))
+        self._indices = np.insert(self._indices, pos[order], dst[order])
+        self._indptr = self._indptr + _row_shift(src, self._n)
         self._snapshot = None
-        return added
-
-    def _maybe_compact(self) -> None:
-        if self._dead and self._dead > self.max_tombstone_fraction * self._indices.shape[0]:
-            cum = np.concatenate([[0], np.cumsum(self._alive)]).astype(np.int64)
-            self._indptr = cum[self._indptr]
-            self._indices = self._indices[self._alive]
-            self._alive = np.ones(self._indices.shape[0], dtype=bool)
-            self._dead = 0
-            self.stats.compactions += 1
-            self._snapshot = None
-            self._slot_keys = None
+        return canon[~found[: canon.shape[0]]]
 
     @staticmethod
     def _delta_csr(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -467,8 +428,7 @@ class DynamicGraph:
         if edges.shape[0] == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, np.zeros(1, dtype=np.int64), empty
-        src = np.concatenate([edges[:, 0], edges[:, 1]])
-        dst = np.concatenate([edges[:, 1], edges[:, 0]])
+        src, dst = _directed(edges)
         order = np.argsort(src, kind="stable")
         src, dst = src[order], dst[order]
         vertices, counts = np.unique(src, return_counts=True)
@@ -476,7 +436,4 @@ class DynamicGraph:
         return vertices, indptr, dst
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DynamicGraph(n={self._n}, m={self.num_edges}, "
-            f"tombstones={self._dead}, batches={self.stats.batches})"
-        )
+        return f"DynamicGraph(n={self._n}, m={self.num_edges}, batches={self.stats.batches})"

@@ -191,8 +191,10 @@ class CSRGraph:
         if self._fingerprint is None:
             h = hashlib.sha1()
             h.update(str(self.num_vertices).encode())
-            h.update(self.indptr.tobytes())
-            h.update(self.indices.tobytes())
+            # The arrays' own buffers, not tobytes() copies: the same bytes in
+            # C order, so the same digest (a strided view is made contiguous).
+            h.update(memoryview(np.ascontiguousarray(self.indptr)).cast("B"))
+            h.update(memoryview(np.ascontiguousarray(self.indices)).cast("B"))
             self._fingerprint = h.hexdigest()
         return self._fingerprint
 

@@ -3,7 +3,7 @@
 The acceptance bar mirrors the engine's: incremental maintenance must be
 **bit-identical** to a fresh rebuild on the final graph — for every sketch
 family, with and without degree orientation, through insertions, deletions
-(tombstone + resketch), and vertex growth — and a patched `PGSession` must
+(slot removal + resketch), and vertex growth — and a patched `PGSession` must
 keep serving its cached entries without eviction.
 """
 
@@ -78,29 +78,70 @@ class TestDynamicGraph:
         assert again.ins_vertices.size == 0
         assert dyn.num_edges == 1
 
-    def test_deletions_tombstone_then_compact(self):
+    def test_deletions_remove_slots(self):
         edges = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
-        dyn = DynamicGraph(CSRGraph.from_edges(edges), max_tombstone_fraction=0.5)
+        dyn = DynamicGraph(CSRGraph.from_edges(edges))
         delta = dyn.apply_edges(deletions=[(0, 1), (3, 2), (1, 3)])  # (1,3) absent
         assert delta.deleted_edges.shape[0] == 2
         assert set(delta.dirty_vertices.tolist()) == {0, 1, 2, 3}
         assert dyn.num_edges == 3
-        assert dyn.num_tombstones == 4  # under the 0.5 bound: not compacted yet
         assert dyn.snapshot() == CSRGraph.from_edges([(0, 2), (0, 3), (1, 2)], num_vertices=4)
-        dyn.apply_edges(deletions=[(0, 2)])  # pushes past the bound
-        assert dyn.num_tombstones == 0
-        assert dyn.stats.compactions == 1
+        dyn.apply_edges(deletions=[(0, 2)])
+        assert dyn.num_edges == 2
         assert dyn.snapshot() == CSRGraph.from_edges([(0, 3), (1, 2)], num_vertices=4)
 
-    def test_reinsert_after_delete_resurrects_tombstone(self):
-        dyn = DynamicGraph(CSRGraph.from_edges([(0, 1), (1, 2)]), max_tombstone_fraction=1.0)
+    def test_reinsert_after_delete(self):
+        dyn = DynamicGraph(CSRGraph.from_edges([(0, 1), (1, 2)]))
         dyn.apply_edges(deletions=[(0, 1)])
-        assert dyn.num_tombstones == 2
+        assert not dyn.has_edge(0, 1)
         delta = dyn.apply_edges(insertions=[(0, 1)])
         assert delta.inserted_edges.shape[0] == 1  # absent -> present counts as insert
-        assert dyn.num_tombstones == 0  # slot reused, not duplicated
+        assert dyn.num_edges == 2
         assert dyn.has_edge(0, 1)
         assert dyn.snapshot() == CSRGraph.from_edges([(0, 1), (1, 2)])
+
+    def test_lookups_at_row_boundaries(self):
+        # Rows: 0=[2], 1=[], 2=[0], 3=[4, 5], 4=[3], 5=[3].  A search that runs
+        # past row 2's end lands on row 3's first slot, which holds 4; row 1 is
+        # empty; row 5 ends the slot array.
+        dyn = DynamicGraph(CSRGraph.from_edges([(0, 2), (3, 4), (3, 5)], num_vertices=6))
+        assert not dyn.has_edge(2, 4)
+        assert not dyn.has_edge(1, 0) and not dyn.has_edge(0, 1)
+        assert not dyn.has_edge(5, 4) and not dyn.has_edge(5, 0)
+        assert dyn.has_edge(5, 3) and dyn.has_edge(2, 0) and dyn.has_edge(3, 5)
+        before = dyn.snapshot()
+        noop = dyn.apply_edges(deletions=[(2, 4), (1, 0), (1, 2), (5, 4)])
+        assert noop.deleted_edges.shape[0] == 0 and dyn.version == 0
+        assert dyn.snapshot() is before
+        delta = dyn.apply_edges(deletions=[(5, 3), (2, 4)])  # the array's last slot
+        assert delta.deleted_edges.tolist() == [[3, 5]]
+        assert dyn.snapshot() == CSRGraph.from_edges([(0, 2), (3, 4)], num_vertices=6)
+        # Insert into the empty rows 1 and 5, and past the end of rows 0 and 2.
+        delta = dyn.apply_edges(insertions=[(1, 5), (2, 4), (5, 0), (0, 2)])
+        assert delta.inserted_edges.tolist() == [[0, 5], [1, 5], [2, 4]]
+        expected = [(0, 2), (3, 4), (1, 5), (2, 4), (0, 5)]
+        assert dyn.snapshot() == CSRGraph.from_edges(expected, num_vertices=6)
+        assert dyn.has_edge(5, 1) and dyn.has_edge(4, 2) and not dyn.has_edge(5, 3)
+
+    def test_huge_vertex_ids_do_not_alias_present_edges(self):
+        # (lo + 1)(hi + 1) = 2**64 + 2, so packing this pair as the int64 key
+        # lo * (hi + 1) + hi would wrap to 1, the key of edge (0, 1).
+        dyn = DynamicGraph(CSRGraph.from_edges([(0, 1), (1, 2)]))
+        delta = dyn.apply_edges(deletions=[(239_075_441, 77_158_673_928)])
+        assert delta.deleted_edges.shape[0] == 0
+        assert dyn.has_edge(0, 1) and dyn.version == 0
+
+    def test_snapshots_share_read_only_arrays(self):
+        dyn = DynamicGraph(CSRGraph.from_edges([(0, 1), (1, 2)]))
+        first = dyn.apply_edges(insertions=[(0, 2)]).graph
+        assert first is dyn.snapshot()
+        for arr in (first.indptr, first.indices):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 7
+        second = dyn.apply_edges(deletions=[(0, 1)], insertions=[(2, 3)]).graph
+        assert first == CSRGraph.from_edges([(0, 1), (1, 2), (0, 2)])
+        assert second == CSRGraph.from_edges([(1, 2), (0, 2), (2, 3)])
 
     def test_delete_then_insert_within_one_batch(self):
         dyn = DynamicGraph(CSRGraph.from_edges([(0, 1)], num_vertices=3))
@@ -139,8 +180,6 @@ class TestDynamicGraph:
             EdgeStream.insert_only(edges, batch_size=0)
 
     def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            DynamicGraph(num_vertices=3, max_tombstone_fraction=0.0)
         with pytest.raises(ValueError):
             DynamicGraph(CSRGraph.from_edges([(0, 1)]), num_vertices=99)
         with pytest.raises(ValueError):
@@ -422,7 +461,7 @@ class TestSessionLSHDeltaPatching:
             dyn.snapshot(), representation=representation, seed=4, oriented=oriented, **params
         )
         index = session.lsh_index(pg)
-        # Insert batch, then a delete batch (tombstone + resketch path).
+        # Insert batch, then a delete batch (slot removal + resketch path).
         for step in ({"insertions": edges[300:500]}, {"deletions": edges[:25]}):
             delta = dyn.apply_edges(**step)
             session.apply_delta(delta)

@@ -4,10 +4,12 @@ The central dynamic-graph invariant: for an **insert-only** edge stream,
 incrementally maintained sketches are bit-identical to sketches rebuilt from
 scratch on the final graph — for every sketch family, oriented and unoriented,
 across hash seeds and arbitrary batch boundaries.  A second property extends
-the check to mixed insert/delete streams (where deletions go through the
-tombstone + row-resketch path) and to vertex growth; there, the LSH bucket
+the check to mixed insert/delete streams (where deletions remove slots and
+resketch their rows) and to vertex growth; there, the LSH bucket
 tables of the families that band (k-hash, 1-hash, KMV) are re-keyed through
-every delta and must equal a fresh build's after each one.
+every delta and must equal a fresh build's after each one.  A third property
+checks the graph side alone: every snapshot shares the dynamic graph's
+arrays read-only and keeps its own edge set as later batches land.
 """
 
 from __future__ import annotations
@@ -147,3 +149,47 @@ def test_mixed_stream_bit_identical(
             assert np.array_equal(index._keys, fresh._keys)
             assert np.array_equal(index._verts, fresh._verts)
     _assert_maintained_equals_rebuilt(dyn, pg, representation, oriented, seed)
+
+
+#: A vertex range past NUM_VERTICES, so insertions grow the graph.
+grow_ids = st.integers(min_value=0, max_value=NUM_VERTICES + 7)
+
+
+@given(data=st.data(), num_batches=st.integers(min_value=1, max_value=6))
+@settings(max_examples=40, deadline=None)
+def test_shared_snapshots_stay_valid_and_read_only(data, num_batches):
+    dyn = DynamicGraph(num_vertices=NUM_VERTICES)
+    initial = dyn.snapshot()
+    tracked: set[tuple[int, int]] = set()
+    removed: set[tuple[int, int]] = set()
+    n = NUM_VERTICES
+    history: list[tuple[CSRGraph, CSRGraph]] = []
+    for _ in range(num_batches):
+        insertions = data.draw(st.lists(st.tuples(grow_ids, grow_ids), max_size=40))
+        # Random pairs rarely hit an edge: also delete present edges and
+        # re-insert deleted ones.
+        if removed:
+            insertions += data.draw(st.lists(st.sampled_from(sorted(removed)), max_size=10))
+        present = sorted(tracked)
+        deletions = data.draw(st.lists(st.sampled_from(present), max_size=15)) if present else []
+        deletions += data.draw(st.lists(st.tuples(grow_ids, grow_ids), max_size=5))
+        dyn.apply_edges(insertions=insertions, deletions=deletions)
+        for u, v in deletions:
+            edge = (min(u, v), max(u, v))
+            if edge in tracked:
+                tracked.discard(edge)
+                removed.add(edge)
+        for u, v in insertions:
+            if u != v:
+                tracked.add((min(u, v), max(u, v)))
+                n = max(n, u + 1, v + 1)
+        expected = CSRGraph.from_edges(np.asarray(sorted(tracked), dtype=np.int64).reshape(-1, 2), n)
+        snap = dyn.snapshot()
+        assert snap == expected
+        history.append((snap, expected))
+        for old_snap, old_expected in history:
+            assert old_snap == old_expected
+        if snap is not initial:
+            for arr in (snap.indptr, snap.indices):
+                with pytest.raises(ValueError):
+                    arr[...] = 0

@@ -426,6 +426,19 @@ class TestPicklability:
         """
         assert codes(good) == []
 
+    def test_nested_function_in_thread_pool_is_quiet(self):
+        # A ThreadPoolExecutor shares the module's functions; nothing is pickled.
+        ok = """
+            from concurrent.futures import ThreadPoolExecutor
+
+            def run(xs):
+                def work(x):
+                    return x + 1
+                with ThreadPoolExecutor() as pool:
+                    return list(pool.map(work, xs))
+        """
+        assert codes(ok) == []
+
     def test_thread_pools_are_exempt(self):
         # Lambdas pickle fine across threads; the rule only gates modules that
         # use process pools.

@@ -6,7 +6,7 @@ The acceptance bar of the streaming-sharding composition
 * routed patches must be **bit-identical** to a fresh sharded rebuild *and*
   to the single-process :meth:`repro.core.ProbGraph.apply_delta` path, across
   all five families × shard counts × orientations — including cut-edge
-  deletions (tombstones on both owning shards) and vertex growth landing new
+  deletions (dirty rows on both owning shards) and vertex growth landing new
   rows on different shards;
 * an engine built over a :class:`~repro.dynamic.DynamicGraph` must raise
   :class:`~repro.engine.StaleShardError` from every query entry point when
@@ -150,7 +150,7 @@ class TestApplyDeltaBitIdentity:
         patched_rows = engine.apply_delta(delta)
         assert patched_rows == delta.dirty_vertices.shape[0]
         diff = engine.skew_stats().updates - before
-        # A cut edge's tombstones dirty rows on *both* owning shards.
+        # Deleting a cut edge dirties rows on *both* owning shards.
         assert np.all(diff > 0)
         assert diff.sum() == delta.dirty_vertices.shape[0]
         fresh = ShardedEngine(dyn.snapshot(), 2, representation="kmv", k=8, seed=3)
