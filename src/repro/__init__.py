@@ -69,7 +69,6 @@ from .engine import (
     ShardedEngine,
     StaleShardError,
     TopKResult,
-    build_probgraph_sharded,
     topk_pair_scores,
     topk_per_source,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "ShardedEngine",
     "ShardSkewStats",
     "StaleShardError",
-    "build_probgraph_sharded",
     "resolve_lsh_params",
     "partition_graph",
     "DynamicGraph",

@@ -152,10 +152,13 @@ def trace_determinism() -> Iterator[DeterminismTrace]:
     identical — diff them with :func:`compare_traces`.
 
     Only calls from the thread that opened the trace are recorded: calls from
-    other threads arrive in no fixed order, so a ``ShardedEngine`` build
-    (whose row ranges hash in their own threads) records its partition RNG
-    but not its kernels.  Trace a :class:`~repro.core.ProbGraph` build, which
-    hashes in the calling thread, to cover the kernels.
+    other threads arrive in no fixed order, so a build whose row ranges hash
+    in their own threads records no kernel events (a ``ShardedEngine`` build
+    then records only its partition RNG).  A :class:`~repro.core.ProbGraph`
+    build covers the kernels only when it hashes one range, in the calling
+    thread: any graph below ``2**20`` adjacency slots, or any graph when the
+    caller is pinned to one CPU.  Trace a larger build with the caller
+    pinned to one CPU (``os.sched_setaffinity``, or ``taskset -c 0``).
     """
     trace = DeterminismTrace()
     tracing_thread = threading.get_ident()

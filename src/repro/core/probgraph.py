@@ -16,7 +16,9 @@ Graph-mining algorithms in :mod:`repro.algorithms` accept either a plain
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -27,7 +29,7 @@ from ..graph.csr import CSRGraph, check_vertex_ids
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports core)
     from ..dynamic.graph import GraphDelta
-from ..sketches.base import NeighborhoodSketches, SketchFamily
+from ..sketches.base import NeighborhoodSketches, SketchFamily, concat_sketch_rows
 from ..sketches.bloom import BloomFamily, BloomNeighborhoodSketches
 from ..sketches.hll import HLLFamily
 from ..sketches.kmv import KMVFamily
@@ -42,6 +44,12 @@ __all__ = [
     "resolve_sketch_params",
     "check_estimator_kind",
 ]
+
+#: Adjacency slots per build thread.  A build hashes its rows in one range per
+#: this many slots of the sketched base, capped by the caller's CPUs, so a
+#: second thread starts at ``2 * _SLOTS_PER_RANGE`` (~1M) slots: below that,
+#: two ranges measured slower than one.
+_SLOTS_PER_RANGE = 1 << 19
 
 
 class Representation(str, Enum):
@@ -193,8 +201,50 @@ def resolve_sketch_params(
     return SketchParams(representation, default, None, None, int(k), resolution)
 
 
+def _build_rows(
+    params: SketchParams, seed: int, base: CSRGraph, blocks: int
+) -> tuple[NeighborhoodSketches, int]:
+    """Build ``base``'s sketch rows as ``blocks`` contiguous row ranges, one thread each.
+
+    A row depends only on its neighborhood and the seed, so the ranges,
+    concatenated in order, are exactly the rows of one whole-graph build.
+    The cuts balance adjacency slots; empty ranges are dropped, and a single
+    range builds in the calling thread.  NumPy's hashing kernels release the
+    GIL, so the block threads hash in parallel.  Returns the rows and the
+    number of ranges hashed.
+    """
+    indptr, indices = base.indptr, base.indices
+    targets = np.arange(1, blocks) * (indices.shape[0] / blocks)
+    bounds = np.unique(np.concatenate(([0], np.searchsorted(indptr, targets), [base.num_vertices])))
+    if bounds.shape[0] <= 2:
+        return params.make_family(seed).sketch_neighborhoods(indptr, indices), 1
+    with ThreadPoolExecutor(bounds.shape[0] - 1) as executor:
+        futures = [
+            executor.submit(_build_range, params, seed, indptr, indices, lo, hi)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+    return concat_sketch_rows([future.result() for future in futures]), len(futures)
+
+
+def _build_range(
+    params: SketchParams, seed: int, indptr: np.ndarray, indices: np.ndarray, lo: int, hi: int
+) -> NeighborhoodSketches:
+    """The sketch rows of rows ``[lo, hi)``, built from a view of their adjacency."""
+    first, last = indptr[lo], indptr[hi]
+    return params.make_family(seed).sketch_neighborhoods(
+        indptr[lo:hi + 1] - first, indices[first:last]
+    )
+
+
 class ProbGraph:
     """Probabilistic graph representation: sketched neighborhoods plus estimators.
+
+    The sketch rows are hashed in contiguous row ranges of about equal
+    adjacency, one thread each: one range per ``2**19`` adjacency slots of the
+    sketched graph, at most one per CPU the calling thread may run on, and
+    never fewer than one (which hashes in the calling thread).  A row depends
+    only on its neighborhood and the seed, so the rows are bit-identical
+    whatever the range count; :attr:`build_threads` records it.
 
     Parameters
     ----------
@@ -261,9 +311,11 @@ class ProbGraph:
         )
         self.budget_resolution = params.resolution
 
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        ranges = min(cpus or 1, max(1, self._base.indices.shape[0] // _SLOTS_PER_RANGE))
         # reprolint: allow[determinism] -- wall-clock timing stat only; never feeds hash/seed/sketch state
         start = time.perf_counter()
-        self.sketches = self.family.sketch_neighborhoods(self._base.indptr, self._base.indices)
+        self.sketches, self.build_threads = _build_rows(params, self.seed, self._base, ranges)
         self.construction_seconds = time.perf_counter() - start  # reprolint: allow[determinism] -- timing stat only
         self.deltas_applied = 0
         self.rows_patched = 0
@@ -284,13 +336,14 @@ class ProbGraph:
     ) -> "ProbGraph":
         """Wrap an already-built sketch container into a :class:`ProbGraph`.
 
-        The entry point of the sharded build path
-        (:mod:`repro.engine.sharded`): row ranges built in parallel threads
-        are concatenated in order and handed over here, skipping the
-        one-thread construction pass.  The caller guarantees that ``sketches``
-        is exactly what ``params.make_family(seed).sketch_neighborhoods`` would
-        produce on ``base`` (the oriented graph when ``oriented``); every query
-        path then behaves bit-identically to a directly-constructed ProbGraph.
+        The entry point of every path that hashes no rows: sketch-store loads,
+        :meth:`ShardedEngine.open <repro.engine.ShardedEngine.open>` and
+        :meth:`ShardedEngine.to_probgraph <repro.engine.ShardedEngine.to_probgraph>`.
+        The caller guarantees that ``sketches`` is exactly what
+        ``params.make_family(seed).sketch_neighborhoods`` would produce on
+        ``base`` (the oriented graph when ``oriented``); every query path then
+        behaves bit-identically to a directly-constructed ProbGraph.
+        :attr:`build_threads` is 0.
         """
         pg = cls.__new__(cls)
         pg.graph = graph
@@ -317,6 +370,7 @@ class ProbGraph:
         )
         pg.budget_resolution = params.resolution
         pg.sketches = sketches
+        pg.build_threads = 0
         pg.construction_seconds = float(construction_seconds)
         pg.deltas_applied = 0
         pg.rows_patched = 0

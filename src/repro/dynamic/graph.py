@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..graph.csr import CSRGraph, ragged_gather
+from ..graph.csr import _EMPTY_EDGES, CSRGraph, _as_edge_array, _canonical_edges, ragged_gather
 
 __all__ = [
     "EdgeBatch",
@@ -44,37 +44,6 @@ __all__ = [
     "DynamicStats",
     "changed_rows",
 ]
-
-_EMPTY_EDGES = np.empty((0, 2), dtype=np.int64)
-
-
-def _as_edge_array(edges: np.ndarray | Iterable[Iterable[int]] | None) -> np.ndarray:
-    """Normalize any edge collection into an ``(m, 2)`` int64 array."""
-    if edges is None:
-        return _EMPTY_EDGES
-    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
-    if arr.size == 0:
-        return _EMPTY_EDGES
-    arr = arr.reshape(-1, 2)
-    if np.any(arr < 0):
-        raise ValueError("vertex IDs must be non-negative")
-    return arr
-
-
-def _canonical_edges(edges: np.ndarray) -> np.ndarray:
-    """Canonical undirected edge list: self-loops dropped, ``u < v``, unique sorted rows."""
-    arr = _as_edge_array(edges)
-    arr = arr[arr[:, 0] != arr[:, 1]]
-    if arr.shape[0] == 0:
-        return _EMPTY_EDGES
-    lo = np.minimum(arr[:, 0], arr[:, 1])
-    hi = np.maximum(arr[:, 0], arr[:, 1])
-    base = int(hi.max()) + 1
-    if base > 1 << 31:  # packed keys lo * base + hi would overflow int64
-        return np.unique(np.stack([lo, hi], axis=1), axis=0)
-    # One 1-D sort over packed keys; they order exactly like the (lo, hi) rows.
-    lo, hi = np.divmod(np.unique(lo * base + hi), base)
-    return np.stack([lo, hi], axis=1)
 
 
 def changed_rows(old: CSRGraph, new: CSRGraph) -> np.ndarray:

@@ -14,11 +14,10 @@ This package is the execution layer between the sketch containers
 * :func:`topk_pair_scores` / :func:`topk_per_source` keep an ``O(k)`` running
   selection over streamed pair scores (top-k retrieval — the serving and
   link-prediction query shape — without materializing the score array);
-* :class:`ShardedEngine` builds its sketch rows as contiguous row ranges in
-  parallel threads, concatenates them into one global-order container that
-  the functions above serve (bit-identical to the single-process path), and
-  counts the sketch shipments a distributed run of each query would make
-  over its vertex shards (§VIII-F);
+* :class:`ShardedEngine` serves one :class:`~repro.core.ProbGraph` through
+  the functions above (bit-identical to the single-process path) and counts
+  the sketch shipments a distributed run of each query would make over its
+  vertex shards (§VIII-F);
 * :class:`LSHIndex` bands the MinHash signature matrix of a ProbGraph or
   a ShardedEngine into one bucket table of global vertex IDs and serves
   top-k/kNN by scoring only colliding candidates — sublinear probes with an
@@ -59,7 +58,6 @@ from .sharded import (
     ShardSkewStats,
     ShardedEngine,
     StaleShardError,
-    build_probgraph_sharded,
 )
 from .topk import TopKResult, materialized_topk, topk_pair_scores, topk_per_source
 
@@ -76,7 +74,6 @@ __all__ = [
     "ShardSkewStats",
     "ShardedEngine",
     "StaleShardError",
-    "build_probgraph_sharded",
     "select_topk_rows",
     "signature_matrix",
     "TopKResult",

@@ -94,11 +94,6 @@ class PGSession:
     config:
         Default :class:`~repro.engine.EngineConfig` applied to queries issued
         through this session (chunk sizing, memory budget).
-    shards:
-        When > 1, cache misses build their sketch set through the sharded
-        pass (:func:`repro.engine.sharded.build_probgraph_sharded`) instead
-        of in one thread — bit-identical results, construction split over up
-        to ``shards`` threads (no more than the calling thread's CPUs).
     store:
         Optional :class:`~repro.storage.SketchStore` (or a directory path) of
         persisted sketch sets.  A cache miss whose key has a store entry is
@@ -121,7 +116,8 @@ class PGSession:
     per session: concurrent misses for the same key never build twice), which
     means other cache operations wait out an in-progress construction — share
     pre-built entries or use per-worker sessions when construction latency
-    under the lock matters.
+    under the lock matters.  The :class:`~repro.core.ProbGraph` a miss builds
+    picks its own hashing threads from the graph's size and the caller's CPUs.
 
     Example
     -------
@@ -137,19 +133,15 @@ class PGSession:
         self,
         max_entries: int = 8,
         config: EngineConfig | None = None,
-        shards: int | None = None,
         store: "SketchStore | str | os.PathLike[str] | None" = None,
         store_mode: str = "mmap",
     ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
-        if shards is not None and shards < 1:
-            raise ValueError("shards must be at least 1")
         if store_mode not in ("mmap", "eager"):
             raise ValueError(f"store_mode must be 'mmap' or 'eager', got {store_mode!r}")
         self.max_entries = int(max_entries)
         self.config = config or EngineConfig()
-        self.shards = int(shards) if shards is not None else None
         if store is not None and not hasattr(store, "load"):
             from ..storage import SketchStore as _SketchStore
 
@@ -253,35 +245,18 @@ class PGSession:
                         self._release_handle(evicted)
                         self.stats.evictions += 1
                     return pg
-            if self.shards is not None and self.shards > 1:
-                from .sharded import build_probgraph_sharded
-
-                pg = build_probgraph_sharded(
-                    graph,
-                    self.shards,
-                    representation=params.representation,
-                    storage_budget=storage_budget,
-                    num_hashes=num_hashes,
-                    num_bits=params.num_bits,
-                    k=params.k,
-                    precision=params.precision,
-                    oriented=oriented,
-                    seed=seed,
-                    estimator=estimator,
-                )
-            else:
-                pg = ProbGraph(
-                    graph,
-                    representation=params.representation,
-                    storage_budget=storage_budget,
-                    num_hashes=num_hashes,
-                    num_bits=params.num_bits,
-                    k=params.k,
-                    precision=params.precision,
-                    oriented=oriented,
-                    seed=seed,
-                    estimator=estimator,
-                )
+            pg = ProbGraph(
+                graph,
+                representation=params.representation,
+                storage_budget=storage_budget,
+                num_hashes=num_hashes,
+                num_bits=params.num_bits,
+                k=params.k,
+                precision=params.precision,
+                oriented=oriented,
+                seed=seed,
+                estimator=estimator,
+            )
             self.stats.constructions += 1
             if self.store is not None:
                 self.store.put(pg)
@@ -384,11 +359,10 @@ class PGSession:
         rows change; results stay bit-identical to a fresh build on the new
         graph) and re-keyed under the new fingerprint, preserving LRU order.
         Callers holding references to the cached objects see them advance too.
-        Entries built through the sharded pass (``shards=``) are
-        ordinary :class:`~repro.core.ProbGraph` objects once cached, so they
-        advance identically — a sharded build is patched, not rebuilt (a
-        long-lived :class:`~repro.engine.sharded.ShardedEngine` is patched
-        through its own ``apply_delta``).
+        An entry whose rows were hashed in several threads is an ordinary
+        :class:`~repro.core.ProbGraph`, so it is patched like any other, not
+        rebuilt (a long-lived :class:`~repro.engine.sharded.ShardedEngine` is
+        patched through its own ``apply_delta``).
 
         Returns the number of entries patched.  Note that budget-derived
         parameters are resolved against the graph a lookup passes in, so after

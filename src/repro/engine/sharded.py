@@ -1,27 +1,24 @@
-"""Sharded engine — thread-parallel builds, one served container (§VIII-F).
+"""Sharded engine — one served container, queries priced over shards (§VIII-F).
 
 :mod:`repro.parallel.distributed` *models* the paper's distributed claim
 (shipping fixed-size sketches instead of CSR neighborhoods cuts communication
-~4×).  This module runs its construction half on one machine's cores, the
-way the paper's per-vertex loop runs on shared-memory threads: the rows of
-the sketched graph are cut into contiguous ranges of about equal adjacency,
-each range is hashed in its own thread (NumPy's hashing kernels release the
-GIL), and the ranges are concatenated in order into one
-:class:`~repro.core.ProbGraph`.  That container serves every query and delta
-through the single-process code (:mod:`repro.engine.batch`,
-:mod:`repro.engine.topk`, :meth:`repro.core.ProbGraph.apply_delta`).
-Vertices are partitioned into shards (:mod:`repro.graph.partition`), and the
-partition only prices the queries in shipments.
+~4×).  This module serves that model's queries on one machine: the engine
+builds one :class:`~repro.core.ProbGraph`, whose constructor hashes its rows
+in as many threads as the graph's size and the caller's CPUs justify, and
+that container serves every query and delta through the single-process code
+(:mod:`repro.engine.batch`, :mod:`repro.engine.topk`,
+:meth:`repro.core.ProbGraph.apply_delta`).  Vertices are partitioned into
+shards (:mod:`repro.graph.partition`), and the partition only prices the
+queries in shipments.
 
 These contracts make this safe to use everywhere the single-process engine is:
 
 * **Bit-identity.**  A sketch row is a pure function of the neighborhood
-  elements and the family seed — it does not depend on the row's position or
-  on any other row.  Every range therefore builds with the *session* seed
-  over complete neighborhoods, so the assembled container is bit-identical
-  to a whole-graph build whatever the ranges or the partition, and every
-  query returns exactly the floats the single-process
-  :class:`~repro.engine.PGSession` path returns.
+  elements and the family seed — it does not depend on the row's position,
+  on any other row or on the shard that owns it.  The container is therefore
+  the one a :class:`~repro.core.ProbGraph` with the same parameters holds,
+  whatever the partition, and every query returns exactly the floats the
+  single-process :class:`~repro.engine.PGSession` path returns.
 * **Shipment accounting.**  Ownership alone decides which sketch rows a query
   would move between shards, so :class:`ShardCommStats` counts them without
   copying any row.  A pair query follows
@@ -51,7 +48,6 @@ import os
 import time
 import warnings
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -59,18 +55,12 @@ import numpy as np
 
 from ..analysis import runtime as _san
 from ..core.estimators import EstimatorKind, intersection_to_jaccard
-from ..core.probgraph import (
-    ProbGraph,
-    Representation,
-    SketchParams,
-    check_estimator_kind,
-    resolve_sketch_params,
-)
+from ..core.probgraph import ProbGraph, Representation, SketchParams, check_estimator_kind
 from ..dynamic.graph import DynamicGraph, GraphDelta
 from ..graph.csr import CSRGraph
 from ..graph.partition import ShardPartition, partition_graph
 from ..parallel.distributed import CommunicationVolume, communication_volume, pair_shipments
-from ..sketches.base import NeighborhoodSketches, concat_sketch_rows
+from ..sketches.base import NeighborhoodSketches
 from ..storage import (
     StoreFormatError,
     StoreHandle,
@@ -93,7 +83,6 @@ __all__ = [
     "ShardSkewStats",
     "ShardedEngine",
     "StaleShardError",
-    "build_probgraph_sharded",
 ]
 
 class StaleShardError(RuntimeError):
@@ -197,92 +186,19 @@ class ShardSkewStats:
         return self.max_imbalance > float(threshold)
 
 
-def _build_rows(
-    params: SketchParams, seed: int, base: CSRGraph, blocks: int
-) -> tuple[NeighborhoodSketches, int]:
-    """Build ``base``'s sketch rows as ``blocks`` contiguous row ranges, one thread each.
-
-    A row depends only on its neighborhood and the seed, so the ranges,
-    concatenated in order, are exactly the rows of one whole-graph build.
-    The cuts balance adjacency slots; empty ranges are dropped, and a single
-    range builds in the calling thread.  NumPy's hashing kernels release the
-    GIL, so the block threads hash in parallel.  Returns the rows and the
-    number of ranges hashed.
-    """
-    indptr, indices = base.indptr, base.indices
-    targets = np.arange(1, blocks) * (indices.shape[0] / blocks)
-    bounds = np.unique(np.concatenate(([0], np.searchsorted(indptr, targets), [base.num_vertices])))
-    if bounds.shape[0] <= 2:
-        return params.make_family(seed).sketch_neighborhoods(indptr, indices), 1
-    with ThreadPoolExecutor(bounds.shape[0] - 1) as executor:
-        futures = [
-            executor.submit(_build_range, params, seed, indptr, indices, lo, hi)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-    return concat_sketch_rows([future.result() for future in futures]), len(futures)
-
-
-def _build_range(
-    params: SketchParams, seed: int, indptr: np.ndarray, indices: np.ndarray, lo: int, hi: int
-) -> NeighborhoodSketches:
-    """The sketch rows of rows ``[lo, hi)``, built from a view of their adjacency."""
-    first, last = indptr[lo], indptr[hi]
-    return params.make_family(seed).sketch_neighborhoods(
-        indptr[lo:hi + 1] - first, indices[first:last]
-    )
-
-
-def _build_probgraph(
-    graph: CSRGraph,
-    num_shards: int,
-    representation: Representation | str,
-    storage_budget: float,
-    num_hashes: int,
-    num_bits: int | None,
-    k: int | None,
-    precision: int | None,
-    oriented: bool,
-    seed: int,
-    estimator: EstimatorKind | str | None,
-) -> tuple[ProbGraph, int]:
-    """The container of a ``num_shards``-shard build and the threads that hashed it.
-
-    The rows are hashed in ``min(num_shards, CPUs the calling thread may run
-    on)`` contiguous ranges (:func:`_build_rows`), so no build starts more
-    threads than there are CPUs.
-    """
-    if num_shards < 1:
-        raise ValueError("num_shards must be at least 1")
-    params = resolve_sketch_params(
-        graph, representation, storage_budget, num_hashes, num_bits, k, precision
-    )
-    if estimator is not None:  # fail before the build
-        check_estimator_kind(params.representation, estimator)
-    base = graph.oriented() if oriented else graph
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    # reprolint: allow[determinism] -- wall-clock timing stat only; never feeds hash/seed/sketch state
-    start = time.perf_counter()
-    rows, threads = _build_rows(params, int(seed), base, min(num_shards, cpus or 1))
-    pg = ProbGraph.from_sketches(
-        graph, rows, params, oriented=oriented, seed=seed, estimator=estimator,
-        storage_budget=storage_budget, base=base,
-        construction_seconds=time.perf_counter() - start,  # reprolint: allow[determinism] -- timing stat only
-    )
-    return pg, threads
-
-
 class ShardedEngine:
-    """Sketch rows built in parallel threads, served from one container.
+    """One :class:`~repro.core.ProbGraph`'s rows, serving queries priced over vertex shards.
 
     Parameters mirror :class:`~repro.core.ProbGraph` (representation, budget,
     explicit sizes, ``oriented``, ``seed``, default ``estimator``), plus:
 
     num_shards:
-        Number of vertex shards the queries are priced over.  The build hashes
-        ``min(num_shards, CPUs the calling thread may run on)`` contiguous row
-        ranges in as many threads; one range builds in the calling thread.
-        :attr:`build_threads` records how many ranges were hashed (0 for an
-        engine from :meth:`open`, which builds no rows).
+        Number of vertex shards the queries are priced over.  It sets the
+        partition only: the rows are built by
+        :class:`~repro.core.ProbGraph`, which picks its own build threads
+        from the graph's size and the caller's CPUs.  :attr:`build_threads`
+        records how many it ran (0 for an engine from :meth:`open`, which
+        builds no rows).
     partition:
         ``"hash"`` (random balanced, default) or ``"locality"`` (BFS chunks) —
         see :func:`repro.graph.partition.partition_graph`.
@@ -342,19 +258,20 @@ class ShardedEngine:
             graph, num_shards, method=partition,
             seed=int(seed) if partition_seed is None else int(partition_seed),
         )
-        pg, threads = _build_probgraph(
-            graph, num_shards, representation, storage_budget, num_hashes, num_bits, k,
-            precision, oriented, seed, estimator,
+        pg = ProbGraph(
+            graph, representation=representation, storage_budget=storage_budget,
+            num_hashes=num_hashes, num_bits=num_bits, k=k, precision=precision,
+            oriented=oriented, seed=seed, estimator=estimator,
         )
         self._closed = False
         self._handles: list[StoreHandle] = []
-        self._serve(pg, shards, build_threads=threads)
+        self._serve(pg, shards)
 
-    def _serve(self, pg: ProbGraph, partition: ShardPartition, build_threads: int = 0) -> None:
+    def _serve(self, pg: ProbGraph, partition: ShardPartition) -> None:
         """Install the served container and the ownership its queries are priced by."""
         self._pg = pg
         self.partition = partition
-        self.build_threads = build_threads
+        self.build_threads = pg.build_threads
         self.params: SketchParams = pg.sketch_params
         self.estimator = pg.estimator
         self.storage_budget = pg.storage_budget
@@ -917,29 +834,3 @@ class ShardedEngine:
 #: Former name of an engine-backed :class:`~repro.engine.lsh.LSHIndex`; kept
 #: as an alias so existing imports and instrumentation keep resolving.
 ShardedLSHIndex = LSHIndex
-
-
-def build_probgraph_sharded(
-    graph: CSRGraph,
-    num_shards: int,
-    representation: Representation | str = Representation.BLOOM,
-    storage_budget: float = 0.25,
-    num_hashes: int = 2,
-    num_bits: int | None = None,
-    k: int | None = None,
-    precision: int | None = None,
-    oriented: bool = False,
-    seed: int = 0,
-    estimator: EstimatorKind | str | None = None,
-) -> ProbGraph:
-    """Build a :class:`~repro.core.ProbGraph` with a thread-parallel pass.
-
-    Construction is split over up to ``num_shards`` threads (no more than
-    the calling thread's CPUs); the result is bit-identical to the in-process
-    constructor.  This is what :meth:`repro.engine.PGSession.probgraph` uses
-    when the session is created with ``shards=``.
-    """
-    return _build_probgraph(
-        graph, num_shards, representation, storage_budget, num_hashes, num_bits, k,
-        precision, oriented, seed, estimator,
-    )[0]

@@ -33,6 +33,48 @@ __all__ = ["CSRGraph", "WORD_BITS", "check_vertex_ids", "ragged_gather"]
 WORD_BITS = 64
 
 
+_EMPTY_EDGES = np.empty((0, 2), dtype=np.int64)
+
+
+def _as_edge_array(edges: np.ndarray | Iterable[Iterable[int]] | None) -> np.ndarray:
+    """Normalize any edge collection into an ``(m, 2)`` int64 array.
+
+    Raises ``ValueError`` for a non-empty input of any other shape and for a
+    negative vertex ID.
+    """
+    if edges is None:
+        return _EMPTY_EDGES
+    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
+    if arr.size == 0:
+        return _EMPTY_EDGES
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"edges must have shape (m, 2), got {arr.shape}")
+    if np.any(arr < 0):
+        raise ValueError("vertex IDs must be non-negative")
+    return arr
+
+
+def _canonical_edges(edges: np.ndarray | Iterable[Iterable[int]] | None) -> np.ndarray:
+    """Canonical undirected edge list: self-loops dropped, ``u < v``, unique sorted rows."""
+    arr = _as_edge_array(edges)
+    arr = arr[arr[:, 0] != arr[:, 1]]
+    if arr.shape[0] == 0:
+        return _EMPTY_EDGES
+    lo = np.minimum(arr[:, 0], arr[:, 1])
+    hi = np.maximum(arr[:, 0], arr[:, 1])
+    base = int(hi.max()) + 1
+    if base > 1 << 31:  # packed keys lo * base + hi would overflow int64
+        return np.unique(np.stack([lo, hi], axis=1), axis=0)
+    # Packed keys order exactly like the (lo, hi) rows.  A sort plus an
+    # adjacent-difference mask, not np.unique, which may hash instead of sort.
+    keys = np.sort(lo * base + hi)
+    keep = np.empty(keys.shape[0], dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    lo, hi = np.divmod(keys[keep], base)
+    return np.stack([lo, hi], axis=1)
+
+
 def check_vertex_ids(ids: np.ndarray, num_vertices: int, name: str = "vertex IDs") -> np.ndarray:
     """``ids`` as a flat int64 array, rejecting any ID outside ``[0, num_vertices)``.
 
@@ -90,21 +132,10 @@ class CSRGraph:
         """Build an undirected simple graph from an edge list.
 
         Self-loops are dropped and duplicate / reverse duplicates are merged.
-        Vertex IDs must be non-negative integers; ``num_vertices`` defaults to
-        ``max_id + 1``.
+        Vertex IDs must be non-negative integers and a non-empty edge list
+        must have shape ``(m, 2)``; ``num_vertices`` defaults to ``max_id + 1``.
         """
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
-        if arr.size == 0:
-            n = int(num_vertices or 0)
-            return cls(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError(f"edges must have shape (m, 2), got {arr.shape}")
-        if np.any(arr < 0):
-            raise ValueError("vertex IDs must be non-negative")
-        arr = arr[arr[:, 0] != arr[:, 1]]  # drop self-loops
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
-        canon = np.unique(np.stack([lo, hi], axis=1), axis=0)
+        canon = _canonical_edges(edges)
         n = int(num_vertices) if num_vertices is not None else (int(canon.max()) + 1 if canon.size else 0)
         if canon.size and canon.max() >= n:
             raise ValueError("num_vertices is smaller than the largest vertex ID + 1")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -81,3 +83,17 @@ def sbm_graph() -> CSRGraph:
 def rng() -> np.random.Generator:
     """Seeded random generator for test-local sampling."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def threaded_build(monkeypatch) -> None:
+    """Make every ProbGraph build in this test hash its rows in up to 4 threads.
+
+    A build starts a second thread only at ``2 * _SLOTS_PER_RANGE`` (~1M)
+    adjacency slots, far above every test graph, so a test that must run
+    threads lowers the threshold to 16 slots and claims 4 CPUs.
+    """
+    from repro.core import probgraph
+
+    monkeypatch.setattr(probgraph, "_SLOTS_PER_RANGE", 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)

@@ -185,6 +185,27 @@ class TestDynamicGraph:
         with pytest.raises(ValueError):
             DynamicGraph(num_vertices=2).apply_edges(insertions=[(-1, 0)])
 
+    @pytest.mark.parametrize(
+        "edges", [np.array([[0, 1, 2], [3, 4, 5]]), np.array([0, 1])], ids=["2x3", "flat"]
+    )
+    def test_edges_of_another_shape_rejected(self, edges):
+        """No edge-list entry point reshapes its input into pairs."""
+        shape = r"edges must have shape \(m, 2\)"
+        dyn = DynamicGraph(num_vertices=6)
+        with pytest.raises(ValueError, match=shape):
+            dyn.apply_edges(insertions=edges)
+        with pytest.raises(ValueError, match=shape):
+            dyn.apply_edges(deletions=edges)
+        with pytest.raises(ValueError, match=shape):
+            EdgeBatch(insertions=edges)
+        with pytest.raises(ValueError, match=shape):
+            EdgeBatch(deletions=edges)
+        with pytest.raises(ValueError, match=shape):
+            EdgeStream.insert_only(edges, batch_size=2)
+        with pytest.raises(ValueError, match=shape):
+            CSRGraph.from_edges(edges)
+        assert dyn.num_edges == 0 and dyn.version == 0
+
 
 # ---------------------------------------------------------------------------
 # container-level incremental updates

@@ -12,6 +12,7 @@ from repro.core.estimators import (
     minhash_jaccard,
 )
 from repro.graph import CSRGraph
+from repro.graph.csr import _canonical_edges
 from repro.sketches import BloomFamily, BottomKFamily, KHashFamily, KMVFamily
 
 # Strategy for small integer sets (vertex-ID-like).
@@ -22,6 +23,38 @@ edge_lists = st.lists(
     min_size=0,
     max_size=150,
 )
+
+
+
+@st.composite
+def messy_edge_lists(draw, ids=st.integers(min_value=0, max_value=40)):
+    """Edge lists holding duplicates, reversed pairs and self-loops, shuffled."""
+    base = draw(st.lists(st.tuples(ids, ids), max_size=60))
+    reversed_pairs = [(v, u) for u, v in base[: draw(st.integers(0, len(base)))]]
+    duplicates = base[: draw(st.integers(0, len(base)))]
+    loops = [(v, v) for v in draw(st.lists(ids, max_size=5))]
+    edges = base + reversed_pairs + duplicates + loops
+    return [edges[i] for i in draw(st.permutations(range(len(edges))))]
+
+
+def _unique_rows(edges) -> np.ndarray:
+    """``np.unique(axis=0)`` over the ``(min, max)`` rows of the non-loop edges."""
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    arr = arr[arr[:, 0] != arr[:, 1]]
+    return np.unique(np.stack([arr.min(axis=1), arr.max(axis=1)], axis=1), axis=0)
+
+
+def _reference_from_edges(edges, num_vertices) -> CSRGraph:
+    """The edge-list-to-CSR formula ``CSRGraph.from_edges`` keeps: unique
+    canonical rows, then both directions lexsorted into CSR rows."""
+    canon = _unique_rows(edges)
+    n = num_vertices if num_vertices is not None else (int(canon.max()) + 1 if canon.size else 0)
+    src = np.concatenate([canon[:, 0], canon[:, 1]])
+    dst = np.concatenate([canon[:, 1], canon[:, 0]])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, src[order] + 1, 1)
+    return CSRGraph(n, np.cumsum(indptr), dst[order])
 
 
 class TestBloomProperties:
@@ -172,3 +205,33 @@ class TestGraphProperties:
         est = pg.pair_intersections(e[:, 0], e[:, 1])
         assert np.all(est >= 0)
         assert np.all(np.isfinite(est))
+
+    @given(
+        edges=messy_edge_lists(),
+        form=st.sampled_from(["list", "int64", "int32"]),
+        extra_vertices=st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_from_edges_matches_unique_rows_formula(self, edges, form, extra_vertices):
+        num_vertices = None
+        if extra_vertices is not None:
+            num_vertices = max((max(e) for e in edges), default=-1) + 1 + extra_vertices
+        edge_input = edges if form == "list" else np.asarray(edges, dtype=form).reshape(-1, 2)
+        graph = CSRGraph.from_edges(edge_input, num_vertices=num_vertices)
+        expected = _reference_from_edges(edges, num_vertices)
+        assert graph == expected
+        assert graph.indices.dtype == np.int64
+        assert graph.fingerprint() == expected.fingerprint()
+
+    @given(
+        edges=messy_edge_lists(
+            ids=st.one_of(
+                st.integers(min_value=0, max_value=40),
+                st.integers(min_value=(1 << 31) - 2, max_value=1 << 40),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_edges_match_unique_rows(self, edges):
+        # IDs past 2**31 take the np.unique(axis=0) fallback; the rest pack keys.
+        assert np.array_equal(_canonical_edges(edges).reshape(-1, 2), _unique_rows(edges))

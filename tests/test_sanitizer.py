@@ -244,12 +244,16 @@ class TestDeterminism:
         # in no fixed order; only the tracing thread's events are recorded.
         import os
 
+        from repro.core import probgraph
+
+        monkeypatch.setattr(probgraph, "_SLOTS_PER_RANGE", 1 << 12)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         graph = kronecker_graph(scale=12, edge_factor=8, seed=5)
         digests = set()
         for _ in range(5):
             with reprosan.trace_determinism() as trace:
-                ShardedEngine(graph, 2, representation="khash", k=16, seed=7)
+                engine = ShardedEngine(graph, 2, representation="khash", k=16, seed=7)
+            assert engine.build_threads > 1
             assert trace.events  # the partition RNG, drawn in this thread
             digests.add(trace.digest)
         assert len(digests) == 1

@@ -10,8 +10,9 @@ The acceptance bar mirrors the single-process engine's:
   (:func:`repro.parallel.distributed.communication_volume`) on the same
   partitioning, and a top-k query must count each source once per other
   shard that owns a candidate;
-* ``to_probgraph`` (and the session ``shards=`` build) must hand back a
-  ProbGraph indistinguishable from an in-process construction.
+* ``to_probgraph`` must hand back a ProbGraph indistinguishable from an
+  in-process construction, and a ProbGraph hashed in several threads must
+  hold the rows of a one-thread build.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms import knn_graph, knn_graph_sharded, triangle_count, triangle_count_sharded
-from repro.core import ProbGraph
-from repro.engine import PGSession, ShardedEngine, build_probgraph_sharded
-from repro.engine.sharded import _build_rows
+from repro.core import ProbGraph, probgraph
+from repro.core.probgraph import _build_rows
+from repro.engine import PGSession, ShardedEngine
 from repro.graph import (
     CSRGraph,
     complete_graph,
@@ -318,12 +319,15 @@ class TestGatherAndSession:
                 getattr(merged.sketches, name), getattr(direct.sketches, name)
             ), name
 
-    def test_session_shards_build_bit_identical_and_cached(self, graph, pairs):
+    def test_session_shards_build_bit_identical_and_cached(self, graph, pairs, monkeypatch):
         u, v = pairs
-        sharded_session = PGSession(shards=2)
         plain_session = PGSession()
-        pg_sharded = sharded_session.probgraph(graph, representation="bloom", seed=11)
         pg_plain = plain_session.probgraph(graph, representation="bloom", seed=11)
+        monkeypatch.setattr(probgraph, "_SLOTS_PER_RANGE", 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        sharded_session = PGSession()
+        pg_sharded = sharded_session.probgraph(graph, representation="bloom", seed=11)
+        assert pg_sharded.build_threads > 1 and pg_plain.build_threads == 1
         assert np.array_equal(
             sharded_session.pair_intersections(pg_sharded, u, v),
             plain_session.pair_intersections(pg_plain, u, v),
@@ -376,13 +380,6 @@ class TestShardedAlgorithms:
         with pytest.raises(ValueError):
             knn_graph_sharded(engine, k=3, measure="adamic_adar")
 
-    def test_build_probgraph_sharded_helper(self, graph, pairs):
-        u, v = pairs
-        pg = build_probgraph_sharded(graph, 2, representation="hll", seed=23)
-        direct = ProbGraph(graph, representation="hll", seed=23)
-        assert np.array_equal(pg.pair_intersections(u, v), direct.pair_intersections(u, v))
-        assert pg.precision == direct.precision
-
 
 def _assert_rows_equal(got, expected) -> None:
     for name, arr in expected.storage_arrays().items():
@@ -390,7 +387,7 @@ def _assert_rows_equal(got, expected) -> None:
 
 
 class TestThreadedBuild:
-    """The row-range builder behind :class:`ShardedEngine`, checked bit for bit."""
+    """The row-range builder behind every :class:`ProbGraph`, checked bit for bit."""
 
     @pytest.mark.parametrize("representation", REPRESENTATIONS)
     @pytest.mark.parametrize("oriented", [False, True])
@@ -412,12 +409,42 @@ class TestThreadedBuild:
             assert rows.num_sets == graph.num_vertices
             _assert_rows_equal(rows, pg.sketches)
 
-    @pytest.mark.parametrize("cpus, num_shards, expected", [(4, 4, 4), (2, 4, 2), (4, 2, 2), (1, 4, 1)])
-    def test_build_threads_capped_by_cpus(self, graph, monkeypatch, cpus, num_shards, expected):
+    @pytest.mark.parametrize(
+        "cpus, oriented, per_range, expected",
+        [
+            (4, False, lambda slots: slots // 4, 4),
+            (2, False, lambda slots: slots // 4, 2),
+            (8, False, lambda slots: slots // 4, 4),
+            (1, False, lambda slots: slots // 4, 1),
+            (4, False, lambda slots: slots // 2, 2),
+            # The nearest slot count below 2 * _SLOTS_PER_RANGE: 2m is even.
+            (4, False, lambda slots: slots // 2 + 1, 1),
+            # The oriented base holds half the slots, so it gets half the ranges.
+            (4, True, lambda slots: slots // 4, 2),
+        ],
+        ids=[
+            "cpus-x-slots", "capped-by-cpus", "capped-by-slots", "one-cpu",
+            "at-threshold", "below-threshold", "oriented-base",
+        ],
+    )
+    def test_range_rule(self, graph, monkeypatch, cpus, oriented, per_range, expected):
+        reference = ProbGraph(graph, representation="khash", k=8, oriented=oriented, seed=2)
+        assert reference.build_threads == 1  # a test graph is far below the threshold
+        monkeypatch.setattr(probgraph, "_SLOTS_PER_RANGE", per_range(graph.indices.shape[0]))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        engine = ShardedEngine(graph, num_shards, representation="khash", k=8, seed=2)
-        assert engine.build_threads == expected
-        assert engine.num_shards == num_shards
+        pg = ProbGraph(graph, representation="khash", k=8, oriented=oriented, seed=2)
+        assert pg.build_threads == expected
+        _assert_rows_equal(pg.sketches, reference.sketches)
+        engine = ShardedEngine(graph, 3, representation="khash", k=8, oriented=oriented, seed=2)
+        assert engine.build_threads == expected  # the shard count sets the partition only
+        assert engine.num_shards == 3
+
+    @pytest.mark.parametrize("num_vertices", [0, 5])
+    def test_range_rule_empty_graph(self, threaded_build, num_vertices):
+        empty = CSRGraph.from_edges([], num_vertices=num_vertices)
+        pg = ProbGraph(empty, representation="khash", k=8, seed=2)
+        assert pg.build_threads == 1
+        assert pg.sketches.num_sets == num_vertices
 
     def test_opened_engine_built_no_rows(self, graph, tmp_path):
         with ShardedEngine(graph, 2, representation="khash", k=8, seed=2) as engine:
@@ -425,13 +452,10 @@ class TestThreadedBuild:
         with ShardedEngine.open(tmp_path / "eng") as opened:
             assert opened.build_threads == 0
 
-    def test_helper_rejects_zero_shards(self, graph):
-        with pytest.raises(ValueError):
-            build_probgraph_sharded(graph, 0)
-
-    def test_failed_block_raises_and_joins_its_threads(self, graph, monkeypatch):
+    def test_failed_block_raises_and_joins_its_threads(self, graph, monkeypatch, threaded_build):
         from repro.sketches.minhash import KHashFamily
 
+        assert ProbGraph(graph, representation="khash", k=8, seed=2).build_threads == 4
         real = KHashFamily.sketch_neighborhoods
         calls: list[int] = []
         lock = threading.Lock()
@@ -443,11 +467,10 @@ class TestThreadedBuild:
                     raise RuntimeError("block failed")
             return real(self, indptr, indices)
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         monkeypatch.setattr(KHashFamily, "sketch_neighborhoods", second_call_fails)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="block failed"):
-            ShardedEngine(graph, 4, representation="khash", k=8, seed=2)
+            ProbGraph(graph, representation="khash", k=8, seed=2)
         assert len(calls) == 4  # one call per row range
         assert set(threading.enumerate()) <= before  # every build thread has ended
 

@@ -461,13 +461,14 @@ class TestShardedLSHPatching:
 
 class TestSessionShardedEntries:
     @pytest.mark.parametrize("oriented", [False, True])
-    def test_apply_delta_advances_sharded_built_entries(self, graph, oriented):
-        """The tentpole session contract: sharded-built cache entries patch in place."""
-        session = PGSession(shards=2)
+    def test_apply_delta_advances_sharded_built_entries(self, graph, oriented, threaded_build):
+        """The session contract: entries hashed in several threads patch in place."""
+        session = PGSession()
         dyn = DynamicGraph(graph)
         pg = session.probgraph(
             dyn.snapshot(), representation="khash", k=8, oriented=oriented, seed=3
         )
+        assert pg.build_threads > 1
         delta = dyn.apply_edges(
             insertions=[[0, graph.num_vertices - 1]], deletions=graph.edge_array()[:3]
         )
