@@ -5,7 +5,7 @@ PYTHON ?= python
 # Static analysis gate: reprolint (always) + mypy (when installed).
 # CI runs both unconditionally; the local fallback keeps `make lint` usable
 # in environments without mypy.  Scripts (benchmarks/examples/perfbench/tests) are
-# linted with the relaxed profile: lifecycle/pickle rules on, determinism off.
+# linted with the relaxed profile: lifecycle rules on, determinism off.
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis.lint src/
 	PYTHONPATH=src $(PYTHON) -m repro.analysis.lint --profile=scripts benchmarks/ examples/ perfbench/ tests/

@@ -4,10 +4,11 @@ Two halves of one hygiene gate:
 
 * **reprolint** (static, :mod:`repro.analysis.lint`) enforces the invariants
   the paper's accuracy and reproducibility guarantees depend on: hash-purity
-  of sketch construction, the five-family container contract, pinned dtypes
-  in kernel allocations (and their dataflow sibling REPRO305), lock
-  discipline around shared caches, picklability of process-pool work items
-  and their payloads, and resource-lifecycle reachability.
+  of sketch construction, pinned dtypes in kernel allocations (and their
+  dataflow sibling REPRO305), lock discipline around shared caches, and
+  resource-lifecycle reachability.  The five-family container contract is
+  stated by the ``SketchContainer`` Protocol and each family's
+  ``StorageSchema``, and checked by mypy and a conformance test, not here.
 * **reprosan** (dynamic, :mod:`repro.analysis.sanitizer`) observes real
   executions: lock-order inversions, guarded-state writes without the owning
   lock, store-handle (mmap) leaks and double releases, and seed-stream

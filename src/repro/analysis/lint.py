@@ -36,12 +36,12 @@ __all__ = ["Finding", "PROFILES", "lint_source", "lint_file", "lint_paths", "mai
 
 #: Named rule profiles: category allow-list, or ``None`` for every rule.
 #: ``src`` is the full set for library code; ``scripts`` is the relaxed set
-#: for benchmarks/examples/tests — determinism and kernel-contract rules off
-#: (scripts time things and seed ad hoc), lifecycle/pickle rules on (a leaked
-#: segment or a lock shipped to a pool is a bug anywhere).
+#: for benchmarks/examples/tests — determinism, dtype and lock rules off
+#: (scripts time things and seed ad hoc), suppression hygiene and lifecycle
+#: rules on (a leaked handle is a bug anywhere).
 PROFILES: dict[str, frozenset[str] | None] = {
     "src": None,
-    "scripts": frozenset({"suppression", "pickle", "lifecycle"}),
+    "scripts": frozenset({"suppression", "lifecycle"}),
 }
 
 _SUPPRESSION_RE = re.compile(
@@ -151,7 +151,7 @@ def lint_paths(
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="reprolint: determinism & contract static analysis for this repo",
+        description="reprolint: determinism, dtype, lock and lifecycle checks for this repo",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],
@@ -162,8 +162,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--profile", choices=sorted(PROFILES), default="src",
-        help="rule profile: 'src' (all rules) or 'scripts' (lifecycle/pickle "
-        "only, for benchmarks/examples/tests)",
+        help="rule profile: 'src' (all rules) or 'scripts' (suppression and "
+        "lifecycle only, for benchmarks/examples/tests)",
     )
     ns = parser.parse_args(argv)
     if ns.list_rules:

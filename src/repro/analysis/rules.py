@@ -1,20 +1,16 @@
-"""The reprolint rule set: repo-specific determinism & contract checks.
+"""The reprolint rule set: repo-specific determinism, dtype, lock and lifecycle checks.
 
 Every rule here encodes an invariant the paper's guarantees rest on — and
-that at least one past regression has violated:
+that at least one past regression has violated.  The sketch-container
+contract is not linted: the ``SketchContainer`` Protocol, each family's
+``StorageSchema`` and the conformance test in ``tests/test_reprolint.py``
+state it.
 
 * **determinism** (``REPRO101``–``REPRO103``): sketch construction must be a
   pure function of ``(graph, params, seed)``.  Process-salted ``hash()``
   seeding silently broke cross-process reproducibility once (the
   ``graph/datasets.py`` stand-in generator bug); global-RNG calls and
   wall-clock values are the same failure mode waiting to happen.
-* **family-contract** (``REPRO201``–``REPRO204``): any container declaring a
-  ``storage_schema`` (or the legacy ``_row_arrays`` tuple) opts into the row
-  gathers of the sharded build and the on-disk sketch store; it must also
-  declare the family params and implement the incremental maintenance
-  methods with the reference signatures of
-  :class:`repro.sketches.base.NeighborhoodSketches`, or the sharded build
-  and delta patching break at runtime on that family only.
 * **dtype** (``REPRO301``, ``REPRO305``): ``np.zeros``/``np.empty``/``np.full``
   in kernel modules must pin an explicit dtype — bit-identity across rebuild /
   incremental / sharded paths depends on every backing array having the same
@@ -23,16 +19,11 @@ that at least one past regression has violated:
   class behind the PR 8 float64 pins).
 * **lock** (``REPRO401``): mutations of lock-guarded cache state must happen
   under ``with self._lock`` (the un-locked ``PGSession._cache`` mutation bug).
-* **pickle** (``REPRO501``, ``REPRO502``): callables handed to a
-  ``ProcessPoolExecutor`` must be module-level, or the sharded build dies with
-  a pickling error only when ``shards > 1``; and the *arguments* shipped with
-  them must not drag locks, SharedMemory handles, or whole ``self`` objects
-  across the process boundary.
 * **lifecycle** (``REPRO601``): OS-backed resources (SharedMemory segments,
   pools, file handles, ``np.memmap`` mappings) acquired outside a ``with``
   must have a reachable release — a ``close``/``__exit__`` method for
   instance attributes, a ``finally`` block (or an escape to the caller) for
-  locals — the static half of the ``reprosan`` SharedMemory/mmap lifecycle
+  locals — the static half of the ``reprosan`` store-handle lifecycle
   tracker.
 
 Rules operate on the AST plus a light import-alias resolution; they are
@@ -64,15 +55,9 @@ RULE_CATEGORIES = {
     "REPRO101": "determinism",
     "REPRO102": "determinism",
     "REPRO103": "determinism",
-    "REPRO201": "family-contract",
-    "REPRO202": "family-contract",
-    "REPRO203": "family-contract",
-    "REPRO204": "family-contract",
     "REPRO301": "dtype",
     "REPRO305": "dtype",
     "REPRO401": "lock",
-    "REPRO501": "pickle",
-    "REPRO502": "pickle",
     "REPRO601": "lifecycle",
 }
 
@@ -138,11 +123,6 @@ class ModuleContext:
         if root is None:
             return None
         return ".".join([root, *reversed(parts)])
-
-    def references(self, canonical_prefix: str) -> bool:
-        """Whether any import in the module resolves under ``canonical_prefix``."""
-        names = list(self.module_aliases.values()) + list(self.from_imports.values())
-        return any(n == canonical_prefix or n.startswith(canonical_prefix + ".") for n in names)
 
 
 # ---------------------------------------------------------------------------
@@ -228,186 +208,7 @@ def check_determinism(ctx: ModuleContext) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# Rule 2: sketch-family contract (all modules)
-# ---------------------------------------------------------------------------
-
-#: Reference positional-parameter names (after ``self``) of the incremental
-#: maintenance contract — must match repro.sketches.base.NeighborhoodSketches.
-_CONTRACT_REQUIRED = {
-    "apply_delta": ("vertices", "delta_indptr", "delta_indices", "new_sizes"),
-    "resketch_rows": ("vertices", "indptr", "indices"),
-    "grow": ("num_sets",),
-}
-_CONTRACT_OPTIONAL = {
-    "update_many": ("vertex", "new_neighbors"),
-}
-
-
-def _class_attr_tuple(cls: ast.ClassDef, name: str) -> tuple[str, ...] | None:
-    """The string-tuple value of a class-level ``name = ("a", "b")`` assignment."""
-    for stmt in cls.body:
-        target: ast.expr | None = None
-        value: ast.expr | None = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value = stmt.targets[0], stmt.value
-        elif isinstance(stmt, ast.AnnAssign):
-            target, value = stmt.target, stmt.value
-        if not (isinstance(target, ast.Name) and target.id == name) or value is None:
-            continue
-        if isinstance(value, ast.Tuple) and all(
-            isinstance(e, ast.Constant) and isinstance(e.value, str) for e in value.elts
-        ):
-            return tuple(e.value for e in value.elts)  # type: ignore[misc]
-        return ()
-    return None
-
-
-def _schema_declaration(cls: ast.ClassDef) -> tuple[tuple[str, ...], tuple[str, ...] | None] | None:
-    """Parse a class-level ``storage_schema = StorageSchema(...)`` declaration.
-
-    Returns ``(row_array_names, param_names)``; ``param_names`` is ``None``
-    when the declaration carries no statically-readable ``params=(...)``
-    tuple.  Returns ``None`` when the class declares no schema (or assigns
-    something that is not a literal ``StorageSchema(...)`` call — a computed
-    schema opts out of static checking, like a computed ``_row_arrays`` did).
-    """
-    for stmt in cls.body:
-        target: ast.expr | None = None
-        value: ast.expr | None = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value = stmt.targets[0], stmt.value
-        elif isinstance(stmt, ast.AnnAssign):
-            target, value = stmt.target, stmt.value
-        if not (isinstance(target, ast.Name) and target.id == "storage_schema"):
-            continue
-        if not isinstance(value, ast.Call):
-            return None
-        callee = _terminal_name(value.func)
-        if callee is None or not callee.endswith("StorageSchema"):
-            return None
-        arrays: list[str] = []
-        params: tuple[str, ...] | None = None
-        for kw in value.keywords:
-            if kw.arg == "arrays" and isinstance(kw.value, ast.Tuple):
-                for elt in kw.value.elts:
-                    if not isinstance(elt, ast.Call):
-                        continue
-                    name_arg: ast.expr | None = elt.args[0] if elt.args else None
-                    for elt_kw in elt.keywords:
-                        if elt_kw.arg == "name":
-                            name_arg = elt_kw.value
-                    if isinstance(name_arg, ast.Constant) and isinstance(name_arg.value, str):
-                        arrays.append(name_arg.value)
-            elif kw.arg == "params":
-                if isinstance(kw.value, ast.Tuple) and all(
-                    isinstance(e, ast.Constant) and isinstance(e.value, str)
-                    for e in kw.value.elts
-                ):
-                    params = tuple(e.value for e in kw.value.elts)  # type: ignore[misc]
-        return tuple(arrays), params
-    return None
-
-
-def _self_assigned_attrs(cls: ast.ClassDef) -> set[str]:
-    """Names ``X`` with a ``self.X = ...`` assignment anywhere in the class body."""
-    names: set[str] = set()
-    for node in ast.walk(cls):
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            targets = [node.target]
-        for t in targets:
-            if (
-                isinstance(t, ast.Attribute)
-                and isinstance(t.value, ast.Name)
-                and t.value.id == "self"
-            ):
-                names.add(t.attr)
-    return names
-
-
-def check_family_contract(ctx: ModuleContext) -> list[Finding]:
-    """Classes declaring row arrays must satisfy the full container contract.
-
-    Two declaration forms opt a class in: the explicit storage schema
-    (``storage_schema = StorageSchema(arrays=..., params=...)``) and the
-    legacy literal tuples (``_row_arrays`` / ``_param_attrs``) that predate
-    it.  Either way, the declared arrays feed take_rows/concat/shard routing
-    and persistence, so the maintenance methods and compatibility params are
-    mandatory.
-    """
-    findings: list[Finding] = []
-    for cls in ast.walk(ctx.tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        schema = _schema_declaration(cls)
-        if schema is not None:
-            row_arrays, schema_params = schema
-            has_params = bool(schema_params)
-            declaration = "storage_schema"
-        else:
-            legacy = _class_attr_tuple(cls, "_row_arrays")
-            if legacy is None:
-                continue
-            row_arrays = legacy
-            has_params = _class_attr_tuple(cls, "_param_attrs") is not None
-            declaration = "_row_arrays"
-        if not row_arrays:  # explicitly empty: not a row container
-            continue
-        if not has_params:
-            findings.append(
-                Finding(
-                    ctx.path, cls.lineno, cls.col_offset, "REPRO201",
-                    f"{cls.name} declares {declaration} row arrays but no family "
-                    "params; rows cannot be routed between shards without a family "
-                    "compatibility key",
-                )
-            )
-        methods = {
-            stmt.name: stmt for stmt in cls.body if isinstance(stmt, ast.FunctionDef)
-        }
-        for name, ref_params in _CONTRACT_REQUIRED.items():
-            if name not in methods:
-                findings.append(
-                    Finding(
-                        ctx.path, cls.lineno, cls.col_offset, "REPRO202",
-                        f"{cls.name} declares {declaration} but does not implement {name}"
-                        f"({', '.join(ref_params)}); incremental maintenance and shard "
-                        "routing require it",
-                    )
-                )
-        for name, ref_params in {**_CONTRACT_REQUIRED, **_CONTRACT_OPTIONAL}.items():
-            fn = methods.get(name)
-            if fn is None:
-                continue
-            params = tuple(
-                a.arg for a in (fn.args.posonlyargs + fn.args.args) if a.arg != "self"
-            )
-            if params != ref_params:
-                findings.append(
-                    Finding(
-                        ctx.path, fn.lineno, fn.col_offset, "REPRO203",
-                        f"{cls.name}.{name}({', '.join(params)}) does not match the "
-                        f"reference signature ({', '.join(ref_params)}) of "
-                        "repro.sketches.base.NeighborhoodSketches",
-                    )
-                )
-        assigned = _self_assigned_attrs(cls)
-        for arr in row_arrays:
-            if arr not in assigned:
-                findings.append(
-                    Finding(
-                        ctx.path, cls.lineno, cls.col_offset, "REPRO204",
-                        f"{cls.name} {declaration} names {arr!r} but no method assigns "
-                        f"self.{arr}; take_rows/concat would scatter a missing array",
-                    )
-                )
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# Rule 3: dtype discipline (kernel modules only)
+# Rule 2: dtype discipline (kernel modules only)
 # ---------------------------------------------------------------------------
 
 #: numpy allocators and the positional index where dtype may appear.
@@ -531,7 +332,7 @@ def check_dtype_widening(ctx: ModuleContext) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# Rule 4: lock discipline (all modules)
+# Rule 3: lock discipline (all modules)
 # ---------------------------------------------------------------------------
 
 #: Constructors whose result is treated as lock-guarded mutable cache state.
@@ -662,152 +463,7 @@ def check_lock_discipline(ctx: ModuleContext) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# Rule 5: picklability (modules using ProcessPoolExecutor)
-# ---------------------------------------------------------------------------
-
-
-def _nested_function_names(tree: ast.Module) -> tuple[set[str], set[str]]:
-    """(module-level function names, function names defined inside functions)."""
-    module_level = {
-        stmt.name for stmt in tree.body if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    nested: set[str] = set()
-
-    def walk(node: ast.AST, in_function: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if in_function:
-                    nested.add(child.name)
-                walk(child, True)
-            else:
-                walk(child, in_function)
-
-    walk(tree, False)
-    return module_level, nested
-
-
-def check_picklability(ctx: ModuleContext) -> list[Finding]:
-    """Callables submitted to a ProcessPoolExecutor must be module-level.
-
-    Only modules that reference ``ProcessPoolExecutor`` are checked: a thread
-    pool pickles nothing, so a nested function handed to it is fine.
-    """
-    if not ctx.references("concurrent.futures.ProcessPoolExecutor"):
-        return []
-    module_level, nested = _nested_function_names(ctx.tree)
-    lambda_names = {
-        t.id
-        for node in ast.walk(ctx.tree)
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda)
-        for t in node.targets
-        if isinstance(t, ast.Name)
-    }
-    findings: list[Finding] = []
-    for node in ast.walk(ctx.tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("submit", "map")
-            and node.args
-        ):
-            continue
-        fn = node.args[0]
-        reason: str | None = None
-        if isinstance(fn, ast.Lambda):
-            reason = "a lambda"
-        elif isinstance(fn, ast.Name):
-            if fn.id in lambda_names:
-                reason = f"{fn.id!r}, which is bound to a lambda"
-            elif fn.id in nested and fn.id not in module_level:
-                reason = f"nested function {fn.id!r}"
-        if reason is not None:
-            findings.append(
-                Finding(
-                    ctx.path, node.lineno, node.col_offset, "REPRO501",
-                    f"{reason} submitted to a process pool cannot be pickled; "
-                    "move the callable to module level",
-                )
-            )
-    return findings
-
-
-#: Terminal-name fragments marking an object that must never cross a process
-#: boundary: locks deadlock-or-pickle-fail, SharedMemory handles double-free.
-_UNPICKLABLE_HINTS = ("lock", "mutex", "semaphore", "shm", "shared_memory")
-
-
-def _terminal_name(node: ast.expr) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-def check_pool_captures(ctx: ModuleContext) -> list[Finding]:
-    """Arguments shipped to a process pool must not hold locks or shm handles.
-
-    Submitting ``self.method`` pickles the whole owning object — including any
-    lock or SharedMemory handle it holds, which either fails to pickle or
-    (worse) resurrects an unsynchronized copy in the worker.  Passing ``self``
-    or anything whose name says lock/shm as a payload argument is the same
-    bug one level down.  REPRO502, the payload sibling of REPRO501.
-    """
-    if not ctx.references("concurrent.futures.ProcessPoolExecutor"):
-        return []
-    findings: list[Finding] = []
-    for node in ast.walk(ctx.tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("submit", "map")
-            and node.args
-        ):
-            continue
-        fn = node.args[0]
-        if (
-            isinstance(fn, ast.Attribute)
-            and isinstance(fn.value, ast.Name)
-            and fn.value.id == "self"
-        ):
-            findings.append(
-                Finding(
-                    ctx.path, node.lineno, node.col_offset, "REPRO502",
-                    f"submitting bound method self.{fn.attr} to a process pool pickles "
-                    "the entire owner (locks, shm handles and all); submit a "
-                    "module-level function with explicit array arguments",
-                )
-            )
-        payload: list[ast.expr] = list(node.args[1:]) + [
-            kw.value for kw in node.keywords
-        ]
-        for arg in payload:
-            if isinstance(arg, ast.Name) and arg.id == "self":
-                findings.append(
-                    Finding(
-                        ctx.path, arg.lineno, arg.col_offset, "REPRO502",
-                        "passing self to a process pool ships every lock and handle "
-                        "the object holds; pass the plain arrays/params instead",
-                    )
-                )
-                continue
-            name = _terminal_name(arg)
-            if name is not None and any(
-                hint in name.lower() for hint in _UNPICKLABLE_HINTS
-            ):
-                findings.append(
-                    Finding(
-                        ctx.path, arg.lineno, arg.col_offset, "REPRO502",
-                        f"{name!r} looks like a lock or SharedMemory handle being "
-                        "shipped to a process pool; pass the segment *name* (a str) "
-                        "and re-attach in the worker",
-                    )
-                )
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# Rule 6: resource lifecycle (all modules)
+# Rule 4: resource lifecycle (all modules)
 # ---------------------------------------------------------------------------
 
 #: Canonical constructors whose result owns an OS-backed resource.
@@ -830,13 +486,9 @@ _RELEASE_SCOPES = frozenset({"close", "__exit__", "__del__", "shutdown", "stop"}
 def _is_acquisition(ctx: ModuleContext, value: ast.expr) -> bool:
     if not isinstance(value, ast.Call):
         return False
-    dotted = ctx.dotted(value.func)
-    if dotted in _ACQUISITION_CALLS:
+    if ctx.dotted(value.func) in _ACQUISITION_CALLS:
         return True
-    if isinstance(value.func, ast.Name) and value.func.id == "open":
-        return True
-    callee = _terminal_name(value.func)
-    return callee is not None and "attach_shared_memory" in callee
+    return isinstance(value.func, ast.Name) and value.func.id == "open"
 
 
 def _released_self_attrs(cls: ast.ClassDef) -> set[str]:
@@ -966,10 +618,7 @@ def check_resource_lifecycle(ctx: ModuleContext) -> list[Finding]:
 def all_rule_checks() -> Iterator[Callable[[ModuleContext], list[Finding]]]:
     """The registered rule entry points, in reporting order."""
     yield check_determinism
-    yield check_family_contract
     yield check_dtype
     yield check_dtype_widening
     yield check_lock_discipline
-    yield check_picklability
-    yield check_pool_captures
     yield check_resource_lifecycle

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import os
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from ..graph.csr import CSRGraph, check_vertex_ids
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports core)
     from ..dynamic.graph import GraphDelta
+    from ..engine.lsh import LSHIndex
 from ..sketches.base import NeighborhoodSketches, SketchFamily, concat_sketch_rows
 from ..sketches.bloom import BloomFamily, BloomNeighborhoodSketches
 from ..sketches.hll import HLLFamily
@@ -320,6 +322,7 @@ class ProbGraph:
         self.deltas_applied = 0
         self.rows_patched = 0
         self.patch_seconds = 0.0
+        self._start_registries()
 
     @classmethod
     def from_sketches(
@@ -375,7 +378,34 @@ class ProbGraph:
         pg.deltas_applied = 0
         pg.rows_patched = 0
         pg.patch_seconds = 0.0
+        pg._start_registries()
         return pg
+
+    # ------------------------------------------------------- shared-row registry
+    def _start_registries(self) -> None:
+        """Start the weak registries :meth:`apply_delta` advances."""
+        # Every ProbGraph holding these sketch rows: this one and its shallow
+        # copies (a PGSession's views with another default estimator).
+        self._peers: weakref.WeakSet[ProbGraph] = weakref.WeakSet((self,))
+        # Live LSH indexes over these rows; an engine's register on its ProbGraph.
+        self._lsh_indexes: weakref.WeakSet[LSHIndex] = weakref.WeakSet()
+
+    def __copy__(self) -> ProbGraph:
+        """A shallow copy shares the sketch rows, so a delta through either advances both."""
+        clone = type(self).__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        self._peers.add(clone)
+        return clone
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Weak references neither pickle nor deep-copy; such a copy owns its rows.
+        state = dict(self.__dict__)
+        del state["_peers"], state["_lsh_indexes"]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._start_registries()
 
     # ------------------------------------------------------------------ sizes
     @property
@@ -508,6 +538,11 @@ class ProbGraph:
         build on ``delta.graph`` with the same parameters, so all query paths
         (including the engine's batched/chunked ones) run unchanged on top.
 
+        Every live :class:`~repro.engine.lsh.LSHIndex` over these rows has
+        the patched rows marked and re-keys them at its next read, and a
+        session's views of this object with another default estimator
+        advance with it.
+
         If this object lives in a :class:`~repro.engine.PGSession` cache,
         advance it through :meth:`PGSession.apply_delta <repro.engine.PGSession.apply_delta>`
         instead of calling this method directly — the session patches the
@@ -525,15 +560,15 @@ class ProbGraph:
         # reprolint: allow[determinism] -- wall-clock timing stat only; never feeds hash/seed/sketch state
         start = time.perf_counter()
         new_graph = delta.graph
-        if new_graph.num_vertices > self.sketches.num_sets:
+        old_n = self.sketches.num_sets
+        if new_graph.num_vertices > old_n:
             self.sketches.grow(new_graph.num_vertices)
         if self.oriented:
-            new_base, rows = delta.oriented_update(self._base)
-            if rows.size:
-                self.sketches.resketch_rows(rows, new_base.indptr, new_base.indices)
-            self._base = new_base
-            touched = int(rows.size)
+            new_base, patched = delta.oriented_update(self._base)
+            if patched.size:
+                self.sketches.resketch_rows(patched, new_base.indptr, new_base.indices)
         else:
+            new_base = new_graph
             dirty = delta.dirty_vertices
             vertices, delta_indptr, delta_indices = delta.insertions_excluding(dirty)
             if vertices.size:
@@ -543,12 +578,18 @@ class ProbGraph:
                 self.sketches.apply_delta(vertices, delta_indptr, delta_indices, new_sizes)
             if dirty.size:
                 self.sketches.resketch_rows(dirty, new_graph.indptr, new_graph.indices)
-            self._base = new_graph
-            touched = int(vertices.size + dirty.size)
-        self.graph = new_graph
-        self.deltas_applied += 1
-        self.rows_patched += touched
-        self.patch_seconds += time.perf_counter() - start  # reprolint: allow[determinism] -- timing stat only
+            patched = np.concatenate([vertices, dirty])
+        elapsed = time.perf_counter() - start  # reprolint: allow[determinism] -- timing stat only
+        for pg in self._peers:
+            pg.graph, pg._base = new_graph, new_base
+            pg.deltas_applied += 1
+            pg.rows_patched += int(patched.size)
+            pg.patch_seconds += elapsed
+        if self._lsh_indexes:
+            grown = np.arange(old_n, new_graph.num_vertices, dtype=np.int64)
+            rows = np.concatenate([patched, grown])
+            for index in list(self._lsh_indexes):
+                index._mark(rows)
         return self
 
     # ------------------------------------------------------------------ misc

@@ -148,6 +148,11 @@ def _signature_view(sketches: NeighborhoodSketches) -> np.ndarray | None:
     return None
 
 
+def _rows_owner(source: "ProbGraph | ShardedEngine") -> ProbGraph:
+    """The :class:`ProbGraph` holding ``source``'s rows; its deltas mark an index's rows."""
+    return source if isinstance(source, ProbGraph) else source._pg
+
+
 def _empty_slots(sketches: NeighborhoodSketches, rows: np.ndarray) -> np.ndarray:
     """Which slots of ``rows`` (gathered from :func:`_signature_view`) are empty."""
     if isinstance(sketches, KMVNeighborhoodSketches):
@@ -266,10 +271,10 @@ class LSHIndex:
         # the tables hold them; None until a build (or an open index's first
         # re-key).
         self._key_matrix: tuple[np.ndarray, np.ndarray] | None = None
-        # ShardedEngine.apply_delta marks the rows it patched on every live
-        # index (a weak registration that ends with the index).  Building and
-        # registering under the engine's patch lock means a concurrent delta
-        # lands either before the build or on the registered index.
+        # ProbGraph.apply_delta marks the rows it patched on every live index
+        # over them (a weak registration that ends with the index).  An engine
+        # index builds and registers under the engine's patch lock, so a
+        # concurrent delta lands either before the build or on the index.
         with nullcontext() if isinstance(source, ProbGraph) else source._patch_lock:
             sig = _signature_view(source.sketches)
             if sig is None:
@@ -287,8 +292,7 @@ class LSHIndex:
                 slots = sig.shape[1]
                 self.resolution = _resolve_band_split(slots, num_bands, rows_per_band, threshold)
                 self._rebuild()
-            if not isinstance(source, ProbGraph):
-                source._lsh_indexes.add(self)
+            _rows_owner(source)._lsh_indexes.add(self)
 
     # ------------------------------------------------------------- properties
     @property
@@ -437,9 +441,9 @@ class LSHIndex:
         on mismatch), so a stale or foreign table file cannot silently serve
         wrong candidates.  In ``"mmap"`` mode the tables are zero-copy views;
         patches splice into fresh in-memory arrays (tables are rebound, never
-        written in place), so the file stays valid.  An engine source marks
-        the attached index on every later delta, as it does a built one.  The
-        index owns the handle — release it with :meth:`close`.
+        written in place), so the file stays valid.  Later deltas mark the
+        attached index's rows, as they do a built one's.  The index owns the
+        handle — release it with :meth:`close`.
         """
         index = cls.__new__(cls)
         handle = open_blocks(
@@ -501,8 +505,7 @@ class LSHIndex:
         index._keys = handle.arrays["keys"]
         index._verts = handle.arrays["verts"]
         index._num_rows = num_rows
-        if not isinstance(source, ProbGraph):
-            source._lsh_indexes.add(index)
+        _rows_owner(source)._lsh_indexes.add(index)
         return index
 
     def close(self) -> None:
@@ -532,10 +535,11 @@ class LSHIndex:
         rows; the full-scan fallback has no tables and returns 0.
 
         :meth:`repro.engine.PGSession.apply_delta` calls this for every
-        session-cached index of the delta's graph.  An engine-backed index
-        needs no call — :meth:`ShardedEngine.apply_delta
-        <repro.engine.sharded.ShardedEngine.apply_delta>` marks its rows and
-        the next read flushes them — but an explicit call re-keys now
+        session-cached index of the delta's graph.  No index needs the call —
+        :meth:`ProbGraph.apply_delta <repro.core.ProbGraph.apply_delta>` (which
+        :meth:`ShardedEngine.apply_delta
+        <repro.engine.sharded.ShardedEngine.apply_delta>` runs) marks its rows
+        and the next read flushes them — but an explicit call re-keys now
         (idempotently).
         """
         source = self.source

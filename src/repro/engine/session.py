@@ -187,7 +187,8 @@ class PGSession:
         and is *not* part of the cache key; when a hit requests a different
         default than the cached object carries, a shallow view sharing the same
         sketches is returned with the requested default applied (still no
-        reconstruction).
+        reconstruction).  The view advances with the entry on
+        :meth:`apply_delta`.
         """
         params = resolve_sketch_params(
             graph, representation, storage_budget, num_hashes, num_bits, k, precision
@@ -216,7 +217,7 @@ class PGSession:
                     else params.default_estimator
                 )
                 if wanted != cached.estimator:
-                    view = copy.copy(cached)  # shares graph, family, and sketches
+                    view = copy.copy(cached)  # shares the rows; follows the entry's deltas
                     view.estimator = wanted
                     return view
                 return cached

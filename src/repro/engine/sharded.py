@@ -47,7 +47,6 @@ import json
 import os
 import time
 import warnings
-import weakref
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -201,12 +200,9 @@ class ShardedEngine:
         builds no rows).
     partition:
         ``"hash"`` (random balanced, default) or ``"locality"`` (BFS chunks) —
-        see :func:`repro.graph.partition.partition_graph`.
-    partition_seed:
-        Seed of the partitioner's RNG (defaults to ``seed``).  Only the
-        *ownership* of rows depends on it — never the sketch contents, which
-        are built with the session ``seed`` so that results stay bit-identical
-        to the single-process path for any partitioning.
+        see :func:`repro.graph.partition.partition_graph`.  Its RNG is seeded
+        with ``seed``; only the *ownership* of rows depends on it, never a
+        sketch row (:meth:`repartition` takes another seed).
     pool, transport:
         Deprecated and ignored: passing either emits a
         :class:`DeprecationWarning`.  They chose the process pool and the row
@@ -238,7 +234,6 @@ class ShardedEngine:
         seed: int = 0,
         estimator: EstimatorKind | str | None = None,
         partition: str = "hash",
-        partition_seed: int | None = None,
         pool: object = None,
         transport: str | None = None,
     ) -> None:
@@ -254,10 +249,7 @@ class ShardedEngine:
         else:
             self._source = None
             self._source_version = -1
-        shards = partition_graph(
-            graph, num_shards, method=partition,
-            seed=int(seed) if partition_seed is None else int(partition_seed),
-        )
+        shards = partition_graph(graph, num_shards, method=partition, seed=int(seed))
         pg = ProbGraph(
             graph, representation=representation, storage_budget=storage_budget,
             num_hashes=num_hashes, num_bits=num_bits, k=k, precision=precision,
@@ -286,7 +278,6 @@ class ShardedEngine:
         self._comm_lock = _san.make_rlock("ShardedEngine.comm")
         self._patch_lock = _san.make_rlock("ShardedEngine.patch")
         self._update_counts = np.zeros(partition.num_shards, dtype=np.int64)
-        self._lsh_indexes: "weakref.WeakSet[LSHIndex]" = weakref.WeakSet()
         # (path, mode) of the bucket tables an opened engine may map; the
         # first delta drops it, as the tables then describe older rows.
         self._saved_lsh: tuple[str, str] | None = None
@@ -570,10 +561,11 @@ class ShardedEngine:
         ``delta.graph`` (asserted across all five families × shard counts ×
         orientations in the test suite).  New vertices are assigned to the
         smallest shards (:meth:`ShardPartition.assign_balanced`).  Live
-        :meth:`lsh_index` indexes have the touched rows marked and re-key
-        them on their next read (so a burst of deltas pays one table splice,
-        not one per delta).  Patched rows accumulate per owning shard in
-        :meth:`skew_stats`.  Returns the number of patched rows.
+        :meth:`lsh_index` indexes have the touched rows marked, by the
+        :class:`~repro.core.ProbGraph` patch, and re-key them on their next
+        read (so a burst of deltas pays one table splice, not one per delta).
+        Patched rows accumulate per owning shard in :meth:`skew_stats`.
+        Returns the number of patched rows.
 
         Note the single-process caveat applies here too: budget-derived
         parameters re-resolve against the *grown* graph on a fresh build, so
@@ -604,8 +596,6 @@ class ShardedEngine:
                 or self._source.snapshot().fingerprint() == new_graph.fingerprint()
             ):
                 self._source_version = self._source.version
-            for index in list(self._lsh_indexes):
-                index._mark(touched)
             self._saved_lsh = None
             return int(touched.size)
 

@@ -365,13 +365,17 @@ class CSRGraph:
         sub_edges = relabel[edges[keep]]
         return CSRGraph.from_edges(sub_edges, num_vertices=vertices.shape[0])
 
-    def remove_edges(self, edges_to_remove: np.ndarray) -> "CSRGraph":
-        """Graph with the given undirected edges removed (used by link prediction, Listing 5)."""
+    def remove_edges(self, edges_to_remove: np.ndarray | Iterable[Iterable[int]]) -> "CSRGraph":
+        """Graph with the given undirected edges removed (used by link prediction, Listing 5).
+
+        Raises ``ValueError`` for an input whose shape is not ``(m, 2)`` and
+        for an endpoint outside ``[0, n)``.
+        """
         edges = self.edge_array()
-        if edges.shape[0] == 0 or np.asarray(edges_to_remove).size == 0:
+        rem = np.sort(_as_edge_array(edges_to_remove), axis=1)
+        check_vertex_ids(rem, self.num_vertices, "edge endpoints")
+        if edges.shape[0] == 0 or rem.shape[0] == 0:
             return CSRGraph.from_edges(edges, num_vertices=self.num_vertices)
-        rem = np.asarray(edges_to_remove, dtype=np.int64).reshape(-1, 2)
-        rem = np.stack([np.minimum(rem[:, 0], rem[:, 1]), np.maximum(rem[:, 0], rem[:, 1])], axis=1)
         edge_keys = edges[:, 0] * self.num_vertices + edges[:, 1]
         rem_keys = rem[:, 0] * self.num_vertices + rem[:, 1]
         keep = ~np.isin(edge_keys, rem_keys)

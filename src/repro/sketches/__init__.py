@@ -31,7 +31,9 @@ from .minhash import (
 
 #: All five family containers, typed against the :class:`SketchContainer`
 #: Protocol — mypy statically verifies each class satisfies the contract, and
-#: ``tests/test_reprolint.py`` re-checks it at runtime via ``isinstance``.
+#: ``tests/test_reprolint.py`` re-checks it at runtime, via ``isinstance`` and
+#: a conformance check of each class's schema, method overrides and
+#: parameter names.
 SKETCH_CONTAINER_TYPES: tuple[type[SketchContainer], ...] = (
     BloomNeighborhoodSketches,
     KHashNeighborhoodSketches,

@@ -263,9 +263,12 @@ class SketchContainer(Protocol):
     against this Protocol statically (see ``repro.sketches``'s conformance
     tuple) and at runtime via ``isinstance`` — the Protocol is
     ``runtime_checkable``, which verifies member presence only, so the static
-    check is the authoritative one.  The semantic half of the contract
-    (signature names, row-array bookkeeping) is enforced by the
-    ``family-contract`` rules of ``repro.analysis``.
+    check is the authoritative one.  The semantic half of the contract is
+    checked by the conformance test in ``tests/test_reprolint.py``, over every
+    subclass that declares a :class:`StorageSchema`: the schema names its
+    params, the maintenance methods are overridden with the parameter names
+    of :class:`NeighborhoodSketches`, and a built container passes
+    :meth:`StorageSchema.validate`.
     """
 
     storage_schema: ClassVar[StorageSchema]

@@ -333,3 +333,18 @@ class TestEditing:
 
     def test_remove_edges_noop(self, k6):
         assert k6.remove_edges(np.empty((0, 2), dtype=np.int64)) == k6
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[0, 1, 2], [3, 4, 5]]),  # once read as (0, 1), (2, 3), (4, 5)
+            np.array([0, 1, 2, 3]),
+            np.array([[0, -1]]),
+            np.array([[0, 8]]),  # past the last vertex: its key was edge (1, 2)'s
+        ],
+        ids=["2x3", "flat", "negative", "out-of-range"],
+    )
+    def test_remove_edges_rejects_malformed_input(self, k6, bad):
+        with pytest.raises(ValueError):
+            k6.remove_edges(bad)
+        assert k6.num_edges == 15

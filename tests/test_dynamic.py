@@ -9,12 +9,21 @@ keep serving its cached entries without eviction.
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core import ProbGraph
 from repro.dynamic import DynamicGraph, EdgeBatch, EdgeStream, changed_rows
-from repro.engine import LSHIndex, PGSession, engine_stats, reset_engine_stats
+from repro.engine import (
+    LSHIndex,
+    PGSession,
+    batched_pair_jaccard,
+    engine_stats,
+    reset_engine_stats,
+)
 from repro.engine import lsh as lsh_module
 from repro.graph import CSRGraph, kronecker_graph
 from repro.sketches.bloom import BloomFamily
@@ -336,6 +345,20 @@ class TestProbGraphPatching:
         fresh = ProbGraph(dyn.snapshot(), representation="bloom", num_bits=64, seed=1)
         assert_bit_identical(pg, fresh)
 
+    def test_only_shallow_copies_follow_deltas(self, stream_graph):
+        """A shallow copy shares the rows and advances with them; pickled and
+        deep copies own theirs and stay on the old graph."""
+        dyn = DynamicGraph(stream_graph)
+        pg = ProbGraph(dyn.snapshot(), representation="khash", k=8, seed=1)
+        shallow, deep = copy.copy(pg), copy.deepcopy(pg)
+        loaded = pickle.loads(pickle.dumps(pg))
+        pg.apply_delta(dyn.apply_edges(deletions=stream_graph.edge_array()[:5]))
+        assert shallow.graph is pg.graph and shallow.deltas_applied == 1
+        original = ProbGraph(stream_graph, representation="khash", k=8, seed=1)
+        for other in (deep, loaded):
+            assert other.graph == stream_graph and other.deltas_applied == 0
+            assert_bit_identical(other, original)
+
     def test_stale_delta_rejected(self, stream_graph):
         dyn = DynamicGraph(stream_graph)
         delta1 = dyn.apply_edges(deletions=stream_graph.edge_array()[:1])
@@ -445,6 +468,30 @@ class TestSessionDeltaPatching:
         new_lookup = session.probgraph(dyn.snapshot(), representation="bloom", num_bits=128, seed=1)
         assert new_lookup is pg
 
+    @pytest.mark.parametrize("oriented", [False, True])
+    def test_estimator_view_advances_with_its_entry(self, stream_graph, oriented):
+        """A cache hit for another Bloom estimator returns a view of the entry,
+        which must follow the entry's deltas, not keep the old graph."""
+        n = stream_graph.num_vertices
+        edges = stream_graph.edge_array()
+        params = {"representation": "bloom", "num_bits": 256, "seed": 1, "oriented": oriented}
+        dyn = DynamicGraph(num_vertices=n)
+        dyn.apply_edges(insertions=edges[:300])
+        session = PGSession()
+        entry = session.probgraph(dyn.snapshot(), **params)
+        view = session.probgraph(dyn.snapshot(), estimator="L", **params)
+        assert view is not entry and view.sketches is entry.sketches
+        growth = [(0, n), (n + 1, 3), (n + 4, n + 2)]
+        session.apply_delta(dyn.apply_edges(insertions=np.vstack([edges[300:500], growth])))
+        assert view.graph is entry.graph is dyn.snapshot() and view.base is entry.base
+        assert view.num_vertices == view.sketches.num_sets == n + 5
+        assert (view.deltas_applied, view.rows_patched) == (entry.deltas_applied, entry.rows_patched)
+        fresh = ProbGraph(dyn.snapshot(), estimator="L", **params)
+        rng = np.random.default_rng(3)
+        u = rng.integers(0, n + 5, size=400).astype(np.int64)
+        v = rng.integers(0, n + 5, size=400).astype(np.int64)
+        assert np.array_equal(batched_pair_jaccard(view, u, v), batched_pair_jaccard(fresh, u, v))
+
     def test_lru_order_preserved_across_patch(self, stream_graph):
         dyn = DynamicGraph(stream_graph)
         session = PGSession(max_entries=2)
@@ -532,6 +579,32 @@ class TestSessionLSHDeltaPatching:
             session.apply_delta(dyn.apply_edges(**step))
             fresh = LSHIndex(ProbGraph(dyn.snapshot(), representation=representation, seed=4, **params))
             assert_lsh_bit_identical(index, fresh)
+
+    @pytest.mark.parametrize("representation", ["khash", "1hash", "kmv"])
+    @pytest.mark.parametrize("oriented", [False, True])
+    def test_index_outside_a_session_follows_probgraph_deltas(
+        self, stream_graph, representation, oriented
+    ):
+        """``ProbGraph.apply_delta`` marks its patched rows on every live index,
+        so a bare ``LSHIndex(pg)`` re-keys them at its next read."""
+        n = stream_graph.num_vertices
+        edges = stream_graph.edge_array()
+        params = {"representation": representation, "seed": 4, "oriented": oriented,
+                  **EXPLICIT_PARAMS[representation]}
+        dyn = DynamicGraph(num_vertices=n)
+        dyn.apply_edges(insertions=edges[:300])
+        pg = ProbGraph(dyn.snapshot(), **params)
+        index = LSHIndex(pg)
+        growth = [(0, n), (n + 1, 3)]
+        for step in ({"insertions": np.vstack([edges[300:500], growth])}, {"deletions": edges[:25]}):
+            pg.apply_delta(dyn.apply_edges(**step))
+            fresh = LSHIndex(ProbGraph(dyn.snapshot(), **params))
+            assert index.num_entries == fresh.num_entries  # the read re-keys the marked rows
+            assert_lsh_bit_identical(index, fresh)
+        sources = np.arange(0, n + 2, 9, dtype=np.int64)
+        got, want = index.topk_similar_batch(sources, 6), fresh.topk_similar_batch(sources, 6)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.scores, want.scores)
 
     def test_vertex_growing_delta_extends_tables(self, stream_graph):
         n = stream_graph.num_vertices

@@ -1,15 +1,17 @@
 """Tests for ``repro.analysis`` (reprolint) and the SketchContainer Protocol.
 
 The bad fixtures are minimal reproductions of real regressions this repo has
-shipped and later fixed: the PR 2 process-salted ``hash(name)`` seed, the PR 5
-un-locked ``PGSession._cache`` mutation, and the pickling failure mode of
-callables handed to a process pool.  Each rule category must fire on its bad
-fixture and stay quiet on the clean equivalent, and a self-run over ``src/``
-must report zero findings.
+shipped and later fixed: the PR 2 process-salted ``hash(name)`` seed and the
+PR 5 un-locked ``PGSession._cache`` mutation.  Each rule category must fire on
+its bad fixture and stay quiet on the clean equivalent, and a self-run over
+``src/`` must report zero findings.  The sketch-container contract is checked
+here too, over every container class, each clause shown failing on a broken
+class.
 """
 
 from __future__ import annotations
 
+import inspect
 import textwrap
 from pathlib import Path
 
@@ -19,13 +21,18 @@ import pytest
 from repro.analysis import PROFILES, lint_paths, lint_source
 from repro.analysis.lint import main
 from repro.sketches import (
+    ROW_VECTOR,
     SKETCH_CONTAINER_TYPES,
+    ArraySpec,
     BloomFamily,
     BottomKFamily,
     HLLFamily,
     KHashFamily,
+    KHashNeighborhoodSketches,
     KMVFamily,
+    NeighborhoodSketches,
     SketchContainer,
+    StorageSchema,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -107,138 +114,6 @@ class TestDeterminism:
                 return family.hash(arr, 0)
         """
         assert codes(good, kernel=True) == []
-
-
-# ---------------------------------------------------------------------------
-# family contract (REPRO201-204)
-# ---------------------------------------------------------------------------
-_CLEAN_CONTAINER = """
-    import numpy as np
-
-    class GoodSketches:
-        _row_arrays = ("rows", "exact_sizes")
-        _param_attrs = ("k", "seed")
-
-        def __init__(self, rows, k, seed, exact_sizes):
-            self.rows = rows
-            self.k = k
-            self.seed = seed
-            self.exact_sizes = exact_sizes
-
-        def apply_delta(self, vertices, delta_indptr, delta_indices, new_sizes):
-            pass
-
-        def resketch_rows(self, vertices, indptr, indices):
-            pass
-
-        def grow(self, num_sets):
-            pass
-"""
-
-
-class TestFamilyContract:
-    def test_clean_container_is_quiet(self):
-        assert codes(_CLEAN_CONTAINER) == []
-
-    def test_missing_param_attrs_fires(self):
-        bad = _CLEAN_CONTAINER.replace('_param_attrs = ("k", "seed")\n', "")
-        assert "REPRO201" in codes(bad)
-
-    def test_missing_contract_method_fires(self):
-        bad = _CLEAN_CONTAINER.replace(
-            "def apply_delta(self, vertices, delta_indptr, delta_indices, new_sizes):\n            pass",
-            "",
-        )
-        assert "REPRO202" in codes(bad)
-
-    def test_signature_drift_fires(self):
-        bad = _CLEAN_CONTAINER.replace(
-            "def resketch_rows(self, vertices, indptr, indices):",
-            "def resketch_rows(self, verts, ptr, idx):",
-        )
-        assert codes(bad) == ["REPRO203"]
-
-    def test_unassigned_row_array_fires(self):
-        bad = _CLEAN_CONTAINER.replace("self.exact_sizes = exact_sizes\n", "")
-        assert codes(bad) == ["REPRO204"]
-
-    def test_class_without_row_arrays_is_exempt(self):
-        assert codes("class Helper:\n    def grow(self, n):\n        pass\n") == []
-
-
-# The explicit storage-schema declaration form (the refactored containers).
-_SCHEMA_CONTAINER = """
-    import numpy as np
-    from repro.sketches.base import ROW_MATRIX, ROW_VECTOR, ArraySpec, StorageSchema
-
-    class GoodSketches:
-        storage_schema = StorageSchema(
-            arrays=(
-                ArraySpec("rows", "uint64", ROW_MATRIX),
-                ArraySpec("exact_sizes", "float64", ROW_VECTOR),
-            ),
-            params=("k", "seed"),
-        )
-
-        def __init__(self, rows, k, seed, exact_sizes):
-            self.rows = rows
-            self.k = k
-            self.seed = seed
-            self.exact_sizes = exact_sizes
-
-        def apply_delta(self, vertices, delta_indptr, delta_indices, new_sizes):
-            pass
-
-        def resketch_rows(self, vertices, indptr, indices):
-            pass
-
-        def grow(self, num_sets):
-            pass
-"""
-
-
-class TestSchemaFamilyContract:
-    """The contract rules read ``storage_schema = StorageSchema(...)`` too."""
-
-    def test_clean_schema_container_is_quiet(self):
-        assert codes(_SCHEMA_CONTAINER) == []
-
-    def test_schema_without_params_fires(self):
-        bad = _SCHEMA_CONTAINER.replace('params=("k", "seed"),', "params=(),")
-        found = lint_source(textwrap.dedent(bad))
-        assert [f.code for f in found] == ["REPRO201"]
-        assert "storage_schema" in found[0].message
-
-    def test_schema_missing_contract_method_fires(self):
-        bad = _SCHEMA_CONTAINER.replace(
-            "def grow(self, num_sets):\n            pass", ""
-        )
-        assert "REPRO202" in codes(bad)
-
-    def test_schema_signature_drift_fires(self):
-        bad = _SCHEMA_CONTAINER.replace(
-            "def resketch_rows(self, vertices, indptr, indices):",
-            "def resketch_rows(self, verts, ptr, idx):",
-        )
-        assert codes(bad) == ["REPRO203"]
-
-    def test_schema_unassigned_row_array_fires(self):
-        bad = _SCHEMA_CONTAINER.replace("self.exact_sizes = exact_sizes\n", "")
-        assert codes(bad) == ["REPRO204"]
-
-    def test_keyword_name_arrayspec_is_recognized(self):
-        bad = _SCHEMA_CONTAINER.replace(
-            'ArraySpec("exact_sizes", "float64", ROW_VECTOR)',
-            'ArraySpec(name="exact_sizes", dtype="float64", role=ROW_VECTOR)',
-        ).replace("self.exact_sizes = exact_sizes\n", "")
-        assert codes(bad) == ["REPRO204"]
-
-    def test_computed_schema_opts_out(self):
-        computed = """
-            class Dynamic:
-                storage_schema = make_schema()
-        """
-        assert codes(computed) == []
 
 
 # ---------------------------------------------------------------------------
@@ -384,137 +259,6 @@ class TestLockDiscipline:
 
     def test_reads_are_allowed_outside_lock(self):
         ok = _LOCKED_SESSION + "\n        def peek(self, key):\n            return self._cache.get(key)\n"
-        assert codes(ok) == []
-
-
-# ---------------------------------------------------------------------------
-# picklability (REPRO501)
-# ---------------------------------------------------------------------------
-class TestPicklability:
-    def test_lambda_submitted_to_pool_fires(self):
-        bad = """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run(xs):
-                with ProcessPoolExecutor() as pool:
-                    return list(pool.map(lambda x: x + 1, xs))
-        """
-        assert codes(bad) == ["REPRO501"]
-
-    def test_nested_function_fires(self):
-        bad = """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run(xs):
-                def work(x):
-                    return x + 1
-                with ProcessPoolExecutor() as pool:
-                    return list(pool.map(work, xs))
-        """
-        assert codes(bad) == ["REPRO501"]
-
-    def test_module_level_function_is_quiet(self):
-        good = """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def work(x):
-                return x + 1
-
-            def run(xs):
-                with ProcessPoolExecutor() as pool:
-                    return list(pool.map(work, xs))
-        """
-        assert codes(good) == []
-
-    def test_nested_function_in_thread_pool_is_quiet(self):
-        # A ThreadPoolExecutor shares the module's functions; nothing is pickled.
-        ok = """
-            from concurrent.futures import ThreadPoolExecutor
-
-            def run(xs):
-                def work(x):
-                    return x + 1
-                with ThreadPoolExecutor() as pool:
-                    return list(pool.map(work, xs))
-        """
-        assert codes(ok) == []
-
-    def test_thread_pools_are_exempt(self):
-        # Lambdas pickle fine across threads; the rule only gates modules that
-        # use process pools.
-        ok = """
-            from multiprocessing.pool import ThreadPool
-
-            def run(xs):
-                with ThreadPool() as pool:
-                    return list(pool.map(lambda x: x + 1, xs))
-        """
-        assert codes(ok) == []
-
-
-# ---------------------------------------------------------------------------
-# pool payload hygiene (REPRO502)
-# ---------------------------------------------------------------------------
-class TestPoolPayloads:
-    def test_bound_method_submit_fires(self):
-        bad = """
-            from concurrent.futures import ProcessPoolExecutor
-
-            class Engine:
-                def run(self, xs):
-                    with ProcessPoolExecutor() as pool:
-                        return pool.submit(self.work, xs).result()
-        """
-        assert codes(bad) == ["REPRO502"]
-
-    def test_self_as_payload_fires(self):
-        bad = """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def work(engine):
-                return engine
-
-            class Engine:
-                def run(self):
-                    with ProcessPoolExecutor() as pool:
-                        return pool.submit(work, self).result()
-        """
-        assert codes(bad) == ["REPRO502"]
-
-    def test_lock_named_payload_fires(self):
-        bad = """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def work(shm):
-                return shm
-
-            def run(shm_handle):
-                with ProcessPoolExecutor() as pool:
-                    return pool.submit(work, shm_handle).result()
-        """
-        assert codes(bad) == ["REPRO502"]
-
-    def test_segment_name_payload_is_quiet(self):
-        # Shipping the segment's *name* (a str) and re-attaching in the worker
-        # is the sanctioned transport — exactly what the sharded engine does.
-        good = """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def work(segment_name):
-                return segment_name
-
-            def run(shm):
-                with ProcessPoolExecutor() as pool:
-                    return pool.submit(work, shm.name).result()
-        """
-        assert codes(good) == []
-
-    def test_module_without_process_pool_is_exempt(self):
-        ok = """
-            class Engine:
-                def run(self, pool, xs):
-                    return pool.submit(self.work, xs).result()
-        """
         assert codes(ok) == []
 
 
@@ -748,29 +492,123 @@ class TestSelfRun:
 
 
 # ---------------------------------------------------------------------------
-# SketchContainer Protocol conformance
+# SketchContainer contract: stated by the Protocol and each family's
+# StorageSchema, checked here for every container class
 # ---------------------------------------------------------------------------
+_FAMILIES = [
+    BloomFamily(num_bits=64, num_hashes=2, seed=0),
+    KHashFamily(k=8, seed=0),
+    BottomKFamily(k=8, seed=0),
+    KMVFamily(k=8, seed=0),
+    HLLFamily(precision=6, seed=0),
+]
+
+#: Incremental-maintenance methods every schema-declaring container overrides.
+_MAINTENANCE = ("apply_delta", "resketch_rows", "grow")
+
+
+def _sketch(family):
+    indptr = np.array([0, 2, 3, 4], dtype=np.int64)
+    indices = np.array([1, 2, 0, 0], dtype=np.int64)
+    return family.sketch_neighborhoods(indptr, indices)
+
+
+def _schema_container_classes() -> list[type[NeighborhoodSketches]]:
+    """Every ``NeighborhoodSketches`` subclass in ``repro`` that declares row arrays."""
+    found, stack = [], [NeighborhoodSketches]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.startswith("repro.") and sub.storage_schema.arrays:
+                found.append(sub)
+    return found
+
+
+def _contract_violations(cls: type[NeighborhoodSketches], container) -> list[str]:
+    """Each clause of the container contract that ``cls`` breaks.
+
+    A class declaring row arrays must (1) name the family params that key
+    row compatibility, (2) override the maintenance methods, (3) keep the
+    reference parameter names of ``NeighborhoodSketches``, and (4) hold
+    every declared array, as ``container`` (an instance of ``cls``) shows.
+    """
+    schema = cls.storage_schema
+    problems = []
+    if not schema.params:
+        problems.append("storage_schema names no params")
+    for name in _MAINTENANCE:
+        if getattr(cls, name) is getattr(NeighborhoodSketches, name):
+            problems.append(f"{name} is not overridden")
+    for name in (*_MAINTENANCE, "update_many"):
+        got = list(inspect.signature(getattr(cls, name)).parameters)
+        want = list(inspect.signature(getattr(NeighborhoodSketches, name)).parameters)
+        if got != want:
+            problems.append(f"{name}({', '.join(got)}) differs from ({', '.join(want)})")
+    try:
+        schema.validate(container)
+    except (TypeError, ValueError) as exc:
+        problems.append(f"validate: {exc}")
+    return problems
+
+
+_KHASH_SCHEMA = KHashNeighborhoodSketches.storage_schema
+
+
+class _NoParams(KHashNeighborhoodSketches):
+    storage_schema = StorageSchema(arrays=_KHASH_SCHEMA.arrays)
+
+
+class _NoGrow(KHashNeighborhoodSketches):
+    grow = NeighborhoodSketches.grow  # the base's NotImplementedError stub
+
+
+class _RenamedResketch(KHashNeighborhoodSketches):
+    def resketch_rows(self, verts, ptr, idx):
+        super().resketch_rows(verts, ptr, idx)
+
+
+class _UnassignedArray(KHashNeighborhoodSketches):
+    # Declares a third row array that the inherited __init__ never assigns.
+    storage_schema = StorageSchema(
+        arrays=_KHASH_SCHEMA.arrays + (ArraySpec("weights", "float64", ROW_VECTOR),),
+        params=_KHASH_SCHEMA.params,
+    )
+
+
 class TestProtocolConformance:
     def test_all_five_families_registered(self):
         assert len(SKETCH_CONTAINER_TYPES) == 5
 
     @pytest.mark.parametrize(
-        "family",
-        [
-            BloomFamily(num_bits=64, num_hashes=2, seed=0),
-            KHashFamily(k=8, seed=0),
-            BottomKFamily(k=8, seed=0),
-            KMVFamily(k=8, seed=0),
-            HLLFamily(precision=6, seed=0),
-        ],
-        ids=["bloom", "khash", "bottomk", "kmv", "hll"],
+        "family", _FAMILIES, ids=["bloom", "khash", "bottomk", "kmv", "hll"]
     )
     def test_runtime_conformance(self, family):
-        indptr = np.array([0, 2, 3, 4], dtype=np.int64)
-        indices = np.array([1, 2, 0, 0], dtype=np.int64)
-        sketches = family.sketch_neighborhoods(indptr, indices)
+        sketches = _sketch(family)
         assert isinstance(sketches, SketchContainer)
         assert type(sketches) in SKETCH_CONTAINER_TYPES
+
+    def test_every_schema_container_meets_the_contract(self):
+        built = {type(c): c for c in map(_sketch, _FAMILIES)}
+        classes = _schema_container_classes()
+        assert set(classes) == set(built)  # every such class is built by a family
+        for cls in classes:
+            assert _contract_violations(cls, built[cls]) == [], cls.__name__
+
+    @pytest.mark.parametrize(
+        "cls, clause",
+        [
+            (_NoParams, "storage_schema names no params"),
+            (_NoGrow, "grow is not overridden"),
+            (_RenamedResketch, "resketch_rows(self, verts, ptr, idx) differs"),
+            (_UnassignedArray, "validate: _UnassignedArray.weights is not an ndarray"),
+        ],
+        ids=["no-params", "no-grow", "renamed-resketch-rows", "unassigned-array"],
+    )
+    def test_contract_check_fails_on_a_broken_class(self, cls, clause):
+        khash = _sketch(KHashFamily(k=8, seed=0))
+        broken = cls(**khash.storage_arrays(), **khash.storage_params())
+        problems = _contract_violations(cls, broken)
+        assert len(problems) == 1 and problems[0].startswith(clause), problems
 
 
 # ---------------------------------------------------------------------------
