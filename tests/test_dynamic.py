@@ -10,6 +10,7 @@ keep serving its cached entries without eviction.
 from __future__ import annotations
 
 import copy
+import gc
 import pickle
 
 import numpy as np
@@ -605,6 +606,37 @@ class TestSessionLSHDeltaPatching:
         got, want = index.topk_similar_batch(sources, 6), fresh.topk_similar_batch(sources, 6)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.scores, want.scores)
+
+    @pytest.mark.parametrize("representation", ["khash", "1hash", "kmv"])
+    def test_opened_index_follows_probgraph_deltas(self, stream_graph, tmp_path, representation):
+        """An index attached from a store registers on its ProbGraph like a built one."""
+        n = stream_graph.num_vertices
+        edges = stream_graph.edge_array()
+        params = {"representation": representation, "seed": 4, **EXPLICIT_PARAMS[representation]}
+        dyn = DynamicGraph(num_vertices=n)
+        dyn.apply_edges(insertions=edges[:300])
+        pg = ProbGraph(dyn.snapshot(), **params)
+        LSHIndex(pg).save(tmp_path / "t.pgsk")
+        with LSHIndex.open(tmp_path / "t.pgsk", pg) as index:
+            pg.apply_delta(dyn.apply_edges(insertions=np.vstack([edges[300:500], [(0, n)]])))
+            fresh = LSHIndex(ProbGraph(dyn.snapshot(), **params))
+            assert index.num_entries == fresh.num_entries
+            assert_lsh_bit_identical(index, fresh)
+
+    def test_released_index_leaves_the_probgraph(self, stream_graph):
+        """The registration is weak: a dropped index is neither kept alive nor marked."""
+        params = {"representation": "khash", "k": 8, "seed": 4}
+        dyn = DynamicGraph(stream_graph)
+        pg = ProbGraph(dyn.snapshot(), **params)
+        kept, dropped = LSHIndex(pg), LSHIndex(pg)
+        assert set(pg._lsh_indexes) == {kept, dropped}
+        del dropped
+        gc.collect()
+        assert set(pg._lsh_indexes) == {kept}
+        pg.apply_delta(dyn.apply_edges(deletions=stream_graph.edge_array()[:5]))
+        fresh = LSHIndex(ProbGraph(dyn.snapshot(), **params))
+        assert kept.num_entries == fresh.num_entries  # the read re-keys the marked rows
+        assert_lsh_bit_identical(kept, fresh)
 
     def test_vertex_growing_delta_extends_tables(self, stream_graph):
         n = stream_graph.num_vertices
