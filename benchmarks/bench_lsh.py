@@ -18,16 +18,19 @@ the banding index, each timed over 7 repeats.  The script asserts
 
 * every served row equals the full scan restricted to that source's
   candidates (``topk_per_source`` over ``query_candidates``), bit for bit;
+* the exact answer (``exact=True``, which a k-hash index with one slot per
+  band serves from its band tables) equals the full scan bit for bit;
 * candidate recall ≥ 0.9 over the reference's nonzero-scoring top-k pairs
   (measured, at the default ``(b, r)``), and
 * ≥ 5× per-query speedup over the full scan, as a ratio of medians,
 
 then appends a timestamped run record, with each path's median and
 interquartile range and the environment, to the ``BENCH_lsh.json``
-trajectory (see ``benchmarks/_trajectory.py``).  ``--smoke`` caps the
+trajectory (see ``benchmarks/_trajectory.py``); the exact answer's speedup
+over the scan is printed and recorded, not asserted.  ``--smoke`` caps the
 workload for CI and skips the trajectory write and the wall-clock assertion
-(the served rows and recall are still asserted — they are deterministic, not
-load-dependent).
+(the served rows, the exact answer and recall are still asserted — they are
+deterministic, not load-dependent).
 
 Run with:
     python benchmarks/bench_lsh.py            # full: >=100k vertices
@@ -126,10 +129,19 @@ def main() -> None:
 
     reference, full = timed(lambda: topk_per_source(pg, sources, args.topk))
     result, lsh = timed(lambda: index.topk_similar_batch(sources, args.topk))
+    answer, exact = timed(lambda: index.topk_similar_batch(sources, args.topk, exact=True))
     full_seconds, lsh_seconds = full["median"], lsh["median"]
     speedup = full_seconds / lsh_seconds
+    exact_speedup = full_seconds / exact["median"]
     check_against_oracle(pg, index, sources, args.topk, result)
     print(f"served rows equal the full scan over each source's candidates ({args.queries} sources)")
+    assert np.array_equal(answer.indices, reference.indices) and np.array_equal(
+        answer.scores, reference.scores
+    ), "the exact answer differs from the full scan"
+    print(
+        f"exact answer equals the full scan bit for bit "
+        f"({index.stats.full_scan_fallbacks} of {REPEATS} calls fell back to the scan)"
+    )
 
     # --- recall of the servable pairs (reference rows with nonzero score) ----
     retrieved = hits = 0
@@ -149,6 +161,10 @@ def main() -> None:
         f"({mean_candidates:,.0f} candidates each, {candidate_fraction:.1%} of n) "
         f"->  {speedup:.1f}x (medians of {REPEATS})"
     )
+    print(
+        f"exact:     {exact['median'] * 1e3:8.1f} ms (IQR {exact['iqr'] * 1e3:.1f}) "
+        f"->  {exact_speedup:.1f}x over the full scan (medians of {REPEATS})"
+    )
     print(f"candidate recall over {hits} reference pairs: {recall:.4f}")
 
     payload = {
@@ -161,8 +177,10 @@ def main() -> None:
         "build_seconds": build_seconds,
         "full_scan_seconds": full_seconds,
         "lsh_seconds": lsh_seconds,
-        "timings": {"repeats": REPEATS, "full_scan": full, "lsh": lsh},
+        "exact_seconds": exact["median"],
+        "timings": {"repeats": REPEATS, "full_scan": full, "lsh": lsh, "exact": exact},
         "speedup": speedup,
+        "exact_speedup": exact_speedup,
         "recall": recall,
         "mean_candidates": mean_candidates,
         "candidate_fraction": candidate_fraction,

@@ -22,8 +22,11 @@ This package is the execution layer between the sketch containers
   a ShardedEngine into one bucket table of global vertex IDs and serves
   top-k/kNN by scoring only colliding candidates — sublinear probes with an
   S-curve recall contract, falling back to the source's full scan for
-  Bloom/HLL or ``exact=True``.  Engine patches mark touched rows and the
-  next read re-keys them; ``repartition()`` needs no LSH work;
+  Bloom/HLL.  ``exact=True`` returns the full scan's answer: a k-hash index
+  with one slot per band answers it from its tables (as it does a
+  ShardedEngine's top-k while alive over the engine's rows); other splits,
+  families and callable measures run the scan.  Engine patches mark touched
+  rows and the next read re-keys them; ``repartition()`` needs no LSH work;
 * :func:`engine_stats` exposes process-wide activity counters so the engine
   path is observable.
 

@@ -36,9 +36,19 @@ from them, and only the winners are re-scored through the source's own
 ``pair_intersections`` (counted in shipments for an engine) to confirm the
 answer; other families and splits score every candidate that way.
 
+The same tables answer the *exact* top-k (``exact=True``, and
+:meth:`ShardedEngine.top_k_similar_batch
+<repro.engine.sharded.ShardedEngine.top_k_similar_batch>` when such an index
+over its rows is alive) for that k-hash split and a built-in measure: a vertex
+the probe misses agrees with the source on no non-empty slot, so Eq. 5 scores
+it exactly 0, and the re-checked winners are followed by the lowest-ID
+zero-score vertices of the pool — :func:`~repro.engine.topk.topk_per_source`'s
+answer bit for bit.  Other families, splits and measures, and a batch whose
+winner re-check fails, run the full scan.
+
 Bloom and HyperLogLog containers store no per-element values, so no banding
 index can be built over them: the index transparently **falls back to the
-source's own full scan**, as it does when a caller requests ``exact=True``.
+source's own full scan**.
 
 The index is delta-aware through one mechanism: rows a delta touched are
 *marked*, and the next read re-keys exactly those rows' bucket entries,
@@ -167,9 +177,11 @@ class LSHIndexStats:
     queries: int = 0
     probed_sources: int = 0
     candidates_scored: int = 0
+    #: Queries the tables could not answer, so the source's full scan ran.
     full_scan_fallbacks: int = 0
     #: Batches scored from band collision counts whose re-scored winners
-    #: differed, so the batch was scored again from the signatures.
+    #: differed, so the batch was scored again from the signatures (or, for
+    #: an exact answer, by the full scan).
     count_mismatches: int = 0
 
     @property
@@ -796,9 +808,8 @@ class LSHIndex:
         Scores are the same floats the full scan produces (same pure
         estimators on the same rows, through the source's
         ``pair_intersections``) — only the candidate set differs, by the
-        S-curve recall contract.  With ``exact=True``, or on a Bloom/HLL
-        container, the call routes to the source's full scan and is
-        bit-identical to it.
+        S-curve recall contract.  On a Bloom/HLL container the call routes to
+        the source's full scan and is bit-identical to it.
 
         One probe finds every source's candidates with their hit counts.  A
         k-hash index with one slot per band over every slot scores a built-in
@@ -814,21 +825,46 @@ class LSHIndex:
         candidate from the signatures.  An engine source counts the pairs
         scored from sketch rows in its ``comm``: the winners, or every
         candidate.
+
+        ``exact=True`` returns the full scan's answer bit for bit.  On that
+        k-hash split with a built-in ``measure``, a ProbGraph source's answer
+        comes from the tables: the re-checked winners, then the pool's
+        lowest-ID vertices at score 0.0, which is what Eq. 5 gives every
+        vertex the probe misses.  A failed re-check runs the full scan
+        instead.  An engine source delegates to
+        :meth:`ShardedEngine.top_k_similar_batch
+        <repro.engine.sharded.ShardedEngine.top_k_similar_batch>`, which
+        answers from such an index over its rows and prices the answer as a
+        scan.  Every other exact query runs the source's full scan
+        (:attr:`LSHIndexStats.full_scan_fallbacks`).
         """
         if k < 0:
             raise ValueError("k must be non-negative")
         source = self.source
         if exact or not self.banded:
             self.stats.queries += 1
-            self.stats.full_scan_fallbacks += 1
-            if isinstance(source, ProbGraph):
-                return topk_per_source(
-                    source, sources, k, candidates=candidates, score=measure,
-                    estimator=estimator, exclude_self=exclude_self, config=config,
+            tables_answer = isinstance(measure, str) and self._hits_are_matches()
+            if not tables_answer:
+                self.stats.full_scan_fallbacks += 1
+            if not isinstance(source, ProbGraph):
+                return source.top_k_similar_batch(
+                    sources, k, measure=measure, candidates=candidates,
+                    estimator=estimator, exclude_self=exclude_self,
                 )
-            return source.top_k_similar_batch(
-                sources, k, measure=measure, candidates=candidates,
-                estimator=estimator, exclude_self=exclude_self,
+            if tables_answer:
+                sources = check_vertex_ids(sources, source.num_vertices, "sources")
+                if candidates is not None:
+                    candidates = np.unique(
+                        check_vertex_ids(candidates, source.num_vertices, "candidates")
+                    )
+                result = self._exact_topk(
+                    sources, k, measure, candidates, estimator, exclude_self, config
+                )
+                if result is not None:
+                    return result
+            return topk_per_source(
+                source, sources, k, candidates=candidates, score=measure,
+                estimator=estimator, exclude_self=exclude_self, config=config,
             )
         score_fn = _resolve_score_fn(source, measure, estimator)
         if estimator is not None:  # checked even when a batch scores no pair
@@ -841,26 +877,106 @@ class LSHIndex:
         record_topk()
         self.stats.queries += 1
         if sources.shape[0] == 0 or k == 0:
-            return TopKResult(
-                np.empty((sources.shape[0], k), dtype=np.int64),
-                np.empty((sources.shape[0], k), dtype=np.float64),
-            )
+            return _empty_topk(sources.shape[0], k)
         self._check_fresh()
         rows, verts, hits = self._candidate_hits(sources, candidates)
         self.stats.probed_sources += sources.shape[0]
         self.stats.candidates_scored += verts.shape[0]
         cand_lists = _split_rows(verts, rows, sources.shape[0])
+        # A ProbGraph's pairs are recorded here; an engine's pair_intersections
+        # records them in its comm itself.
+        record = isinstance(source, ProbGraph)
         if not callable(measure) and self._hits_are_matches():
-            counted = self._count_scores(measure, sources[rows], verts, hits)
-            result = select_topk_rows(sources, cand_lists, counted, k, exclude_self)
-            won = result.indices >= 0
-            winners = np.broadcast_to(sources[:, None], won.shape)[won]
-            rescored = self._score_pairs(score_fn, winners, result.indices[won], config)
-            if np.array_equal(rescored, result.scores[won]):
+            result = self._counted_topk(
+                sources, k, measure, exclude_self, rows, verts, hits, cand_lists,
+                score_fn, record, config,
+            )
+            if result is not None:
                 return result
-            self.stats.count_mismatches += 1
-        scores = self._score_pairs(score_fn, sources[rows], verts, config)
+        scores = self._score_pairs(score_fn, sources[rows], verts, config, record)
         return select_topk_rows(sources, cand_lists, scores, k, exclude_self)
+
+    def _exact_topk(
+        self,
+        sources: np.ndarray,
+        k: int,
+        measure: str,
+        candidates: np.ndarray | None,
+        estimator: EstimatorKind | str | None,
+        exclude_self: bool,
+        config: EngineConfig | None,
+    ) -> TopKResult | None:
+        """:func:`~repro.engine.topk.topk_per_source`'s answer from the tables, or ``None``.
+
+        For a :meth:`_hits_are_matches` index and a built-in ``measure``;
+        ``sources`` are checked and ``candidates`` sorted unique (or ``None``,
+        the whole vertex set).  The count-scored winners are re-checked
+        through the ``pair_intersections`` of the :class:`ProbGraph` holding
+        the rows, so an engine's ``comm`` counts nothing, and every row with
+        fewer than ``k`` winners is filled with the pool's lowest-ID vertices
+        at score 0.0, skipping the winners and, under ``exclude_self``, the
+        source.  A vertex the probe misses agrees with the source on no
+        non-empty slot, so Eq. 5 scores it exactly 0, and every probed one
+        scores above 0.  ``None`` means a winner's re-check failed (a
+        cross-band key collision), and the caller runs the full scan.
+        """
+        pg = _rows_owner(self.source)
+        score_fn = _resolve_score_fn(pg, measure, estimator)
+        if estimator is not None:  # checked even when a batch scores no pair
+            check_estimator_kind(pg.representation, estimator)
+        pool_size = candidates.shape[0] if candidates is not None else pg.num_vertices
+        k = min(int(k), pool_size)
+        if sources.shape[0] == 0 or k == 0:
+            record_topk()
+            return _empty_topk(sources.shape[0], k)
+        rows, verts, hits = self._candidate_hits(sources, candidates)
+        self.stats.probed_sources += sources.shape[0]
+        self.stats.candidates_scored += verts.shape[0]
+        result = self._counted_topk(
+            sources, k, measure, exclude_self, rows, verts, hits,
+            _split_rows(verts, rows, sources.shape[0]), score_fn, True, config,
+        )
+        if result is None:
+            self.stats.full_scan_fallbacks += 1
+            return None
+        record_topk()
+        head = (
+            candidates[: k + 1] if candidates is not None
+            else np.arange(min(pg.num_vertices, k + 1), dtype=np.int64)
+        )
+        return TopKResult(_fill_with_zero_scores(result.indices, sources, head, exclude_self),
+                          result.scores)
+
+    def _counted_topk(
+        self,
+        sources: np.ndarray,
+        k: int,
+        measure: str,
+        exclude_self: bool,
+        rows: np.ndarray,
+        verts: np.ndarray,
+        hits: np.ndarray,
+        cand_lists: list[np.ndarray],
+        score_fn: ScoreFn,
+        record: bool,
+        config: EngineConfig | None,
+    ) -> TopKResult | None:
+        """The probe's top-k selected by counted scores, or ``None`` if a winner's re-check fails.
+
+        ``(rows, verts, hits)`` are :meth:`_candidate_hits` triples and
+        ``cand_lists`` their per-source split.  The winners are re-scored by
+        ``score_fn`` (recorded in :func:`~repro.engine.batch.engine_stats`
+        when ``record``) and compared bit for bit with their counted scores.
+        """
+        counted = self._count_scores(measure, sources[rows], verts, hits)
+        result = select_topk_rows(sources, cand_lists, counted, k, exclude_self)
+        won = result.indices >= 0
+        winners = np.broadcast_to(sources[:, None], won.shape)[won]
+        rescored = self._score_pairs(score_fn, winners, result.indices[won], config, record)
+        if np.array_equal(rescored, result.scores[won]):
+            return result
+        self.stats.count_mismatches += 1
+        return None
 
     def _hits_are_matches(self) -> bool:
         """Whether a candidate's probe hits count its agreeing signature slots.
@@ -895,18 +1011,18 @@ class LSHIndex:
         return intersection_to_jaccard(inter, degrees[u], degrees[v])
 
     def _score_pairs(
-        self, score_fn: ScoreFn, u: np.ndarray, v: np.ndarray, config: EngineConfig | None
+        self, score_fn: ScoreFn, u: np.ndarray, v: np.ndarray, config: EngineConfig | None,
+        record: bool,
     ) -> np.ndarray:
         """Scores of the pairs ``(u, v)`` from their sketch rows, in engine-sized windows.
 
-        A ProbGraph's pairs are recorded in :func:`~repro.engine.batch.engine_stats`
-        here; an engine's ``pair_intersections`` records each window in its
-        ``comm`` itself.
+        With ``record`` the pairs are recorded in
+        :func:`~repro.engine.batch.engine_stats` here.
         """
         total = u.shape[0]
         scores = np.empty(total, dtype=np.float64)
         windows = chunked_ranges(total, resolve_chunk_pairs(self.source.sketches, config))
-        if isinstance(self.source, ProbGraph):
+        if record:
             record_query(total, len(windows))
         for start, stop in windows:
             scores[start:stop] = score_fn(u[start:stop], v[start:stop])
@@ -937,6 +1053,40 @@ class LSHIndex:
             f"LSHIndex(rows={self.source.num_vertices}{shards}, b={self.num_bands}, "
             f"r={self.rows_per_band}, entries={self.num_entries})"
         )
+
+
+def _empty_topk(num_sources: int, k: int) -> TopKResult:
+    """The ``(num_sources, k)`` answer of a batch with no source or ``k = 0``."""
+    return TopKResult(
+        np.empty((num_sources, k), dtype=np.int64),
+        np.empty((num_sources, k), dtype=np.float64),
+    )
+
+
+def _fill_with_zero_scores(
+    indices: np.ndarray, sources: np.ndarray, head: np.ndarray, exclude_self: bool
+) -> np.ndarray:
+    """``indices`` with each row's ``-1`` padding replaced by unheld ``head`` IDs, lowest first.
+
+    Row ``i`` holds its winners first, then ``-1``.  ``head`` is the pool's
+    first ``k + 1`` IDs in ascending order: a row holds at most ``k``
+    winners and may skip its source, so its fill lies inside ``head``.  A
+    row whose pool runs out keeps the rest of its ``-1`` padding.
+    """
+    k = indices.shape[1]
+    held = np.zeros((indices.shape[0], head.shape[0]), dtype=bool)
+    at = np.minimum(np.searchsorted(head, indices), head.shape[0] - 1)
+    row, col = np.nonzero((indices >= 0) & (head[at] == indices))
+    held[row, at[row, col]] = True
+    if exclude_self:
+        held |= head[None, :] == sources[:, None]
+    free = ~held
+    rank = np.cumsum(free, axis=1)
+    winners = np.count_nonzero(indices >= 0, axis=1)
+    row, col = np.nonzero(free & (rank <= (k - winners)[:, None]))
+    filled = indices.copy()
+    filled[row, winners[row] + rank[row, col] - 1] = head[col]
+    return filled
 
 
 def _split_rows(values: np.ndarray, rows: np.ndarray, num_rows: int) -> list[np.ndarray]:

@@ -310,7 +310,9 @@ class PGSession:
         :meth:`apply_delta`: when the underlying sketch set is patched, the
         index's bucket tables are patched too (bit-identical to a fresh
         build); an index whose sketch set was evicted before the delta is
-        invalidated instead.  Families without signature matrices (Bloom /
+        invalidated instead.  After ``pg.apply_delta`` outside the session,
+        the lookup re-keys ``pg``'s cached index under ``pg``'s new key and
+        returns it (the patch marked its rows) rather than building another.  Families without signature matrices (Bloom /
         HLL) cache one full-scan-fallback index per sketch set.
         """
         from .lsh import LSHIndex, _resolve_band_split, _signature_view
@@ -339,6 +341,17 @@ class PGSession:
                 self._lsh_cache.move_to_end(key)
                 self.stats.lsh_hits += 1
                 return cached
+            # Patched out-of-band, pg is keyed anew, but its index still sits
+            # under the old key with the patched rows marked: re-key it.
+            stranded = next(
+                (old for old, index in self._lsh_cache.items()
+                 if index.source is pg and old[1] == split),
+                None,
+            )
+            if stranded is not None:
+                self._lsh_cache[key] = self._lsh_cache.pop(stranded)
+                self.stats.lsh_hits += 1
+                return self._lsh_cache[key]
             index = LSHIndex(
                 pg, num_bands=num_bands, rows_per_band=rows_per_band,
                 threshold=threshold,

@@ -38,7 +38,10 @@ These contracts make this safe to use everywhere the single-process engine is:
   a delta only marks its touched rows (the next read re-keys them), and
   :meth:`ShardedEngine.repartition` leaves the table alone.  A saved engine
   stores its default-split table, so an opened engine maps it instead of
-  hashing every row again.
+  hashing every row again.  While a k-hash index with one slot per band is
+  alive over the rows, :meth:`ShardedEngine.top_k_similar_batch` answers
+  from its table, bit-identical to the full scan it runs otherwise (and
+  when the table's winner re-check fails), and priced the same.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from ..storage import (
     sketch_params_from_meta,
     sketch_params_meta,
 )
-from .batch import batched_pair_intersections, sum_pair_intersections
+from .batch import batched_pair_intersections, check_vertex_ids, sum_pair_intersections
 from .lsh import LSHIndex, _resolve_band_split
 from .topk import TopKResult, topk_per_source
 from ..core.budget import DEFAULT_LSH_THRESHOLD, resolve_lsh_params
@@ -686,31 +689,53 @@ class ShardedEngine:
     ) -> TopKResult:
         """Per-source top-k retrieval, counting the sources it would broadcast.
 
-        Evaluated by :func:`repro.engine.topk.topk_per_source` on the served
-        container, so bit-identical to
+        Bit-identical to :func:`repro.engine.topk.topk_per_source` on the
+        served container, and so to
         :meth:`repro.engine.PGSession.top_k_similar_batch` with the same
         ``measure`` (``"jaccard"`` or ``"intersection"``/``"common_neighbors"``).
-        :attr:`comm` counts each unique source once per *other* shard that
-        owns a candidate — the broadcast a distributed run would make.
+        While a k-hash :class:`~repro.engine.lsh.LSHIndex` with one slot per
+        band (the default split, e.g. the one :meth:`lsh_index` returns) is
+        alive over these rows, its band tables answer: the probe's re-checked
+        winners, then the pool's lowest-ID vertices at score 0.0.  Otherwise,
+        or when the re-check fails, every pool member is scored.
+        :attr:`comm` counts the same either way: one query, and each unique
+        source once per *other* shard that owns a candidate — the broadcast a
+        distributed run would make.
         """
         if measure not in ("jaccard", "intersection", "common_neighbors"):
             raise ValueError(
                 f"unknown measure {measure!r}; expected 'jaccard', 'intersection', "
                 "or 'common_neighbors'"
             )
+        if k < 0:
+            raise ValueError("k must be non-negative")
         self._check_fresh()
-        result = topk_per_source(
-            self._pg, sources, k, candidates=candidates, score=measure,
-            estimator=self._resolve_estimator(estimator), exclude_self=exclude_self,
-        )
+        estimator = self._resolve_estimator(estimator)
+        sources = check_vertex_ids(sources, self.num_vertices, "sources")
+        if candidates is not None:
+            candidates = np.unique(check_vertex_ids(candidates, self.num_vertices, "candidates"))
+        with self._patch_lock:  # indexes over an engine register under it
+            indexes = list(self._pg._lsh_indexes)
+        result = None
+        for index in indexes:
+            if index._hits_are_matches():
+                result = index._exact_topk(
+                    sources, k, measure, candidates, estimator, exclude_self, None
+                )
+                break
+        if result is None:
+            result = topk_per_source(
+                self._pg, sources, k, candidates=candidates, score=measure,
+                estimator=estimator, exclude_self=exclude_self,
+            )
         shipments = 0
         if result.indices.size:  # at least one source and k > 0
             owners = self.partition.owners
-            held = np.unique(
-                owners if candidates is None
-                else owners[np.asarray(candidates, dtype=np.int64).ravel()]
+            held = (
+                np.flatnonzero(self.partition.shard_sizes()) if candidates is None
+                else np.unique(owners[candidates])
             )
-            homes = owners[np.unique(np.asarray(sources, dtype=np.int64))]
+            homes = owners[np.unique(sources)]
             shipments = homes.size * held.size - int(np.count_nonzero(np.isin(homes, held)))
         self._record(int(shipments))
         return result

@@ -52,7 +52,8 @@ def pair_shipments(
     lower-degree endpoint's representation (the first endpoint's on ties) is
     shipped to the other endpoint's partition.  Shipments are deduplicated to
     one per ``(vertex, destination partition)``.  Returns the cut mask and the
-    shipped vertex of every unique shipment.
+    shipped vertex of every unique shipment, ordered by destination, then
+    vertex.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
@@ -62,7 +63,12 @@ def pair_shipments(
     shipped = np.where(ship_u, u[cut], v[cut])
     destination = np.where(ship_u, ov[cut], ou[cut])
     n = owners.shape[0]
-    return cut, np.unique(destination * n + shipped) % n
+    # np.unique of this 1-D key would hash; a sort plus an adjacent-difference
+    # mask gives the same sorted unique keys several times faster.
+    keys = np.sort(destination * n + shipped)
+    first = np.ones(keys.shape[0], dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return cut, keys[first] % n
 
 
 def communication_volume(

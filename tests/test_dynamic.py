@@ -690,6 +690,25 @@ class TestSessionLSHDeltaPatching:
             rebuilt, LSHIndex(ProbGraph(dyn.snapshot(), representation="khash", k=8, seed=4))
         )
 
+    def test_out_of_band_patch_rekeys_the_cached_index(self, stream_graph):
+        """A lookup after ``pg.apply_delta`` outside the session returns pg's
+        cached index under pg's new key, instead of building a second one
+        and stranding the first under the old key."""
+        dyn = DynamicGraph(stream_graph)
+        session = PGSession()
+        pg = session.probgraph(dyn.snapshot(), representation="khash", k=8, seed=4)
+        first = session.lsh_index(pg)
+        rng = np.random.default_rng(3)
+        pg.apply_delta(dyn.apply_edges(insertions=rng.integers(0, 256, size=(200, 2))))
+        assert session.lsh_index(pg) is first
+        assert session.stats.lsh_constructions == 1
+        assert len(session._lsh_cache) == 1
+        fresh = LSHIndex(pg)
+        assert first.num_entries == fresh.num_entries  # a read re-keys the marked rows
+        assert_lsh_bit_identical(first, fresh)
+        assert session.lsh_index(pg) is first  # now a plain hit under the new key
+        assert session.stats.lsh_constructions == 1
+
     def test_out_of_band_patch_never_serves_wrong_tables(self, stream_graph):
         """Direct ProbGraph.apply_delta on an indexed sketch set must not let a
         later lookup for the *old* graph serve the patched tables."""

@@ -11,8 +11,9 @@ contracts rather than bit-equality with the full scan:
 * **S-curve lower bounds** — measured candidate recall, bucketed by estimated
   similarity, stays above the ``1 − (1 − s^r)^b`` prediction minus a
   statistical slack, across graphs × budgets × (b, r) splits.
-* **Exact-fallback bit-identity** — ``exact=True`` and the Bloom/HLL families
-  return exactly the full-scan path's floats, and every served LSH row equals
+* **Exact bit-identity** — ``exact=True`` and the Bloom/HLL families return
+  exactly the full-scan path's floats, whether a (k, 1) k-hash index answers
+  from its band tables or the scan runs, and every served LSH row equals
   the full scan restricted to the candidate set.
 * **Sharded ≡ single-process** — an engine-backed index holds the same
   bucket table, and returns the same candidates, the same top-k rows, and
@@ -387,8 +388,11 @@ class TestServing:
         assert index.stats.probed_sources == 2
         assert index.stats.candidates_scored >= 0
         index.topk_similar_batch(np.asarray([0]), 5, exact=True)
-        assert index.stats.full_scan_fallbacks == 1
+        assert index.stats.full_scan_fallbacks == 0  # the (16, 1) tables answer
         assert index.stats.mean_candidates >= 0.0
+        banded = LSHIndex(pg, num_bands=8, rows_per_band=2)
+        banded.topk_similar_batch(np.asarray([0]), 5, exact=True)
+        assert banded.stats.full_scan_fallbacks == 1
 
     def test_select_topk_rows_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -517,6 +521,182 @@ class TestCountScoring:
         assert np.all(index.topk_similar_batch(isolated, 5).indices == -1)
         with pytest.raises(ValueError, match="not supported"):
             index.topk_similar_batch(isolated, 5, estimator="AND")
+
+
+# ---------------------------------------------------------------------------
+# exact top-k answered from the band tables
+# ---------------------------------------------------------------------------
+#: Candidate pools of ``graph``: none, a third of the vertices, fewer than
+#: the k = 8 below, and only the source of a one-source batch.
+EXACT_POOLS = {
+    "all": None,
+    "pool": np.arange(0, 256, 3),
+    "below-k": np.asarray([3, 41, 100, 200], dtype=np.int64),
+    "only-source": np.asarray([100], dtype=np.int64),
+}
+
+
+def _assert_equals_scan(got, reference, sources, k, **kwargs):
+    """``got`` must be ``topk_per_source``'s answer on ``reference``, bit for bit."""
+    want = topk_per_source(reference, sources, k, **kwargs)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.scores, want.scores)
+
+
+def _brute_force_shipments(engine, sources, k, candidates):
+    """Each unique source, once per other shard owning a candidate (k > 0 only)."""
+    owners = engine.partition.owners
+    pool = range(engine.num_vertices) if candidates is None else candidates
+    held = {int(owners[c]) for c in pool}
+    if k == 0:
+        return 0
+    return sum(len(held - {int(owners[s])}) for s in set(sources.tolist()))
+
+
+class TestExactTableAnswer:
+    """With a (k, 1) k-hash index alive, ``exact=True`` on a ProbGraph index
+    and an engine's ``top_k_similar_batch`` answer from the band tables: the
+    re-checked winners, then the lowest-ID vertices of the pool at score 0."""
+
+    @pytest.mark.parametrize("measure", ["jaccard", "common_neighbors"])
+    @pytest.mark.parametrize("oriented", [False, True])
+    @pytest.mark.parametrize("num_shards", [0, 1, 2, 4], ids=["probgraph", "1", "2", "4"])
+    def test_answers_equal_the_scan(self, graph, measure, oriented, num_shards):
+        if num_shards == 0:
+            reference = _pg(graph, "khash", oriented=oriented)
+            index = LSHIndex(reference)
+
+            def answer(sources, k, **kwargs):
+                return index.topk_similar_batch(sources, k, measure=measure, exact=True, **kwargs)
+        else:
+            engine = ShardedEngine(
+                graph, num_shards, representation="khash", k=16, seed=5, oriented=oriented
+            )
+            index = engine.lsh_index()
+            reference = engine.to_probgraph()
+
+            def answer(sources, k, **kwargs):
+                return engine.top_k_similar_batch(sources, k, measure=measure, **kwargs)
+
+        assert (index.num_bands, index.rows_per_band) == (16, 1)
+        for name, pool in EXACT_POOLS.items():
+            sources = np.asarray([100]) if name == "only-source" else COUNT_SOURCES
+            for exclude_self in (True, False):
+                for k in (0, 8, graph.num_vertices + 5):
+                    before = index.stats.probed_sources
+                    got = answer(sources, k, candidates=pool, exclude_self=exclude_self)
+                    _assert_equals_scan(
+                        got, reference, sources, k, candidates=pool, score=measure,
+                        exclude_self=exclude_self,
+                    )
+                    grew = index.stats.probed_sources - before
+                    assert grew == (sources.shape[0] if k else 0), (name, exclude_self, k)
+        assert index.stats.count_mismatches == 0
+        assert index.stats.full_scan_fallbacks == 0
+
+    def test_zero_fill_rows(self, graph):
+        """Isolated sources are all zero fill; a repeated source answers twice."""
+        pg = _pg(graph, "khash")
+        got = LSHIndex(pg).topk_similar_batch(COUNT_SOURCES, 8, exact=True)
+        assert np.array_equal(got.indices[0], np.arange(1, 9))  # source 0 is isolated
+        assert np.all(got.scores[0] == 0.0)
+        assert np.array_equal(got.indices[1], got.indices[6])  # source 3, twice
+        kept = LSHIndex(pg).topk_similar_batch(COUNT_SOURCES, 8, exact=True, exclude_self=False)
+        assert kept.indices[0, 0] == 0  # an isolated source scores itself 0 too
+        _assert_equals_scan(got, pg, COUNT_SOURCES, 8)
+
+    @pytest.mark.parametrize("oriented", [False, True])
+    def test_engine_answer_after_a_growing_delta(self, graph, oriented):
+        dyn = DynamicGraph(graph)
+        engine = ShardedEngine(dyn, 2, representation="khash", k=16, seed=5, oriented=oriented)
+        index = engine.lsh_index()
+        n = graph.num_vertices
+        growth = [(0, n), (3, n + 1), (n + 1, n + 2), (100, 40), (17, 200)]
+        engine.apply_delta(dyn.apply_edges(insertions=growth))
+        assert engine.num_vertices == n + 3
+        sources = np.concatenate([COUNT_SOURCES, [n, n + 1, n + 2]])
+        before = index.stats.probed_sources
+        got = engine.top_k_similar_batch(sources, 8)
+        _assert_equals_scan(got, engine.to_probgraph(), sources, 8)
+        assert index.stats.probed_sources == before + sources.shape[0]
+
+    def test_colliding_band_keys_fall_back_to_the_scan(self, graph, monkeypatch):
+        """4-bit band keys make counted scores overshoot: the winner re-check
+        fails and the full scan answers, on both paths."""
+        real = lsh_module.splitmix64
+        monkeypatch.setattr(
+            lsh_module, "splitmix64", lambda x, seed=0: real(x, seed) & np.uint64(0xF)
+        )
+        pg = _pg(graph, "khash")
+        index = LSHIndex(pg)
+        _assert_equals_scan(index.topk_similar_batch(COUNT_SOURCES, 8, exact=True), pg, COUNT_SOURCES, 8)
+        assert index.stats.count_mismatches == 1
+        assert index.stats.full_scan_fallbacks == 1
+        engine = ShardedEngine(graph, 2, representation="khash", k=16, seed=5)
+        held = engine.lsh_index()
+        got = engine.top_k_similar_batch(COUNT_SOURCES, 8)
+        _assert_equals_scan(got, engine.to_probgraph(), COUNT_SOURCES, 8)
+        assert held.stats.count_mismatches == 1
+
+    @pytest.mark.parametrize(
+        "representation, split", [("khash", (8, 2)), ("kmv", None)], ids=["khash-8x2", "kmv"]
+    )
+    def test_other_indexes_leave_the_engine_scanning(self, graph, representation, split):
+        engine = ShardedEngine(graph, 2, representation=representation, k=16, seed=5)
+        kwargs = {} if split is None else {"num_bands": split[0], "rows_per_band": split[1]}
+        index = engine.lsh_index(**kwargs)
+        reset_engine_stats()
+        got = engine.top_k_similar_batch(COUNT_SOURCES, 8)
+        assert engine_stats().pairs == COUNT_SOURCES.shape[0] * graph.num_vertices
+        assert index.stats.probed_sources == 0
+        _assert_equals_scan(got, engine.to_probgraph(), COUNT_SOURCES, 8)
+
+    def test_answered_engine_scores_only_the_winners(self, graph):
+        engine = ShardedEngine(graph, 2, representation="khash", k=16, seed=5)
+        index = engine.lsh_index()
+        reset_engine_stats()
+        engine.comm.reset()
+        got = engine.top_k_similar_batch(COUNT_SOURCES, 8)
+        winners = np.count_nonzero(got.scores > 0)
+        assert 0 < engine_stats().pairs == winners < COUNT_SOURCES.shape[0] * graph.num_vertices
+        assert engine.comm.routed_pairs == 0  # re-checked on the engine's ProbGraph
+        assert index.stats.probed_sources == COUNT_SOURCES.shape[0]
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    @pytest.mark.parametrize("case", ["all-candidates", "subset-17", "no-sources", "k-0"])
+    def test_shipments_match_brute_force_with_a_live_index(self, graph, num_shards, case):
+        engine = ShardedEngine(graph, num_shards, representation="khash", k=16, seed=3)
+        index = engine.lsh_index()
+        rng = np.random.default_rng(12)
+        n = graph.num_vertices
+        sources = rng.integers(0, n, size=9).astype(np.int64)
+        sources = np.concatenate([sources, sources[:3]])  # repeated sources ship once
+        candidates = None
+        if case == "subset-17":
+            candidates = rng.choice(n, size=17, replace=False).astype(np.int64)
+        elif case == "no-sources":
+            sources = sources[:0]
+        k = 0 if case == "k-0" else 5
+        engine.comm.reset()
+        engine.top_k_similar_batch(sources, k, candidates=candidates)
+        expected = _brute_force_shipments(engine, sources, k, candidates)
+        assert engine.comm.queries == 1
+        assert engine.comm.shipments == expected
+        assert engine.comm.sketch_bytes == expected * engine.bits_per_set / 8.0
+        assert engine.comm.routed_pairs == engine.comm.cut_pairs == 0
+        assert index.stats.probed_sources == (sources.shape[0] if k else 0)
+        if num_shards > 1 and case in ("all-candidates", "subset-17"):
+            assert expected > 0
+
+    def test_comm_equals_the_scans(self, graph):
+        scanning = ShardedEngine(graph, 4, representation="khash", k=16, seed=5)
+        answering = ShardedEngine(graph, 4, representation="khash", k=16, seed=5)
+        index = answering.lsh_index()
+        for pool in (None, np.arange(0, 256, 7)):
+            for engine in (scanning, answering):
+                engine.top_k_similar_batch(COUNT_SOURCES, 8, candidates=pool)
+        assert index.stats.probed_sources == 2 * COUNT_SOURCES.shape[0]
+        assert answering.comm == scanning.comm
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.parallel import (
     Scheme,
@@ -17,6 +19,26 @@ from repro.parallel import (
     simulate_schedule,
     simulate_strong_scaling,
 )
+from repro.parallel.distributed import pair_shipments
+
+
+@st.composite
+def pair_batches(draw):
+    """A pair list over ``n`` vertices, owners over 1–4 shards and degrees.
+
+    Some batches keep every pair on one shard, so that no pair is cut."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    num_shards = draw(st.integers(min_value=1, max_value=4))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    rng = np.random.default_rng(seed)
+    num_pairs = draw(st.integers(min_value=0, max_value=200))
+    owners = rng.integers(0, num_shards, size=n).astype(np.int64)
+    u = rng.integers(0, n, size=num_pairs).astype(np.int64)
+    v = rng.integers(0, n, size=num_pairs).astype(np.int64)
+    if draw(st.booleans()):
+        v = np.where(owners[u] == owners[v], v, u)
+    degrees = rng.integers(0, 5, size=n).astype(np.float64)  # ties in degree are common
+    return u, v, owners, degrees
 
 
 class TestWorkDepth:
@@ -185,6 +207,31 @@ class TestDistributedModel:
         volume = communication_volume(kron_small, 1, seed=1)
         assert volume.cut_edges == 0
         assert volume.csr_bytes == 0.0
+
+    @given(batch=pair_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_pair_shipments_equal_the_hashed_dedup(self, batch):
+        u, v, owners, degrees = batch
+        cut, shipped = pair_shipments(u, v, owners, degrees)
+        ou, ov = owners[u], owners[v]
+        assert np.array_equal(cut, ou != ov)
+        ship_u = degrees[u[cut]] <= degrees[v[cut]]
+        destination = np.where(ship_u, ov[cut], ou[cut])
+        n = owners.shape[0]
+        keys = destination * n + np.where(ship_u, u[cut], v[cut])
+        expected = np.unique(keys) % n
+        assert shipped.dtype == expected.dtype
+        assert np.array_equal(shipped, expected)
+        if np.unique(owners).shape[0] == 1:  # a single shard cuts nothing
+            assert not cut.any() and shipped.shape == (0,)
+
+    def test_pair_shipments_without_cut_pairs(self):
+        owners = np.asarray([0, 0, 1, 1], dtype=np.int64)
+        degrees = np.ones(4)
+        cut, shipped = pair_shipments(np.asarray([0, 2]), np.asarray([1, 3]), owners, degrees)
+        assert not cut.any() and shipped.shape == (0,)
+        cut, shipped = pair_shipments(np.asarray([0]), np.asarray([3]), np.zeros(4, np.int64), degrees)
+        assert not cut.any() and shipped.shape == (0,)
 
     def test_invalid_inputs(self, kron_small):
         with pytest.raises(ValueError):

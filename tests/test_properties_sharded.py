@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import PGSession, ShardedEngine
+from repro.engine import PGSession, ShardedEngine, topk_per_source
 from repro.graph import CSRGraph
 
 @st.composite
@@ -68,3 +68,41 @@ def test_sharded_queries_bit_identical(
     got = engine.top_k_similar_batch(sources, k)
     assert np.array_equal(ref.indices, got.indices)
     assert np.array_equal(ref.scores, got.scores)
+
+
+@given(
+    graph=random_graph(),
+    k_slots=st.integers(min_value=1, max_value=16),
+    num_shards=st.sampled_from([1, 2, 4]),
+    oriented=st.booleans(),
+    exclude_self=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_table_answered_topk_bit_identical(
+    graph, k_slots, num_shards, oriented, exclude_self, seed
+):
+    """With a held (k, 1) k-hash index, the engine's top-k comes from the band
+    tables and still equals the full scan, pool or no pool."""
+    engine = ShardedEngine(
+        graph, num_shards, representation="khash", k=k_slots, oriented=oriented, seed=seed
+    )
+    index = engine.lsh_index(num_bands=k_slots, rows_per_band=1)
+    n = graph.num_vertices
+    rng = np.random.default_rng(seed + 2)
+    sources = rng.integers(0, n, size=5).astype(np.int64)
+    k = int(rng.integers(1, n + 3))
+    pool = None
+    if rng.random() < 0.5:
+        pool = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).astype(np.int64)
+    got = engine.top_k_similar_batch(sources, k, candidates=pool, exclude_self=exclude_self)
+    want = topk_per_source(
+        engine.to_probgraph(), sources, k, candidates=pool, exclude_self=exclude_self
+    )
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.scores, want.scores)
+    assert index.stats.probed_sources == sources.shape[0]
